@@ -2,7 +2,7 @@
 
 Three routes to ``max |A(S, T)| / sqrt(d(S) e(T))`` over nonempty index sets:
 
-* brute force over all rectangles (small sides only),
+* an exact sweep over the row sets (small sides only),
 * a linear-programming relaxation per candidate ratio ``c = d(S)/e(T)``,
   rounded by a threshold scan over the LP levels, and
 * an exact completion sweep (subsets on one side, a weight-exact knapsack
@@ -13,6 +13,19 @@ The LP route alone is exact for entrywise-nonnegative matrices; with mixed
 signs, negative entries adjacent to a good rectangle force negative payments
 into the LP objective and the relaxation can undershoot, which is why
 ``cut_lp_exact`` finishes with the completion sweep.
+
+The row-set sweep rests on a prefix lemma.  Fix a row set ``S`` with row
+sums ``r`` and positive column weights ``e``.  On the box ``[0, 1]^n`` the
+function ``(r.x)^2 / (e.x)`` is convex, so its maximum over nonempty column
+sets is attained at a vertex where no single-column flip has a positive
+gradient.  The gradient in column ``j`` has the sign of ``(r.x) (2 r_j - lam
+e_j)`` with ``lam = (r.x)/(e.x)``, so the best column set is cut off by the
+threshold ``r_j/e_j = lam/2``: with the columns sorted by ``r_j/e_j`` in
+decreasing order it is a prefix for a positive sum and a suffix for a
+negative one.  This holds for any positive weights.  For the plain form ``|A(S,T)|``
+the best column set is the positive or the negative support of ``r``.  An
+exact maximization therefore costs ``O(2^m n log n + 2^n)`` instead of the
+``2^m 2^n`` rectangle table.
 """
 from __future__ import annotations
 
@@ -97,27 +110,53 @@ def rectangle_value(A, d_left, d_right, S, T) -> float:
     return rectangle_sum(A, S, T) / math.sqrt(d[S].sum() * e[T].sum())
 
 
-def _scan_best(values, atol: float):
-    """Max-|value| entry of a dense (masks x masks) value table.
-
-    Returns (row_index, col_index, value) for the winner; ties within
-    ``atol`` resolve to the lexicographically smallest (row mask, col mask),
-    which is the first hit in row-major order.
-    """
-    best = float(np.max(np.abs(values)))
-    hits = np.argwhere(np.abs(values) >= best - atol)
-    i, j = hits[0]
-    return int(i), int(j), float(values[i, j])
+def _sweep_rows(A, d, e, cap: int, tol: Tolerance | None) -> CutPair:
+    """Normalized form (plain ``|A(S,T)|`` when ``d`` is None) maximized over
+    row sets, each with its best column set read off its row sums (the prefix
+    lemma of the module docstring).  Ties within ``tol.atol`` break to the
+    smallest (S mask, T mask): the first qualifying row set, then the first
+    column set in that row's ``2^n`` values."""
+    tol = tol or DEFAULT_TOL
+    m, n = A.shape
+    if max(m, n) > cap:
+        raise ValueError(f"matrix sides {A.shape} exceed brute-force cap {cap}")
+    U = subset_indicators(m)
+    V = subset_indicators(n)
+    R = U @ A  # row sums of every row subset, mask order
+    if d is None:
+        best_per_S = np.maximum(np.where(R > 0, R, 0.0).sum(axis=1),
+                                -np.where(R < 0, R, 0.0).sum(axis=1))
+    else:
+        order = np.argsort(R / e, axis=1)
+        Rs = np.take_along_axis(R, order, axis=1)
+        Es = e[order]
+        # prefixes of the increasing order hold the negative optimum,
+        # suffixes the positive one
+        low = np.cumsum(Rs, axis=1) / np.sqrt(np.cumsum(Es, axis=1))
+        high = np.cumsum(Rs[:, ::-1], axis=1) / np.sqrt(np.cumsum(Es[:, ::-1], axis=1))
+        wS = np.sqrt(U @ d)
+        best_per_S = np.maximum(np.abs(low).max(axis=1), np.abs(high).max(axis=1)) / wS
+    best = float(best_per_S.max())
+    s = int(np.argmax(best_per_S >= best - tol.atol))
+    row = V @ R[s]
+    if d is not None:
+        row /= wS[s] * np.sqrt(V @ e)
+    mags = np.abs(row)
+    # the row is summed in another order than the sweep, so its maximum may
+    # sit an ulp below ``best``
+    t = int(np.argmax(mags >= min(best, float(mags.max())) - tol.atol))
+    return CutPair(_mask_set(s + 1), _mask_set(t + 1), float(row[t]))
 
 
 def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, tol: Tolerance | None = None) -> CutPair:
-    """Exact unnormalized cut norm ``max |A(S,T)|`` by enumeration.
+    """Exact unnormalized cut norm ``max |A(S,T)|`` by a sweep over row sets.
 
     Parameters
     ----------
     A : array_like, shape (m, n)
     cap : int
-        Reject inputs with ``max(m, n)`` beyond this (2^m * 2^n blowup).
+        Reject inputs with ``max(m, n)`` beyond this (2^m row sets, 2^n
+        column sets in the tie-break scan).
 
     Returns
     -------
@@ -125,71 +164,27 @@ def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, tol: Tolerance | None = N
         Witness sets with the signed rectangle sum attaining the maximum
         absolute value; ties break to the smallest (S mask, T mask).
     """
-    A = as_matrix(A)
-    tol = tol or DEFAULT_TOL
-    m, n = A.shape
-    if max(m, n) > cap:
-        raise ValueError(f"matrix sides {A.shape} exceed brute-force cap {cap}")
-    U = subset_indicators(m)
-    V = subset_indicators(n)
-    best_val = 0.0
-    best_key = None
-    chunk = max(1, 2**18 // (2**n))
-    row_sums_all = None
-    # pass 1: the maximum absolute value
-    for lo in range(0, U.shape[0], chunk):
-        vals = (U[lo : lo + chunk] @ A) @ V.T
-        cand = float(np.max(np.abs(vals)))
-        if cand > best_val:
-            best_val = cand
-    # pass 2: first rectangle within tolerance of the maximum
-    for lo in range(0, U.shape[0], chunk):
-        vals = (U[lo : lo + chunk] @ A) @ V.T
-        hits = np.argwhere(np.abs(vals) >= best_val - tol.atol)
-        if hits.size:
-            i, j = hits[0]
-            best_key = (lo + int(i), int(j), float(vals[i, j]))
-            break
-    assert best_key is not None
-    i, j, value = best_key
-    return CutPair(_mask_set(i + 1), _mask_set(j + 1), value)
+    return _sweep_rows(as_matrix(A), None, None, cap, tol)
 
 
 def normalized_cut_bruteforce(
     A, d_left=None, d_right=None, cap: int = BRUTE_FORCE_CAP, tol: Tolerance | None = None
 ) -> CutPair:
-    """Exact ``max |A(S,T)| / sqrt(d(S) e(T))`` by enumeration.
+    """Exact ``max |A(S,T)| / sqrt(d(S) e(T))`` by a sorted-ratio sweep.
 
-    Covers both signs in one pass (the absolute value of the table is
-    scanned); the stored value keeps its sign.
+    Enumerates the ``2^m - 1`` row sets ``S``.  For each, with ``r`` the
+    row sums of ``S``, the best column set is a prefix (positive sign) or a
+    suffix (negative sign) of the columns sorted by ``r_j / e_j`` (the
+    prefix lemma in the module docstring), so one call costs
+    ``O(2^m n log n + 2^n)`` instead of the ``2^m 2^n`` rectangle table.
+    Covers both signs; the stored value keeps its sign, and ties break to
+    the smallest (S mask, T mask).
     """
     A = as_matrix(A)
-    tol = tol or DEFAULT_TOL
     m, n = A.shape
     d = as_weights(d_left, m, "left weights")
     e = as_weights(d_right, n, "right weights")
-    if max(m, n) > cap:
-        raise ValueError(f"matrix sides {A.shape} exceed brute-force cap {cap}")
-    U = subset_indicators(m)
-    V = subset_indicators(n)
-    wS = np.sqrt(U @ d)
-    wT = np.sqrt(V @ e)
-    best_val = 0.0
-    chunk = max(1, 2**18 // (2**n))
-    for lo in range(0, U.shape[0], chunk):
-        vals = (U[lo : lo + chunk] @ A) @ V.T
-        vals /= np.outer(wS[lo : lo + chunk], wT)
-        cand = float(np.max(np.abs(vals)))
-        if cand > best_val:
-            best_val = cand
-    for lo in range(0, U.shape[0], chunk):
-        vals = (U[lo : lo + chunk] @ A) @ V.T
-        vals /= np.outer(wS[lo : lo + chunk], wT)
-        hits = np.argwhere(np.abs(vals) >= best_val - tol.atol)
-        if hits.size:
-            i, j = hits[0]
-            return CutPair(_mask_set(lo + int(i) + 1), _mask_set(int(j) + 1), float(vals[i, j]))
-    raise AssertionError("unreachable: maximum vanished between passes")
+    return _sweep_rows(A, d, e, cap, tol)
 
 
 # ---------------------------------------------------------------------------

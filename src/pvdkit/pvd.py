@@ -6,8 +6,9 @@ used (two Gram-Schmidt passes), and subtracts the projection of the residual
 onto the new direction.  The recorded projection values are the weighted
 Frobenius norms of the successive partial-projection differences; their
 Euclidean norm equals the norm of the projection of the source onto the span
-of every atom the domain offers, which is what `verify_pvd` checks by an
-independent dense least-squares route.
+of every atom the domain offers, which is what `verify_pvd` checks: against
+the source norm for the cut domain (whose atoms span every matrix), by an
+independent dense least-squares route for the others.
 
 Everything here is dimension-agnostic: the engine flattens whitened arrays,
 so matrix and tensor domains share it.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.linalg as la
 
-from .domains import UnsupportedDomain
+from .domains import CutDomain, UnsupportedDomain
 from .linalg import DEFAULT_TOL, DEPENDENCE_RTOL, Tolerance
 
 Array = np.ndarray
@@ -277,9 +278,12 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
     Checks, each reported as a named (lhs, rhs, pass) certificate:
 
     * ``projection-identity``: the Euclidean norm of the projection values
-      against the weighted Frobenius norm of the dense least-squares
-      projection of the source onto *all* atoms (two-sided for exhausted
-      runs, one-sided otherwise).
+      against the weighted Frobenius norm of the projection of the source
+      onto the span of *all* atoms (two-sided for exhausted runs, one-sided
+      otherwise).  The cut domain holds every singleton rectangle, so its
+      atoms span all matrices and the target is the whitened source norm
+      itself (Parseval); for every other domain it is the dense
+      least-squares projection onto the stacked atoms.
     * ``basis-orthonormality``: largest deviation of the basis Gram matrix
       from the identity.
     * ``step-dominance``: each projection value must cover the
@@ -288,22 +292,24 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
       certifiable ``r``, the best truncation's residual norm against the RMS
       tail bound, and that bound against the source-norm bound.
 
-    Raises ``UnsupportedDomain`` when the domain cannot be enumerated or has
-    more than ``max_atoms`` atoms.
+    Raises ``UnsupportedDomain`` when a domain other than the cut domain
+    cannot be enumerated or has more than ``max_atoms`` atoms.
     """
     domain = result.domain
-    size = domain.size()
-    if size is None:
-        raise UnsupportedDomain("verification needs an enumerable domain")
-    if size > max_atoms:
-        raise UnsupportedDomain(f"domain has {size} atoms; verification cap is {max_atoms}")
-
     Aw = (result.source / domain.whitener).ravel()
-    certs = []
+    if isinstance(domain, CutDomain):
+        proj_norm = float(la.norm(Aw))
+    else:
+        size = domain.size()
+        if size is None:
+            raise UnsupportedDomain("verification needs an enumerable domain")
+        if size > max_atoms:
+            raise UnsupportedDomain(f"domain has {size} atoms; verification cap is {max_atoms}")
+        G = np.stack([atom.ravel() for _, atom in domain.atoms()])
+        coef, *_ = la.lstsq(G.T, Aw, rcond=None)
+        proj_norm = float(la.norm(G.T @ coef))
 
-    G = np.stack([atom.ravel() for _, atom in domain.atoms()])
-    coef, *_ = la.lstsq(G.T, Aw, rcond=None)
-    proj_norm = float(la.norm(G.T @ coef))
+    certs = []
     sig_norm = float(la.norm(result.sigmas))
     allowance = frob_rtol * max(1.0, float(la.norm(Aw)))
     gap = abs(sig_norm - proj_norm) if result.exhausted else sig_norm - proj_norm

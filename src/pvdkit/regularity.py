@@ -29,7 +29,6 @@ from .cutnorm import (
     cut_norm_bruteforce,
     cut_norm_lp_upper,
     rectangle_sum,
-    subset_indicators,
 )
 from .domains import CutDomain
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_weights
@@ -116,13 +115,9 @@ def block_average(A, partition: Partition) -> Array:
 
 
 def _block_max_abs(M: Array, rows, cols, bf_cap: int) -> float:
-    """max over nonempty S in rows, T in cols of |M(S, T)|."""
-    if len(rows) > bf_cap or len(cols) > bf_cap:
-        raise ValueError(f"block {len(rows)}x{len(cols)} exceeds cap {bf_cap}")
-    sub = M[np.ix_(rows, cols)]
-    U = subset_indicators(len(rows))
-    V = subset_indicators(len(cols))
-    return float(np.max(np.abs(U @ sub @ V.T)))
+    """Upper bound on max over nonempty S in rows, T in cols of |M(S, T)|:
+    exact within ``bf_cap``, the LP relaxation value beyond it."""
+    return _cut_norm_ub(M[np.ix_(rows, cols)], bf_cap)[0]
 
 
 def weak_irregularity_ub(A, partition: Partition, bf_cap: int = BRUTE_FORCE_CAP) -> float:
@@ -130,10 +125,7 @@ def weak_irregularity_ub(A, partition: Partition, bf_cap: int = BRUTE_FORCE_CAP)
     block-constant approximation's cut-norm distance.  Exact by enumeration
     within the cap; beyond it the LP relaxation value (also an upper bound)."""
     A = as_matrix(A)
-    R = A - block_average(A, partition)
-    if max(A.shape) <= bf_cap:
-        return abs(cut_norm_bruteforce(R, cap=bf_cap).value)
-    return cut_norm_lp_upper(R)
+    return _cut_norm_ub(A - block_average(A, partition), bf_cap)[0]
 
 
 def szemeredi_irregularity_ub(A, partition: Partition, bf_cap: int = BRUTE_FORCE_CAP) -> float:

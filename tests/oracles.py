@@ -175,6 +175,26 @@ def plain_cutnorm_fast(A) -> float:
     return float(np.max(np.abs(U @ A @ V.T)))
 
 
+def table_witness(A, d=None, e=None, atol: float = 1e-9):
+    """(S, T, value) read off the dense (S mask, T mask) table: the first
+    entry in row-major order within ``atol`` of the largest absolute value.
+    Plain sums ``A(S,T)`` when both weight vectors are None, normalized
+    values otherwise."""
+    A = np.asarray(A, dtype=float)
+    U = subset_matrix(A.shape[0])
+    V = subset_matrix(A.shape[1])
+    table = U @ A @ V.T
+    if d is not None or e is not None:
+        d = np.ones(A.shape[0]) if d is None else np.asarray(d, dtype=float)
+        e = np.ones(A.shape[1]) if e is None else np.asarray(e, dtype=float)
+        table = table / np.sqrt(np.outer(U @ d, V @ e))
+    mags = np.abs(table)
+    i, j = np.argwhere(mags >= mags.max() - atol)[0]
+    S = tuple(int(k) for k in np.nonzero(U[i])[0])
+    T = tuple(int(k) for k in np.nonzero(V[j])[0])
+    return S, T, float(table[i, j])
+
+
 def maxcut_value_fast(A) -> float:
     A = np.asarray(A, dtype=float)
     U = subset_matrix(A.shape[0])

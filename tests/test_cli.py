@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from pvdkit import cli
+from pvdkit.regularity import szemeredi_partition
+
+import oracles
 
 
 def _graph_file(tmp_path, name="g.edges"):
@@ -17,6 +20,13 @@ def _mtx_file(tmp_path, name="m.mtx"):
     p.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
                  "4 4 4\n1 2 1.0\n2 3 1.0\n1 3 1.0\n3 4 1.0\n")
     return str(p)
+
+
+def _gnp_file(tmp_path, n, seed, name="gnp.edges"):
+    A = oracles.gnp_adjacency(np.random.default_rng(seed), n, 0.5)
+    p = tmp_path / name
+    p.write_text("".join(f"{i} {j}\n" for i in range(n) for j in range(i + 1, n) if A[i, j]))
+    return str(p), A
 
 
 def _run(capsys, argv):
@@ -35,6 +45,30 @@ def test_pvd_report_shape(tmp_path, capsys):
     assert rep["all_certificates_pass"] is True
     for cert in rep["certificates"]:
         assert set(cert) == {"name", "lhs", "rhs", "pass"}
+
+
+def test_pvd_certifies_beyond_eight_vertices(tmp_path, capsys):
+    path, _ = _gnp_file(tmp_path, 10, 11)
+    code, rep = _run(capsys, ["pvd", "--input", path])
+    assert code == 0
+    assert rep["results"]["verified"] is True
+    names = [c["name"] for c in rep["certificates"]]
+    assert "projection-identity" in names and "step-dominance" in names
+    assert all(c["pass"] for c in rep["certificates"])
+
+
+def test_szemreg_part_beyond_cap_uses_upper_bound(tmp_path, capsys):
+    path, A = _gnp_file(tmp_path, 6, 7)
+    code, rep = _run(capsys, ["szemreg", "--input", path, "--eps", "0.8", "--bf-cap", "4"])
+    assert code == 0
+    assert max(len(p) for p in rep["results"]["parts"]) > 4
+    second = next(c for c in rep["certificates"] if c["name"] == "second-term-control")
+    lib = szemeredi_partition(A, 0.8, bf_cap=4)
+    gap = lib.details["refined_approx"] - lib.approx_matrix
+    # [DERIVED] blockwise plain-loop cut norms of the gap
+    exact = sum(oracles.plain_cutnorm(gap[np.ix_(P, Q)])
+                for P in lib.partition for Q in lib.partition)
+    assert second["lhs"] >= exact - 1e-9
 
 
 def test_cutnorm_exit_zero_and_value(tmp_path, capsys):

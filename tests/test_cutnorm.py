@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvdkit.cutnorm import (CutPair, build_cut_lp, cut_lp_approx, cut_lp_exact,
                             cut_norm_bruteforce, cut_norm_lp_upper, exact_completion,
@@ -58,6 +60,82 @@ def test_bruteforce_tie_break_is_canonical():
     # identity: every diagonal singleton ties at value 1; smallest masks win
     pair = normalized_cut_bruteforce(np.eye(3))
     assert pair.S == (0,) and pair.T == (0,)
+    # zero matrix: every rectangle ties at 0
+    for A in (np.zeros((3, 4)), np.zeros((4, 2))):
+        for pair in (normalized_cut_bruteforce(A), cut_norm_bruteforce(A)):
+            assert (pair.S, pair.T, pair.value) == ((0,), (0,), 0.0)
+    # a gain below the tolerance does not move the witness to a larger mask
+    A = np.array([[1.0, 1e-12]])
+    for pair in (normalized_cut_bruteforce(A, [1.0], [1.0, 1e-15]), cut_norm_bruteforce(A)):
+        assert (pair.S, pair.T, pair.value) == ((0,), (0,), 1.0)
+    # symmetric graph residual: (S, T) and (T, S) tie; the smaller S mask wins
+    rng = np.random.default_rng(24)
+    for _ in range(5):
+        G = oracles.gnp_adjacency(rng, 7, 0.5)
+        R = G - G.mean()
+        deg = np.maximum(G.sum(axis=1), 1.0)
+        cases = ((normalized_cut_bruteforce(R, deg, deg), oracles.table_witness(R, deg, deg)),
+                 (cut_norm_bruteforce(R), oracles.table_witness(R)))
+        for pair, want in cases:
+            assert (pair.S, pair.T) == want[:2]
+            # the transposed rectangle ties, so the winner has the smaller S mask
+            assert pair.masks()[0] <= pair.masks()[1]
+
+
+@st.composite
+def _matrices(draw):
+    """Shapes m<n, m>n and square; non-integer entries, or integer, zero,
+    rank-one and duplicated-row matrices, which have exact ties.  Entries and
+    weights lie on dyadic grids, so rectangle sums are exact and no
+    comparison lands within rounding of the 1e-9 tie tolerance."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["fraction", "int", "zero", "rank-one", "dup-row"]))
+    if kind == "fraction":
+        vals = draw(st.lists(st.integers(-64, 64), min_size=m * n, max_size=m * n))
+        return np.array(vals, dtype=float).reshape(m, n) / 16.0
+    ints = st.integers(-3, 3)
+    if kind == "zero":
+        return np.zeros((m, n))
+    if kind == "rank-one":
+        u = draw(st.lists(ints, min_size=m, max_size=m))
+        z = draw(st.lists(ints, min_size=n, max_size=n))
+        return np.outer(u, z).astype(float)
+    A = np.array(draw(st.lists(ints, min_size=m * n, max_size=m * n)), dtype=float)
+    A = A.reshape(m, n)
+    if kind == "dup-row" and m > 1:
+        A[1] = A[0]
+    return A
+
+
+def _weights(size):
+    """Unit, integer or non-integer positive weights."""
+    unit = st.just([1.0] * size)
+    integer = st.lists(st.integers(1, 4).map(float), min_size=size, max_size=size)
+    real = st.lists(st.integers(2, 32).map(lambda k: k / 8.0), min_size=size, max_size=size)
+    return st.one_of(unit, integer, real).map(np.array)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sweep_matches_dense_table(data):
+    """Value and tie-broken witness of both forms against the dense table."""
+    A = data.draw(_matrices())
+    m, n = A.shape
+    d = data.draw(_weights(m))
+    e = data.draw(_weights(n))
+    pair = normalized_cut_bruteforce(A, d, e)
+    S, T, value = oracles.table_witness(A, d, e)
+    assert (pair.S, pair.T) == (S, T)
+    assert pair.value == pytest.approx(value, abs=1e-12)
+    assert abs(pair.value) == pytest.approx(oracles.cut_pnorm_max_fast(A, d, e), abs=1e-12)
+    best = max(oracles.best_signed_pair(A, d, e, sign)[2] for sign in (1, -1))
+    assert abs(pair.value) == pytest.approx(best, abs=1e-12)
+
+    plain = cut_norm_bruteforce(A)
+    S, T, value = oracles.table_witness(A)
+    assert (plain.S, plain.T) == (S, T)
+    assert plain.value == pytest.approx(value, abs=1e-12)
+    assert abs(plain.value) == pytest.approx(oracles.plain_cutnorm_fast(A), abs=1e-12)
 
 
 def test_ratio_candidates_are_reduced_and_complete():
