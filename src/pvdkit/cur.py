@@ -43,7 +43,8 @@ def cur_pvd(A, eps: float, tol: Tolerance | None = None):
     approx, _index = best_truncation(result, r)
     resid = p_norm(A - approx, domain, result.tol)
     target = eps * float(la.norm(A))
-    assert resid <= target + 1e-9, (resid, target)
+    if not resid <= target + 1e-9:
+        raise RuntimeError(f"column-row residual {resid} exceeds the guarantee {target}")
     return approx, result
 
 

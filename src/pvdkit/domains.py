@@ -12,6 +12,10 @@ index for explicit lists).
 """
 from __future__ import annotations
 
+import itertools
+import math
+from functools import reduce
+
 import numpy as np
 import numpy.linalg as la
 
@@ -22,7 +26,8 @@ from .cutnorm import (
     cut_lp_exact,
     normalized_cut_bruteforce,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_weights, ip_norm
+from .linalg import (DEFAULT_TOL, Tolerance, as_matrix, as_weights, ip_norm,
+                     tensor_whitener)
 
 
 class UnsupportedDomain(ValueError):
@@ -110,74 +115,132 @@ class CutDomain:
         return pair.masks(), pair.value
 
 
-class ColumnRowDomain:
+class FactorDomain:
+    """Every combination of one row per mode of per-mode factor matrices.
+
+    Mode ``k`` holds a matrix whose rows are unit vectors in whitened
+    coordinates, each with a label; the atom of the key ``(l_0, l_1, ...)``
+    is the outer product of the labelled rows, and keys run in
+    ``itertools.product`` order of the labels.  The maximizer contracts the
+    residual with each factor matrix in turn (``U R Z^T`` for two modes), so
+    no atom is formed and the memory is one value per atom.
+    """
+
+    def __init__(self, factors, labels, weights):
+        self.factors = tuple(factors)
+        self.labels = tuple(labels)
+        self._rows = tuple({lab: i for i, lab in enumerate(labs)} for labs in self.labels)
+        self.weights = tuple(weights)
+        self.shape = tuple(F.shape[1] for F in self.factors)
+        self.whitener = tensor_whitener(self.shape, self.weights)
+
+    def size(self):
+        return math.prod(len(labs) for labs in self.labels)
+
+    def atom(self, key) -> np.ndarray:
+        return _rank_one([F[rows[lab]] for F, rows, lab in zip(self.factors, self._rows, key)])
+
+    def atoms(self):
+        for key in itertools.product(*self.labels):
+            yield key, self.atom(key)
+
+    def max_step(self, resid_white, tol: Tolerance = DEFAULT_TOL):
+        vals = resid_white
+        for F in self.factors:
+            vals = np.tensordot(vals, F, axes=([0], [1]))
+        idx = np.unravel_index(_first_best(vals.ravel(), tol), vals.shape)
+        return tuple(labs[i] for labs, i in zip(self.labels, idx)), float(vals[idx])
+
+
+class ColumnRowDomain(FactorDomain):
     """Normalized (column, row) pairs of a source matrix, Euclidean geometry.
 
     Zero columns/rows are skipped; pairs whose normalized vectors coincide
     (after orienting the first nonzero entry positive) within 1e-12 are
-    deduplicated, keeping the first in (column index, row index) order.
+    deduplicated, keeping the first in (column index, row index) order.  A
+    pair survives exactly when its column survives that rule among the
+    columns and its row among the rows, so the factors are the kept columns
+    and the kept rows.
     """
 
     kind = "column-row"
 
     def __init__(self, source):
         A = as_matrix(source, "source")
-        m, n = A.shape
-        self.shape = (m, n)
-        self.weights = (np.ones(m), np.ones(n))
-        self.whitener = np.ones((m, n))
-        entries = []
-        for j in range(n):
-            c = A[:, j]
-            nc = la.norm(c)
-            if nc == 0.0:
-                continue
-            u = _orient(c / nc)
-            for i in range(m):
-                r = A[i, :]
-                nr = la.norm(r)
-                if nr == 0.0:
-                    continue
-                z = _orient(r / nr)
-                if any(np.max(np.abs(u - u2)) <= 1e-12 and np.max(np.abs(z - z2)) <= 1e-12
-                       for _, u2, z2 in entries):
-                    continue
-                entries.append(((j, i), u, z))
-        if not entries:
+        columns, U = _distinct_directions(A.T)
+        rows, Z = _distinct_directions(A)
+        if not columns:
             raise ValueError("source matrix has no nonzero column/row pair")
-        self._entries = entries
-        self._gram = np.stack([np.outer(u, z).ravel() for _, u, z in entries])
+        m, n = A.shape
+        super().__init__((U, Z), (columns, rows), (np.ones(m), np.ones(n)))
 
-    def size(self):
-        return len(self._entries)
-
-    def atom(self, key) -> np.ndarray:
-        for k, u, z in self._entries:
-            if k == key:
-                return np.outer(u, z)
-        raise KeyError(key)
-
-    def atoms(self):
-        for k, u, z in self._entries:
-            yield k, np.outer(u, z)
+    # bound here as well because bench/recorder.py wraps them from the class __dict__
+    atom = FactorDomain.atom
+    max_step = FactorDomain.max_step
 
     def describe(self, key) -> dict:
         return {"kind": "column-row", "column": key[0], "row": key[1]}
 
-    def max_step(self, resid_white, tol: Tolerance = DEFAULT_TOL):
-        vals = self._gram @ resid_white.ravel()
-        best = float(np.max(np.abs(vals)))
-        idx = int(np.nonzero(np.abs(vals) >= best - tol.atol)[0][0])
-        return self._entries[idx][0], float(vals[idx])
 
+class ExplicitTuples:
+    """A fixed list of vector tuples, normalized per mode on construction.
 
-class ExplicitDomain:
-    """A caller-supplied list of (v, w) pairs, normalized on construction.
-
-    Duplicates are kept as given: they are harmless (never selected while an
-    independent direction remains) and exercising them is part of the
-    engine's contract.
+    Mode ``k`` stacks the whitened ``k``-th vectors of all tuples into one
+    matrix; the maximizer contracts the residual with every tuple's rows at
+    once, so no atom is formed.  Duplicates are kept as given: they are
+    harmless (never selected while an independent direction remains) and
+    exercising them is part of the engine's contract.
     """
+
+    kind = "explicit-tuples"
+
+    def __init__(self, tuples, weights=None):
+        tuples = [tuple(np.asarray(v, dtype=float) for v in t) for t in tuples]
+        if not tuples:
+            raise ValueError("need at least one tuple")
+        shape = tuple(v.shape[0] for v in tuples[0])
+        if weights is None:
+            weights = [np.ones(n) for n in shape]
+        self.weights = tuple(as_weights(np.asarray(w, dtype=float), n)
+                             for w, n in zip(weights, shape))
+        self.shape = shape
+        self.whitener = tensor_whitener(shape, self.weights)
+        self._tuples = []
+        for idx, t in enumerate(tuples):
+            if tuple(v.shape[0] for v in t) != shape:
+                raise ValueError(f"tuple {idx} has mismatched mode sizes")
+            norms = [ip_norm(v, w) for v, w in zip(t, self.weights)]
+            if 0.0 in norms:
+                raise ValueError(f"tuple {idx} contains a zero vector")
+            self._tuples.append(tuple(v / nv for v, nv in zip(t, norms)))
+        self.factors = [np.stack([np.sqrt(w) * t[k] for t in self._tuples])
+                         for k, w in enumerate(self.weights)]
+
+    def size(self):
+        return len(self._tuples)
+
+    def atom(self, key) -> np.ndarray:
+        return _rank_one([F[key] for F in self.factors])
+
+    def atoms(self):
+        for idx in range(len(self._tuples)):
+            yield idx, self.atom(idx)
+
+    def describe(self, key) -> dict:
+        return {"kind": "explicit-tuple", "index": key,
+                "vectors": [v.tolist() for v in self._tuples[key]]}
+
+    def max_step(self, resid_white, tol: Tolerance = DEFAULT_TOL):
+        vals = np.tensordot(self.factors[0], resid_white, axes=([1], [0]))
+        for F in self.factors[1:]:
+            vals = np.einsum("ij...,ij->i...", vals, F)
+        idx = _first_best(vals, tol)
+        return idx, float(vals[idx])
+
+
+class ExplicitDomain(ExplicitTuples):
+    """The two-mode case: a caller-supplied list of (v, w) pairs, normalized
+    on construction under the left and right weights."""
 
     kind = "explicit"
 
@@ -187,42 +250,12 @@ class ExplicitDomain:
             raise ValueError("explicit domain needs at least one pair")
         v0, w0 = pairs[0]
         m, n = np.asarray(v0).shape[0], np.asarray(w0).shape[0]
-        d = as_weights(d_left, m, "left weights")
-        e = as_weights(d_right, n, "right weights")
-        self.weights = (d, e)
-        self.shape = (m, n)
-        self.whitener = np.sqrt(np.outer(d, e))
-        self._pairs = []
-        for idx, (v, w) in enumerate(pairs):
-            v = np.asarray(v, dtype=float)
-            w = np.asarray(w, dtype=float)
-            nv, nw = ip_norm(v, d), ip_norm(w, e)
-            if nv == 0.0 or nw == 0.0:
-                raise ValueError(f"pair {idx} has a zero vector")
-            self._pairs.append((v / nv, w / nw))
-        self._gram = np.stack(
-            [np.outer(np.sqrt(d) * v, np.sqrt(e) * w).ravel() for v, w in self._pairs]
-        )
-
-    def size(self):
-        return len(self._pairs)
-
-    def atom(self, key) -> np.ndarray:
-        return self._gram[key].reshape(self.shape).copy()
-
-    def atoms(self):
-        for idx in range(len(self._pairs)):
-            yield idx, self.atom(idx)
+        super().__init__(pairs, (as_weights(d_left, m, "left weights"),
+                                 as_weights(d_right, n, "right weights")))
 
     def describe(self, key) -> dict:
-        v, w = self._pairs[key]
+        v, w = self._tuples[key]
         return {"kind": "explicit", "index": key, "v": v.tolist(), "w": w.tolist()}
-
-    def max_step(self, resid_white, tol: Tolerance = DEFAULT_TOL):
-        vals = self._gram @ resid_white.ravel()
-        best = float(np.max(np.abs(vals)))
-        idx = int(np.nonzero(np.abs(vals) >= best - tol.atol)[0][0])
-        return idx, float(vals[idx])
 
 
 class FullSphereDomain:
@@ -267,6 +300,32 @@ class FullSphereDomain:
             u = -u
             z = -z
         return (tuple(float(x) for x in u), tuple(float(x) for x in z)), float(s[0])
+
+
+def _first_best(vals: np.ndarray, tol: Tolerance) -> int:
+    """Index of the first value within ``tol.atol`` of the largest magnitude."""
+    mags = np.abs(vals)
+    return int(np.nonzero(mags >= float(np.max(mags)) - tol.atol)[0][0])
+
+
+def _rank_one(factors) -> np.ndarray:
+    return reduce(np.multiply.outer, factors)
+
+
+def _distinct_directions(vectors):
+    """Indices and normalized, oriented copies of the nonzero ``vectors``,
+    skipping each one within 1e-12 (max-abs) of a copy already kept."""
+    keep, units = [], []
+    for k, x in enumerate(vectors):
+        nx = la.norm(x)
+        if nx == 0.0:
+            continue
+        u = _orient(x / nx)
+        if units and np.min(np.max(np.abs(np.array(units) - u), axis=1)) <= 1e-12:
+            continue
+        keep.append(k)
+        units.append(u)
+    return keep, np.array(units)
 
 
 def _orient(x: np.ndarray) -> np.ndarray:

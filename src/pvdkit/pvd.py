@@ -232,6 +232,15 @@ def truncate(result: PvdResult, num_terms: int) -> Array:
     return out
 
 
+def tail_rms(sigmas, r: int):
+    """RMS of the first ``r + 1`` projection values, missing ones counted as
+    zero: ``||(sigma_1..sigma_{r+1})||_2 / sqrt(r+1)``."""
+    padded = np.zeros(r + 1)
+    head = min(len(sigmas), r + 1)
+    padded[:head] = sigmas[:head]
+    return la.norm(padded) / math.sqrt(r + 1)
+
+
 def best_truncation(result: PvdResult, r: int):
     """First truncation whose next projection value is at most the RMS tail.
 
@@ -246,13 +255,11 @@ def best_truncation(result: PvdResult, r: int):
     sig = result.sigmas
     if len(sig) < r + 1 and not result.exhausted:
         raise ValueError("need r+1 projection values (or an exhausted run)")
-    padded = np.zeros(r + 1)
-    head = min(len(sig), r + 1)
-    padded[:head] = sig[:head]
-    threshold = la.norm(padded) / math.sqrt(r + 1)
+    threshold = tail_rms(sig, r)
     for i in range(1, r + 2):
+        value = sig[i - 1] if i <= len(sig) else 0.0
         # tiny relative slack so the all-equal case picks index 1 despite roundoff
-        if padded[i - 1] <= threshold * (1 + 1e-12):
+        if value <= threshold * (1 + 1e-12):
             return truncate(result, min(i - 1, result.num_terms)), i
     raise AssertionError("unreachable: some value is at most the RMS")
 
@@ -341,10 +348,7 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
     for r in range(0, r_max + 1):
         approx, _idx = best_truncation(result, r)
         resid = p_norm(result.source - approx, domain, result.tol)
-        padded = np.zeros(r + 1)
-        head = min(result.num_terms, r + 1)
-        padded[:head] = result.sigmas[:head]
-        tail = float(la.norm(padded)) / math.sqrt(r + 1)
+        tail = float(tail_rms(result.sigmas, r))
         chain_resid = max(chain_resid, resid - tail)
         chain_source = max(chain_source, tail - src_norm / math.sqrt(r + 1))
     if r_max >= 0:

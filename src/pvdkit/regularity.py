@@ -32,7 +32,7 @@ from .cutnorm import (
 )
 from .domains import CutDomain
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_weights
-from .pvd import best_truncation, compute_pvd, truncate
+from .pvd import best_truncation, compute_pvd, tail_rms, truncate
 
 Array = np.ndarray
 
@@ -189,11 +189,8 @@ def weak_regularity_partition(A, eps: float, weights=None, tol: Tolerance | None
     partition = refine([_masks_to_pair(k) for k in result.keys[:m]], n)
 
     wub, exact = _cut_norm_ub(A - approx, bf_cap)
-    padded = np.zeros(r + 1)
-    head = min(result.num_terms, r + 1)
-    padded[:head] = result.sigmas[:head]
     ones_mass = float(d.sum())
-    bound = float(la.norm(padded)) / math.sqrt(r + 1) * ones_mass
+    bound = float(tail_rms(result.sigmas, r)) * ones_mass
 
     deviation = _block_deviation(approx, partition)
     certs = [
@@ -293,10 +290,7 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
     gap_frob = float(la.norm(gap / wh))
     ones_mass = float(d.sum())
 
-    padded = np.zeros(fq + 1)
-    head = min(result.num_terms, fq + 1)
-    padded[:head] = result.sigmas[:head]
-    tail = float(la.norm(padded)) / math.sqrt(fq + 1)
+    tail = float(tail_rms(result.sigmas, fq))
     cutb, exact = _cut_norm_ub(A - refined, bf_cap)
 
     block_gap_sum = 0.0

@@ -1,26 +1,26 @@
 """Greedy rank-one decomposition for dense tensors.
 
 The engine from ``pvd`` works on flattened whitened arrays, so everything
-here just supplies tensor-shaped domains: per-mode subset-indicator tuples
-(the cut analogue) and explicit vector tuples.  The greedy rule maximizes
-the multilinear form of the *residual* at each candidate tuple; because each
-new direction is orthonormalized against the previous ones, this coincides
-with ranking candidates by the size of the projection increment they would
-contribute, and tests assert the two readings agree on every instance they
-can enumerate.
+here just supplies the tensor-shaped cut domain: per-mode subset-indicator
+tuples, for any number of modes (explicit vector tuples live in
+``domains``).  The greedy rule maximizes the multilinear form of the
+*residual* at each candidate tuple; because each new direction is
+orthonormalized against the previous ones, this coincides with ranking
+candidates by the size of the projection increment they would contribute,
+and tests assert the two readings agree on every instance they can
+enumerate.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from functools import reduce
 
 import numpy as np
 import numpy.linalg as la
 
 from .cutnorm import _mask_set
-from .linalg import DEFAULT_TOL, Tolerance, as_tensor, as_weights, tensor_whitener
-from .pvd import PvdResult, best_truncation, compute_pvd, p_norm
+from .domains import ExplicitTuples, FactorDomain  # noqa: F401  (re-export)
+from .linalg import Tolerance, as_tensor, as_weights
+from .pvd import PvdResult, best_truncation, compute_pvd, p_norm, tail_rms
 
 Array = np.ndarray
 
@@ -54,12 +54,13 @@ def tensor_frob_norm(T) -> float:
     return float(la.norm(np.asarray(T, dtype=float).ravel()))
 
 
-def _rank_one(factors) -> Array:
-    return reduce(np.multiply.outer, factors)
+class CutTuples(FactorDomain):
+    """Per-mode nonempty-subset indicator tuples, whitened per-mode weights.
 
-
-class CutTuples:
-    """Per-mode nonempty-subset indicator tuples, whitened per-mode weights."""
+    Mode ``k`` contributes one normalized indicator row per nonempty subset,
+    labelled by its bit mask.  ``CUT_TUPLE_CAP`` bounds the number of tuples,
+    the length of the value vector ``max_step`` builds.
+    """
 
     kind = "cut-tuples"
 
@@ -67,98 +68,30 @@ class CutTuples:
         ws = [np.asarray(w, dtype=float) for w in weights]
         if len(ws) < 2:
             raise ValueError("need at least two modes")
-        self.weights = tuple(as_weights(w, w.shape[0], f"mode-{k} weights")
-                             for k, w in enumerate(ws))
-        self.shape = tuple(w.shape[0] for w in self.weights)
-        total = 1
-        for n in self.shape:
-            total *= 2 ** n - 1
+        ws = [as_weights(w, w.shape[0], f"mode-{k} weights") for k, w in enumerate(ws)]
+        total = math.prod(2 ** w.shape[0] - 1 for w in ws)
         if total > CUT_TUPLE_CAP:
             raise ValueError(f"{total} cut tuples exceeds the cap {CUT_TUPLE_CAP}")
-        self._size = total
-        self.whitener = tensor_whitener(self.shape, self.weights)
-        self._keys = list(itertools.product(*(range(1, 2 ** n) for n in self.shape)))
-        self._gram = np.stack([self.atom(k).ravel() for k in self._keys])
+        masks = [range(1, 2 ** w.shape[0]) for w in ws]
+        factors = [np.stack([_indicator(w, mask) for mask in mode])
+                   for w, mode in zip(ws, masks)]
+        super().__init__(factors, masks, ws)
 
-    def size(self):
-        return self._size
-
-    def atom(self, key) -> Array:
-        factors = []
-        for mode, mask in enumerate(key):
-            w = self.weights[mode]
-            S = np.array(_mask_set(mask), dtype=int)
-            u = np.zeros(self.shape[mode])
-            u[S] = np.sqrt(w[S])
-            u /= math.sqrt(float(w[S].sum()))
-            factors.append(u)
-        return _rank_one(factors)
-
-    def atoms(self):
-        for key in self._keys:
-            yield key, self.atom(key)
+    # bound here as well because bench/recorder.py wraps them from the class __dict__
+    atom = FactorDomain.atom
+    max_step = FactorDomain.max_step
 
     def describe(self, key) -> dict:
         return {"kind": "cut-tuple", "subsets": [list(_mask_set(m)) for m in key]}
 
-    def max_step(self, resid_white, tol: Tolerance = DEFAULT_TOL):
-        vals = self._gram @ resid_white.ravel()
-        best = float(np.max(np.abs(vals)))
-        idx = int(np.nonzero(np.abs(vals) >= best - tol.atol)[0][0])
-        return self._keys[idx], float(vals[idx])
 
-
-class ExplicitTuples:
-    """A fixed list of vector tuples, normalized per mode on construction."""
-
-    kind = "explicit-tuples"
-
-    def __init__(self, tuples, weights=None):
-        tuples = [tuple(np.asarray(v, dtype=float) for v in t) for t in tuples]
-        if not tuples:
-            raise ValueError("need at least one tuple")
-        shape = tuple(v.shape[0] for v in tuples[0])
-        if weights is None:
-            weights = [np.ones(n) for n in shape]
-        self.weights = tuple(as_weights(np.asarray(w, dtype=float), n)
-                             for w, n in zip(weights, shape))
-        self.shape = shape
-        self.whitener = tensor_whitener(shape, self.weights)
-        self._tuples = []
-        for idx, t in enumerate(tuples):
-            if tuple(v.shape[0] for v in t) != shape:
-                raise ValueError(f"tuple {idx} has mismatched mode sizes")
-            normed = []
-            for v, w in zip(t, self.weights):
-                nv = math.sqrt(float(np.sum(w * v * v)))
-                if nv == 0.0:
-                    raise ValueError(f"tuple {idx} contains a zero vector")
-                normed.append(v / nv)
-            self._tuples.append(tuple(normed))
-        self._gram = np.stack([
-            _rank_one([np.sqrt(w) * v for v, w in zip(t, self.weights)]).ravel()
-            for t in self._tuples
-        ])
-
-    def size(self):
-        return len(self._tuples)
-
-    def atom(self, key) -> Array:
-        return self._gram[key].reshape(self.shape).copy()
-
-    def atoms(self):
-        for idx in range(len(self._tuples)):
-            yield idx, self.atom(idx)
-
-    def describe(self, key) -> dict:
-        return {"kind": "explicit-tuple", "index": key,
-                "vectors": [v.tolist() for v in self._tuples[key]]}
-
-    def max_step(self, resid_white, tol: Tolerance = DEFAULT_TOL):
-        vals = self._gram @ resid_white.ravel()
-        best = float(np.max(np.abs(vals)))
-        idx = int(np.nonzero(np.abs(vals) >= best - tol.atol)[0][0])
-        return idx, float(vals[idx])
+def _indicator(w: Array, mask: int) -> Array:
+    """Whitened unit indicator of the subset ``mask`` under weights ``w``."""
+    S = np.array(_mask_set(mask), dtype=int)
+    u = np.zeros(w.shape[0])
+    u[S] = np.sqrt(w[S])
+    u /= math.sqrt(float(w[S].sum()))
+    return u
 
 
 def tensor_pvd(T, domain, max_terms=None, tol: Tolerance | None = None) -> PvdResult:
@@ -183,10 +116,7 @@ def tensor_bound_check(T, domain, r: int, tol: Tolerance | None = None,
     result = compute_pvd(T, domain, max_terms=None, tol=tol)
     approx, _idx = best_truncation(result, r)
     lhs = p_norm(T - approx, domain, result.tol)
-    padded = np.zeros(r + 1)
-    head = min(result.num_terms, r + 1)
-    padded[:head] = result.sigmas[:head]
-    tail = float(la.norm(padded)) / math.sqrt(r + 1)
+    tail = float(tail_rms(result.sigmas, r))
     src = float(la.norm((T / domain.whitener).ravel())) / math.sqrt(r + 1)
     recomputed = p_norm(T - sum(result.increments, np.zeros(T.shape)), domain, result.tol)
     certs = [

@@ -245,3 +245,52 @@ def gnp_adjacency(rng, n: int, p: float) -> np.ndarray:
             if rng.random() < p:
                 A[i, j] = A[j, i] = 1.0
     return A
+
+
+def _oriented(x):
+    """Flip ``x`` so that its first nonzero entry is positive."""
+    for value in x:
+        if value != 0.0:
+            return -x if value < 0.0 else x
+    return x
+
+
+def column_row_pairs(A):
+    """(keys, gram) of the column-row domain by the direct pairwise rule.
+
+    Every (column j, row i) pair with both vectors nonzero is normalized and
+    oriented; a pair is dropped when both of its vectors lie within 1e-12
+    (max-abs) of the vectors of one pair kept before it, in (j, i) order.
+    Rows of ``gram`` are the flattened outer products of the kept pairs.
+    O((mn)^2) comparisons.
+    """
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    kept = []
+    for j in range(n):
+        c = A[:, j]
+        if np.linalg.norm(c) == 0.0:
+            continue
+        u = _oriented(c / np.linalg.norm(c))
+        for i in range(m):
+            r = A[i, :]
+            if np.linalg.norm(r) == 0.0:
+                continue
+            z = _oriented(r / np.linalg.norm(r))
+            if any(np.max(np.abs(u - u2)) <= 1e-12 and np.max(np.abs(z - z2)) <= 1e-12
+                   for _, u2, z2 in kept):
+                continue
+            kept.append(((j, i), u, z))
+    keys = [k for k, _, _ in kept]
+    gram = (np.stack([np.outer(u, z).ravel() for _, u, z in kept]) if kept
+            else np.zeros((0, A.size)))
+    return keys, gram
+
+
+def gram_max_step(keys, gram, resid, atol: float = 1e-9):
+    """(key, value) of the first Gram row, in order, whose inner product with
+    the flattened ``resid`` is within ``atol`` of the largest magnitude."""
+    vals = gram @ np.asarray(resid, dtype=float).ravel()
+    mags = np.abs(vals)
+    idx = int(np.nonzero(mags >= mags.max() - atol)[0][0])
+    return keys[idx], float(vals[idx])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pvdkit import cli
+from pvdkit.domains import UnsupportedDomain
 from pvdkit.regularity import szemeredi_partition
 
 import oracles
@@ -55,6 +56,19 @@ def test_pvd_certifies_beyond_eight_vertices(tmp_path, capsys):
     names = [c["name"] for c in rep["certificates"]]
     assert "projection-identity" in names and "step-dominance" in names
     assert all(c["pass"] for c in rep["certificates"])
+
+
+def test_pvd_refused_verification_is_exit_two(tmp_path, capsys, monkeypatch):
+    """A replay that cannot run is an error, not an empty, passing list."""
+    def refuse(result):
+        raise UnsupportedDomain("verification refused")
+
+    monkeypatch.setattr(cli, "verify_pvd", refuse)
+    code = cli.main(["pvd", "--input", _graph_file(tmp_path), "--r", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "verification refused" in err
 
 
 def test_szemreg_part_beyond_cap_uses_upper_bound(tmp_path, capsys):

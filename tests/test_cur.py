@@ -63,6 +63,15 @@ def test_increments_live_in_column_row_products():
     assert set(result.keys) <= valid
 
 
+def test_cur_guarantee_is_checked_without_assert(monkeypatch):
+    """The residual bound is enforced by a raise that ``python -O`` keeps."""
+    A = np.outer([1.0, 2.0, -1.0], [3.0, 0.5, 1.0])
+    monkeypatch.setattr("pvdkit.cur.best_truncation",
+                        lambda result, r: (np.zeros(A.shape), 1))
+    with pytest.raises(RuntimeError, match="guarantee"):
+        cur_pvd(A, 0.5)
+
+
 def test_cur_rejects_bad_eps():
     with pytest.raises(ValueError):
         cur_pvd(np.ones((2, 2)), 0.0)

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.linalg as la
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvdkit.domains import (ColumnRowDomain, CutDomain, ExplicitDomain,
                             FullSphereDomain, UnsupportedDomain)
@@ -101,6 +103,75 @@ def test_column_row_rejects_zero_matrix():
         ColumnRowDomain(np.zeros((2, 2)))
 
 
+@st.composite
+def _column_row_sources(draw):
+    """Grid matrices with zero, duplicated, negated-proportional and
+    near-duplicate columns and rows; near duplicates differ from their
+    source by a multiple of its norm on either side of 1e-12, alone or in
+    chains where only neighbouring links are within 1e-12."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    grid = st.integers(-8, 8).map(lambda k: k / 4.0)
+    A = np.array(draw(st.lists(grid, min_size=m * n, max_size=m * n))).reshape(m, n)
+    for _ in range(draw(st.integers(0, 5))):
+        B = A if draw(st.booleans()) else A.T       # edit rows or columns in place
+        k = B.shape[0]
+        dst, src = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        edit = draw(st.sampled_from(["zero", "duplicate", "proportional", "near", "chain"]))
+        if edit == "zero":
+            B[dst] = 0.0
+        elif edit == "duplicate":
+            B[dst] = B[src]
+        elif edit == "proportional":
+            B[dst] = draw(st.sampled_from([-3.0, -1.0, -0.5, 0.25, 2.0])) * B[src]
+        else:
+            # "chain": two steps of delta, each within 1e-12 of the last, the
+            # second (often) beyond 1e-12 of the source
+            delta = draw(st.sampled_from([0.3e-12, 0.6e-12, 0.9e-12, 1.2e-12, 2e-12, 5e-12]))
+            step = np.zeros(B.shape[1])
+            step[draw(st.integers(0, B.shape[1] - 1))] = delta * la.norm(B[src])
+            base = B[src].copy()
+            B[dst] = base + step
+            if edit == "chain":
+                B[draw(st.integers(0, k - 1))] = base + 2 * step
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=_column_row_sources(), data=st.data())
+def test_column_row_domain_matches_pairwise_reference(A, data):
+    """Keys, atoms and greedy step against the pairwise dedupe and the
+    flattened Gram matrix of every kept pair."""
+    keys, gram = oracles.column_row_pairs(A)
+    if not keys:
+        with pytest.raises(ValueError):
+            ColumnRowDomain(A)
+        return
+    dom = ColumnRowDomain(A)
+    atoms = list(dom.atoms())
+    assert [k for k, _ in atoms] == keys
+    assert dom.size() == len(keys)
+    assert np.array_equal(np.stack([a.ravel() for _, a in atoms]), gram)
+    grid = st.integers(-8, 8).map(lambda k: k / 4.0)
+    R = np.array(data.draw(st.lists(grid, min_size=A.size, max_size=A.size))).reshape(A.shape)
+    for resid in (R, A):
+        key, value = dom.max_step(resid)
+        want_key, want = oracles.gram_max_step(keys, gram, resid)
+        assert key == want_key
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_column_row_dedupe_compares_with_kept_vectors_only():
+    # column 1 is within 1e-12 of column 0 and dropped; column 2 is within
+    # 1e-12 of column 1 only, so it is kept
+    A = np.array([[1.0, 1.0, 1.0],
+                  [0.0, 0.7e-12, 1.4e-12],
+                  [0.0, 0.0, 0.0]])
+    keys, _ = oracles.column_row_pairs(A)
+    assert {j for j, _ in keys} == {0, 2}
+    assert [k for k, _ in ColumnRowDomain(A).atoms()] == keys
+
+
 def test_explicit_domain_normalizes_and_indexes():
     rng = np.random.default_rng(64)
     d = rng.uniform(0.5, 2.0, size=3)
@@ -111,6 +182,29 @@ def test_explicit_domain_normalizes_and_indexes():
     for key, atom in dom.atoms():
         assert la.norm(atom) == pytest.approx(1.0, abs=1e-12)
         assert isinstance(key, int)
+
+
+def test_explicit_domain_max_step_and_describe():
+    rng = np.random.default_rng(66)
+    d = rng.uniform(0.5, 2.0, size=3)
+    e = rng.uniform(0.5, 2.0, size=4)
+    pairs = [(rng.normal(size=3), rng.normal(size=4)) for _ in range(5)]
+    pairs.append(pairs[2])                     # duplicates are kept
+    dom = ExplicitDomain(pairs, d, e)
+    assert dom.kind == "explicit" and dom.size() == 6
+    keys = [k for k, _ in dom.atoms()]
+    gram = np.stack([atom.ravel() for _, atom in dom.atoms()])
+    for _ in range(5):
+        resid = rng.normal(size=(3, 4))
+        key, value = dom.max_step(resid)
+        want_key, want = oracles.gram_max_step(keys, gram, resid)
+        assert key == want_key
+        assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+    desc = dom.describe(1)
+    assert set(desc) == {"kind", "index", "v", "w"} and desc["kind"] == "explicit"
+    v, w = np.array(desc["v"]), np.array(desc["w"])
+    assert np.sqrt(np.sum(d * v * v)) == pytest.approx(1.0, abs=1e-12)
+    assert np.sqrt(np.sum(e * w * w)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_explicit_domain_rejects_zero_vector():
