@@ -12,7 +12,13 @@ Three routes to ``max |A(S, T)| / sqrt(d(S) e(T))`` over nonempty index sets:
 The LP route alone is exact for entrywise-nonnegative matrices; with mixed
 signs, negative entries adjacent to a good rectangle force negative payments
 into the LP objective and the relaxation can undershoot, which is why
-``cut_lp_exact`` finishes with the completion sweep.
+``cut_lp_exact`` finishes with the completion sweep, and refuses sign-mixed
+matrices whose smaller side is beyond it.
+
+Only the right-hand side of a relaxation depends on ``c``, so a ratio grid
+is solved as one warm chain per sign: the constraint matrix is built once,
+and each ratio reprices the previous optimal tableau and repairs it with a
+dual simplex (``simplex.Tableau``) instead of solving from the slack basis.
 
 The row-set sweep rests on a prefix lemma.  Fix a row set ``S`` with row
 sums ``r`` and positive column weights ``e``.  On the box ``[0, 1]^n`` the
@@ -37,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_weights
-from .simplex import simplex_solve
+from .simplex import Tableau, simplex_solve
 
 #: default cap on one side's length for brute-force rectangle enumeration
 BRUTE_FORCE_CAP = 12
@@ -199,7 +205,9 @@ class CutLpInstance:
     sum_i d_i s_i <= sqrt(c),  sum_j e_j t_j <= 1/sqrt(c),  s, t >= 0.
 
     Variables are shifted (y = x + L) so the slack basis is feasible; entries
-    with A_ij = 0 carry no variable (their x is forced to 0).
+    with A_ij = 0 carry no variable (their x is forced to 0).  Only ``b_ub``
+    and ``shift_total`` depend on ``c``; instances of one (matrix, sign)
+    share the rest and the ``tableau`` that solves them.
     """
 
     c: float
@@ -212,59 +220,73 @@ class CutLpInstance:
     b_ub: np.ndarray
     objective: np.ndarray
     shift_total: float
+    tableau: Tableau
+
+
+class _CutLpFamily:
+    """The ``c``-independent part of the relaxation of one (matrix, sign),
+    and one tableau that solves its instances as a warm chain."""
+
+    def __init__(self, A, d_left, d_right, sign: int):
+        A = as_matrix(A)
+        m, n = A.shape
+        self.d = as_weights(d_left, m)
+        self.e = as_weights(d_right, n)
+        assert sign in (1, -1)
+        self.sign = sign
+        self.matrix = B = sign * A
+        rows, cols = np.nonzero(B)  # row-major, like the pairs in ``nnz``
+        self.nnz = list(zip(rows.tolist(), cols.tolist()))
+        k = len(self.nnz)
+        a = B[rows, cols]
+        self.abs_entries = np.abs(a)
+        r = np.arange(k)
+        A_ub = np.zeros((2 * k + 2, k + m + n))
+        A_ub[2 * r, r] = 1.0
+        A_ub[2 * r, k + rows] = -a
+        A_ub[2 * r + 1, r] = 1.0
+        A_ub[2 * r + 1, k + m + cols] = -a
+        A_ub[2 * k, k : k + m] = self.d
+        A_ub[2 * k + 1, k + m :] = self.e
+        self.A_ub = A_ub
+        self.objective = np.zeros(k + m + n)
+        self.objective[:k] = 1.0
+        self.tableau = Tableau(A_ub, self.objective)
+
+    def instance(self, c: float) -> CutLpInstance:
+        assert c > 0
+        k = len(self.nnz)
+        rc = math.sqrt(c)
+        level_cap = max(rc / self.d.min(), 1.0 / (rc * self.e.min()))
+        L = self.abs_entries * level_cap
+        b_ub = np.empty(2 * k + 2)
+        b_ub[0 : 2 * k : 2] = L
+        b_ub[1 : 2 * k : 2] = L
+        b_ub[2 * k] = rc
+        b_ub[2 * k + 1] = 1.0 / rc
+        return CutLpInstance(float(c), self.sign, self.matrix, self.d, self.e, self.nnz,
+                             self.A_ub, b_ub, self.objective, float(L.sum()), self.tableau)
 
 
 def build_cut_lp(A, d_left, d_right, c: float, sign: int = 1) -> CutLpInstance:
-    A = as_matrix(A)
-    m, n = A.shape
-    d = as_weights(d_left, m)
-    e = as_weights(d_right, n)
-    assert c > 0 and sign in (1, -1)
-    B = sign * A
-    nnz = [(i, j) for i in range(m) for j in range(n) if B[i, j] != 0.0]
-    k = len(nnz)
-    nvar = k + m + n
-    rc = math.sqrt(c)
-    level_cap = max(rc / d.min(), 1.0 / (rc * e.min()))
-    rows = 2 * k + 2
-    A_ub = np.zeros((rows, nvar))
-    b_ub = np.zeros(rows)
-    shift_total = 0.0
-    for r, (i, j) in enumerate(nnz):
-        a = B[i, j]
-        L = abs(a) * level_cap
-        shift_total += L
-        A_ub[2 * r, r] = 1.0
-        A_ub[2 * r, k + i] = -a
-        b_ub[2 * r] = L
-        A_ub[2 * r + 1, r] = 1.0
-        A_ub[2 * r + 1, k + m + j] = -a
-        b_ub[2 * r + 1] = L
-    A_ub[2 * k, k : k + m] = d
-    b_ub[2 * k] = rc
-    A_ub[2 * k + 1, k + m :] = e
-    b_ub[2 * k + 1] = 1.0 / rc
-    objective = np.zeros(nvar)
-    objective[:k] = 1.0
-    return CutLpInstance(float(c), sign, B, d, e, nnz, A_ub, b_ub, objective, shift_total)
+    """One relaxation with a tableau of its own, so it is solved cold."""
+    return _CutLpFamily(A, d_left, d_right, sign).instance(c)
 
 
 def solve_cut_lp(inst: CutLpInstance) -> dict:
     """Solve one instance; returns levels, per-entry x, and the objective."""
     k = len(inst.nnz)
     m = inst.d_left.shape[0]
-    xfull, raw = simplex_solve(inst.A_ub, inst.b_ub, inst.objective)
+    xfull, raw = inst.tableau.solve(inst.b_ub)
     s = xfull[k : k + m].copy()
     t = xfull[k + m :].copy()
-    xs = {}  # x = y - L entrywise
-    for r, (i, j) in enumerate(inst.nnz):
-        xs[(i, j)] = float(xfull[r] - inst.b_ub[2 * r])
+    x = xfull[:k] - inst.b_ub[0 : 2 * k : 2]  # x = y - L entrywise
     return {
         "c": inst.c,
         "sign": inst.sign,
         "s": s,
         "t": t,
-        "x": xs,
+        "x": dict(zip(inst.nnz, x.tolist())),
         "objective": float(raw - inst.shift_total),
     }
 
@@ -310,14 +332,21 @@ def ratio_candidates(sum_left: int, sum_right: int) -> tuple:
 def lp_candidates(A, d_left, d_right, cs):
     """Build, solve, and round one LP per (ratio, sign); yields records.
 
+    The grid is solved as one warm chain per sign: the constraint matrix and
+    objective are built once per sign, and each ratio only changes the
+    right-hand side of that sign's tableau, which a dual simplex repairs
+    from the previous optimal basis.  Records come in the order of ``cs``,
+    the positive sign first.
+
     Each record carries the solved instance data and two rounded pairs: the
     one on the signed matrix (whose value obeys the rounding guarantee) and
     the same sets re-signed as a rectangle of ``A`` itself.
     """
-    A = as_matrix(A)
+    families = [_CutLpFamily(A, d_left, d_right, sign) for sign in (1, -1)]
     for c in cs:
-        for sign in (1, -1):
-            inst = build_cut_lp(A, d_left, d_right, c, sign)
+        for family in families:
+            inst = family.instance(c)
+            sign = inst.sign
             sol = solve_cut_lp(inst)
             rounded = lp_round(inst.matrix, d_left, d_right, sol["s"], sol["t"])
             if rounded.S:
@@ -441,7 +470,10 @@ def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None, det
     Solves one LP per reduced-fraction ratio candidate ``c = a/b`` (both
     signs of ``A``), rounds every solution, and finishes with the exact
     completion sweep; the best rectangle over all candidates is returned.
-    Requires positive integer weights.
+    Requires positive integer weights, and on a matrix with both signs the
+    smaller side within ``COMPLETION_CAP`` (the completion closes the gap the
+    relaxation leaves there); otherwise raises ``ValueError`` before any LP
+    is solved.
 
     Parameters
     ----------
@@ -466,6 +498,10 @@ def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None, det
     e = as_weights(d_right, n, "right weights") if d_right is not None else d
     _integer_weights(d, "left weights")
     _integer_weights(e, "right weights")
+    if min(m, n) > COMPLETION_CAP and A.min() < 0 < A.max():
+        raise ValueError(f"mixed-sign {m}x{n} matrix: the exact completion needs the "
+                         f"smaller side within {COMPLETION_CAP}, and the LP relaxation "
+                         "alone can undershoot")
     cs = ratio_candidates(int(d.sum()), int(e.sum()))
     pool = []
     lp_best = 0.0

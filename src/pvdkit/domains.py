@@ -45,7 +45,9 @@ class CutDomain:
         Strictly positive weight vectors; ``d_right`` defaults to ``d_left``.
     maximizer : {"auto", "enumerate", "lp", "lp-approx"}
         Greedy-step strategy.  "auto" enumerates within ``bf_cap`` and falls
-        back to the LP route (integer weights only) beyond it.
+        back to the LP route (integer weights only) beyond it.  The LP route
+        raises ``UnsupportedDomain`` on a residual with both signs whose
+        smaller side exceeds ``cutnorm.COMPLETION_CAP``.
     approx_eps : float, optional
         Grid parameter for the "lp-approx" strategy.
     """
@@ -108,7 +110,10 @@ class CutDomain:
         elif strategy == "lp":
             if not (np.all(d == np.round(d)) and np.all(e == np.round(e))):
                 raise UnsupportedDomain("LP maximizer needs positive integer weights")
-            pair = cut_lp_exact(R, d, e, tol=tol)
+            try:
+                pair = cut_lp_exact(R, d, e, tol=tol)
+            except ValueError as exc:
+                raise UnsupportedDomain(str(exc)) from exc
         else:
             eps = 0.5 if self.approx_eps is None else float(self.approx_eps)
             pair = cut_lp_approx(R, eps, d, e, tol=tol)

@@ -12,7 +12,7 @@ import numpy as np
 import numpy.linalg as la
 
 from .domains import CutDomain
-from .linalg import Tolerance, as_matrix, as_weights, whitened
+from .linalg import Tolerance, as_adjacency, as_weights, whitened
 from .pvd import compute_pvd
 from .regularity import Partition
 
@@ -27,7 +27,7 @@ def row_sums(A) -> Array:
     No positivity requirement; use ``degree_weights`` when the sums are to
     serve as inner-product weights.
     """
-    A = _check_nonneg_square(A)
+    A = as_adjacency(A, symmetric=False)
     return A @ np.ones(A.shape[0])
 
 
@@ -45,7 +45,7 @@ def threshold_rank(A, eps: float) -> float:
     diagonal; only eigenvalues strictly greater than ``eps`` contribute.
     Monotone nonincreasing in eps; zero for eps >= 1.
     """
-    A = _check_symmetric(_check_nonneg_square(A))
+    A = as_adjacency(A)
     d = degree_weights(A)
     lam = la.eigvalsh(_symmetrized_whitened(A, d))
     keep = lam[lam > eps]
@@ -59,7 +59,7 @@ def core_density(A) -> float:
     avg is the average weighted degree.  Vertices of zero degree are fine as
     long as the graph is nonempty.
     """
-    A = _check_nonneg_square(A)
+    A = as_adjacency(A, symmetric=False)
     deg = A @ np.ones(A.shape[0])
     avg = float(deg.mean())
     if avg <= 0:
@@ -75,7 +75,7 @@ def spectral_projection_values(A, weights=None, r: int | None = None) -> Array:
     result majorizes (in cumulative l2 norm) the projection-value sequence of
     the cut decomposition under the same weights.
     """
-    A = _check_symmetric(as_matrix(A))
+    A = as_adjacency(A, nonnegative=False)
     n = A.shape[0]
     d = as_weights(weights, n, "weights")
     lam = la.eigvalsh(_symmetrized_whitened(A, d))
@@ -110,7 +110,7 @@ def cut_pseudorandomness_profile(A, weights=None, r: int = 1,
     ``certificate_ratio`` divides the prefix norm ||(sigma_1..sigma_r)||_2 by
     the cut mass ratio (0 when the graph is empty).
     """
-    A = _check_nonneg_square(A)
+    A = as_adjacency(A, symmetric=False)
     n = A.shape[0]
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -148,7 +148,7 @@ def lp_upper_regularity_check(A, p: float, eta: float, mode: str = "exhaustive",
     -------
     (ratio, partition) : the maximum ratio and a partition attaining it.
     """
-    A = _check_nonneg_square(A)
+    A = as_adjacency(A, symmetric=False)
     n = A.shape[0]
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -220,18 +220,3 @@ def _restricted_growth_strings(n: int, max_labels: int):
 def _symmetrized_whitened(A: Array, d: Array) -> Array:
     W = whitened(A, d, d)
     return (W + W.T) / 2.0
-
-
-def _check_nonneg_square(A) -> Array:
-    A = as_matrix(A, "adjacency")
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("adjacency matrix must be square")
-    if A.min() < 0:
-        raise ValueError("adjacency matrix must be nonnegative")
-    return A
-
-
-def _check_symmetric(A: Array) -> Array:
-    if A.shape[0] != A.shape[1] or np.max(np.abs(A - A.T)) > 1e-9:
-        raise ValueError("matrix must be symmetric")
-    return A

@@ -43,6 +43,19 @@ def as_matrix(A, name: str = "matrix") -> Array:
     return A
 
 
+def as_adjacency(A, symmetric: bool = True, nonnegative: bool = True) -> Array:
+    """Validate an adjacency matrix: square and, unless switched off,
+    symmetric within 1e-9 and entrywise nonnegative."""
+    A = as_matrix(A, "adjacency")
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("adjacency matrix must be square")
+    if symmetric and np.max(np.abs(A - A.T)) > 1e-9:
+        raise ValueError("adjacency matrix must be symmetric")
+    if nonnegative and A.min() < 0:
+        raise ValueError("adjacency matrix must be nonnegative")
+    return A
+
+
 def as_tensor(T, name: str = "tensor") -> Array:
     T = np.asarray(T, dtype=float)
     if T.ndim < 2:

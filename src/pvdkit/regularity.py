@@ -31,7 +31,7 @@ from .cutnorm import (
     rectangle_sum,
 )
 from .domains import CutDomain
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_weights
+from .linalg import DEFAULT_TOL, Tolerance, as_adjacency, as_matrix, as_weights
 from .pvd import best_truncation, compute_pvd, tail_rms, truncate
 
 Array = np.ndarray
@@ -172,7 +172,7 @@ def weak_regularity_partition(A, eps: float, weights=None, tol: Tolerance | None
         ``A - approx_matrix`` and ``bound_certificate`` the tail bound
         ``(RMS of the first r+1 projection values) * sum(weights)``.
     """
-    A = _check_graph_matrix(A)
+    A = as_adjacency(A)
     n = A.shape[0]
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -240,7 +240,7 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
     ("second term control"); and the gap's Frobenius norm against
     ``eps * sqrt(horizon mass)``.
     """
-    A = _check_graph_matrix(A)
+    A = as_adjacency(A)
     n = A.shape[0]
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -463,14 +463,3 @@ def _block_deviation(M: Array, partition: Partition) -> float:
             sub = M[np.ix_(P, Q)]
             worst = max(worst, float(sub.max() - sub.min()))
     return worst
-
-
-def _check_graph_matrix(A) -> Array:
-    A = as_matrix(A, "adjacency")
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("adjacency matrix must be square")
-    if np.max(np.abs(A - A.T)) > 1e-9:
-        raise ValueError("adjacency matrix must be symmetric")
-    if A.min() < 0:
-        raise ValueError("adjacency matrix must be nonnegative")
-    return A

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvdkit import cutnorm
 from pvdkit.cutnorm import (CutPair, build_cut_lp, cut_lp_approx, cut_lp_exact,
                             cut_norm_bruteforce, cut_norm_lp_upper, exact_completion,
-                            lp_round, normalized_cut_bruteforce, ratio_candidates,
-                            rectangle_sum, rectangle_value, solve_cut_lp,
+                            lp_candidates, lp_round, normalized_cut_bruteforce,
+                            ratio_candidates, rectangle_sum, rectangle_value, solve_cut_lp,
                             subset_indicators)
+from pvdkit.domains import CutDomain, UnsupportedDomain
 
 import oracles
 
@@ -163,6 +165,52 @@ def test_lp_round_dominates_lp_objective():
                 pair = lp_round(inst.matrix, d, e, sol["s"], sol["t"])
                 assert pair.value >= sol["objective"] - 1e-9, (
                     f"trial {trial} c={c} sign={sign}")
+
+
+def test_lp_candidates_warm_chain_records():
+    """Every record of the warm chain solves its own instance, and the chain
+    takes a small fraction of the pivots of one cold solve per record."""
+    rng = np.random.default_rng(1002)  # the acceptance tests' integer corpus
+    for unit in (True, False):
+        n = int(rng.integers(3, 7))
+        A = rng.integers(-3, 4, size=(n, n)).astype(float)
+        d = rng.integers(1, 4, size=n).astype(float)
+        e = rng.integers(1, 4, size=n).astype(float)
+        if unit:
+            d = e = np.ones(n)
+        cs = ratio_candidates(int(d.sum()), int(e.sum()))
+        recs = list(lp_candidates(A, d, e, cs))
+        assert [(r["c"], r["sign"]) for r in recs] == [(c, s) for c in cs for s in (1, -1)]
+        cold_pivots = 0
+        for rec in recs:
+            inst, s, t, c = rec["instance"], rec["s"], rec["t"], rec["c"]
+            cold = build_cut_lp(A, d, e, c, rec["sign"])
+            assert rec["objective"] == pytest.approx(solve_cut_lp(cold)["objective"], abs=1e-9)
+            cold_pivots += cold.tableau.pivots
+            assert s.min() >= -1e-9 and t.min() >= -1e-9
+            assert d @ s <= math.sqrt(c) + 1e-9 and e @ t <= 1.0 / math.sqrt(c) + 1e-9
+            # at the optimum every x_ij sits at its cap min(a s_i, a t_j)
+            B = inst.matrix
+            caps = sum(min(B[i, j] * s[i], B[i, j] * t[j]) for i, j in inst.nnz)
+            assert rec["objective"] == pytest.approx(caps, abs=1e-9)
+        tableaus = {id(r["instance"].tableau): r["instance"].tableau for r in recs}
+        assert len(tableaus) == 2
+        assert 5 * sum(tab.pivots for tab in tableaus.values()) < cold_pivots
+
+
+def test_cut_lp_exact_refuses_mixed_signs_beyond_completion(monkeypatch):
+    """Past the completion cap the LP-only pool can undershoot on a mixed-sign
+    matrix, so the exact route refuses before solving any LP."""
+    A = np.random.default_rng(30).integers(-3, 4, size=(18, 18)).astype(float)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(cutnorm, "lp_candidates", no_lp)
+    with pytest.raises(ValueError, match="mixed-sign"):
+        cut_lp_exact(A)
+    with pytest.raises(UnsupportedDomain, match="mixed-sign"):
+        CutDomain(np.ones(18), maximizer="lp").max_step(A)
 
 
 def test_cut_lp_exact_matches_bruteforce():

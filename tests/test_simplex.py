@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pvdkit.simplex import SimplexError, simplex_solve
+from pvdkit.simplex import SimplexError, Tableau, simplex_solve
 
 import oracles
 
@@ -65,3 +67,46 @@ def test_degenerate_lp_terminates():
     c = np.array([1.0, 1.0])
     x, val = simplex_solve(A, b, c)
     assert val == pytest.approx(2.0)
+
+
+def test_warm_solve_repairs_an_infeasible_basis():
+    # max 2x + y s.t. x <= 1, y <= 1, x + y <= b3: the optimum x = y = 1 at
+    # b3 = 10 leaves slack 3 basic; at b3 = 0.5 that slack turns negative,
+    # and the dual repair moves to x = 0.5, y = 0 without a cold start
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    c = np.array([2.0, 1.0])
+    tab = Tableau(A, c)
+    x, val = tab.solve(np.array([1.0, 1.0, 10.0]))
+    assert val == pytest.approx(3.0) and np.allclose(x, [1.0, 1.0])
+    before = tab.pivots
+    x, val = tab.solve(np.array([1.0, 1.0, 0.5]))
+    assert val == pytest.approx(1.0) and np.allclose(x, [0.5, 0.0])
+    assert tab.pivots > before and tab.cold_solves == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_warm_chain_matches_cold_solves(data):
+    """One tableau solved over a sequence of right-hand sides (all-zero ones,
+    and jumps that leave the previous basis primal-infeasible) agrees with a
+    cold solve and with scipy at every step, at a feasible point."""
+    m = data.draw(st.integers(2, 7), label="m")
+    n = data.draw(st.integers(2, 7), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    A = np.vstack([rng.normal(size=(m, n)), np.eye(n)])  # box rows keep it bounded
+    c = rng.normal(size=n)
+    tab = Tableau(A, c)
+    for _ in range(data.draw(st.integers(2, 6), label="steps")):
+        kind = data.draw(st.sampled_from(["fresh", "zero", "jump"]), label="rhs")
+        if kind == "zero":
+            b = np.zeros(m + n)
+        else:
+            b = np.concatenate([rng.uniform(0.1, 2.0, size=m), np.full(n, 3.0)])
+            if kind == "jump":
+                b[rng.random(m + n) < 0.5] *= rng.choice([0.0, 0.01, 10.0])
+        x, val = tab.solve(b)
+        assert np.all(A @ x <= b + 1e-7)
+        assert np.all(x >= -1e-9)
+        assert val == pytest.approx(float(c @ x), abs=1e-7)
+        assert val == pytest.approx(simplex_solve(A, b, c)[1], abs=1e-7)
+        assert val == pytest.approx(oracles.linprog_max(A, b, c)[1], abs=1e-7)
