@@ -9,6 +9,7 @@ failed, and 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -345,7 +346,9 @@ HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once (``parse_args`` leaves it as is)."""
     parser = argparse.ArgumentParser(prog="pvdkit",
                                      description="Greedy projection decompositions "
                                                  "over cut-type domains, with certificates.")

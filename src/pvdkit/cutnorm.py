@@ -17,8 +17,9 @@ matrices whose smaller side is beyond it.
 
 Only the right-hand side of a relaxation depends on ``c``, so a ratio grid
 is solved as one warm chain per sign: the constraint matrix is built once,
-and each ratio reprices the previous optimal tableau and repairs it with a
-dual simplex (``simplex.Tableau``) instead of solving from the slack basis.
+and ``simplex.Tableau.solve_chain`` prices each right-hand side against the
+kept optimal basis, pivoting only where that basis stops being feasible.
+The chain's LPs are rounded together, from one batch of threshold masks.
 
 The row-set sweep rests on a prefix lemma.  Fix a row set ``S`` with row
 sums ``r`` and positive column weights ``e``.  On the box ``[0, 1]^n`` the
@@ -50,6 +51,10 @@ BRUTE_FORCE_CAP = 12
 
 #: default cap on the enumerated side of the exact completion sweep
 COMPLETION_CAP = 17
+
+#: cap on the entries of one batch of level masks in the LP rounding; a
+#: ratio grid is solved and rounded in batches of this many mask entries
+ROUND_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,11 @@ def rectangle_value(A, d_left, d_right, S, T) -> float:
     S = np.asarray(S, dtype=int)
     T = np.asarray(T, dtype=int)
     assert S.size > 0 and T.size > 0, "rectangle sides must be nonempty"
+    return _rect_value(A, d, e, S, T)
+
+
+def _rect_value(A, d, e, S, T) -> float:
+    """``rectangle_value`` on validated arrays and index arrays."""
     return rectangle_sum(A, S, T) / math.sqrt(d[S].sum() * e[T].sum())
 
 
@@ -253,19 +263,39 @@ class _CutLpFamily:
         self.objective[:k] = 1.0
         self.tableau = Tableau(A_ub, self.objective)
 
-    def instance(self, c: float) -> CutLpInstance:
-        assert c > 0
+    def instances(self, cs) -> tuple:
+        """The right-hand sides of the ratios ``cs`` stacked ``(N, 2k+2)``,
+        and one instance per ratio (its ``b_ub`` a row of that stack)."""
+        cs = np.asarray(cs, dtype=float)
+        assert np.all(cs > 0)
         k = len(self.nnz)
-        rc = math.sqrt(c)
-        level_cap = max(rc / self.d.min(), 1.0 / (rc * self.e.min()))
-        L = self.abs_entries * level_cap
-        b_ub = np.empty(2 * k + 2)
-        b_ub[0 : 2 * k : 2] = L
-        b_ub[1 : 2 * k : 2] = L
-        b_ub[2 * k] = rc
-        b_ub[2 * k + 1] = 1.0 / rc
-        return CutLpInstance(float(c), self.sign, self.matrix, self.d, self.e, self.nnz,
-                             self.A_ub, b_ub, self.objective, float(L.sum()), self.tableau)
+        rc = np.sqrt(cs)
+        level_cap = np.maximum(rc / self.d.min(), 1.0 / (rc * self.e.min()))
+        L = level_cap[:, None] * self.abs_entries
+        b = np.empty((len(cs), 2 * k + 2))
+        b[:, 0 : 2 * k : 2] = L
+        b[:, 1 : 2 * k : 2] = L
+        b[:, 2 * k] = rc
+        b[:, 2 * k + 1] = 1.0 / rc
+        return b, [CutLpInstance(c, self.sign, self.matrix, self.d, self.e, self.nnz,
+                                 self.A_ub, b_ub, self.objective, shift, self.tableau)
+                   for c, b_ub, shift in zip(cs.tolist(), b, L.sum(axis=1).tolist())]
+
+    def instance(self, c: float) -> CutLpInstance:
+        return self.instances([c])[1][0]
+
+    def records(self, cs) -> list:
+        """``lp_candidates`` records of the ratios ``cs``: their instances
+        solved in order on this family's tableau, and rounded together."""
+        k, m = len(self.nnz), len(self.d)
+        b, insts = self.instances(cs)
+        xs, raw = self.tableau.solve_chain(b)
+        s, t = xs[:, k : k + m].copy(), xs[:, k + m :].copy()
+        rounded = _round_levels(self.matrix, self.d, self.e, s, t)
+        return [{"c": c, "sign": self.sign, "instance": inst,
+                 "objective": float(value - inst.shift_total), "s": si, "t": ti,
+                 "rounded": r, "pair": CutPair(r.S, r.T, self.sign * r.value) if r.S else r}
+                for c, inst, value, si, ti, r in zip(cs, insts, raw, s, t, rounded)]
 
 
 def build_cut_lp(A, d_left, d_right, c: float, sign: int = 1) -> CutLpInstance:
@@ -298,7 +328,8 @@ def lp_round(A, d_left, d_right, s, t, tol: Tolerance | None = None) -> CutPair:
     every level appearing in the solution and returns the best normalized
     rectangle; the null pair (value 0) is returned when every level vanishes.
     An averaging argument over the levels guarantees the result is at least
-    the LP objective for the instance the levels solve.
+    the LP objective for the instance the levels solve.  The one-row case of
+    the batched rounding ``lp_candidates`` applies to a whole chain.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -306,18 +337,36 @@ def lp_round(A, d_left, d_right, s, t, tol: Tolerance | None = None) -> CutPair:
     e = as_weights(d_right, n)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    levels = np.unique(np.concatenate([s[s > 1e-12], t[t > 1e-12]]))[::-1]
-    best: CutPair = CutPair((), (), 0.0)
-    best_val = 0.0
-    for r in levels:
-        S = np.nonzero(s >= r)[0]
-        T = np.nonzero(t >= r)[0]
-        if S.size == 0 or T.size == 0:
-            continue
-        val = rectangle_sum(A, S, T) / math.sqrt(d[S].sum() * e[T].sum())
-        if val > best_val:
-            best_val = val
-            best = CutPair(tuple(int(i) for i in S), tuple(int(j) for j in T), float(val))
+    return _round_levels(A, d, e, s[None, :], t[None, :])[0]
+
+
+def _round_levels(A, d, e, s, t) -> list:
+    """``lp_round`` of each row of the levels ``s`` ``(N, m)``, ``t``
+    ``(N, n)``.  Every level's value comes from the threshold masks at once,
+    summed in another order than ``_rect_value``; the levels within twice
+    ``slack`` (a bound on that rounding error) of an LP's best are evaluated
+    again by ``_rect_value`` in decreasing order, keeping the first strict
+    maximum above 0: the value and the tie rule of a scan over the levels."""
+    m, n = A.shape
+    levels = np.sort(np.concatenate([s, t], axis=1), axis=1)[:, ::-1]
+    fresh = levels > 1e-12
+    fresh[:, 1:] &= levels[:, 1:] != levels[:, :-1]
+    MS = (s[:, None, :] >= levels[:, :, None]).astype(float)
+    MT = (t[:, None, :] >= levels[:, :, None]).astype(float)
+    sums = np.einsum("aln,aln->al", MS @ A, MT)
+    dS, eT = MS @ d, MT @ e
+    fresh &= (dS > 0) & (eT > 0)
+    approx = np.where(fresh, sums / np.sqrt(np.where(fresh, dS * eT, 1.0)), -np.inf)
+    slack = (4 * (m * n + m + n + 4) * np.finfo(float).eps
+             * np.abs(A).sum() / math.sqrt(d.min() * e.min()))
+    top = np.maximum(approx.max(axis=1), 0.0) - 2 * slack
+    best = [CutPair((), (), 0.0)] * len(levels)
+    for a, lvl in np.argwhere(fresh & (approx >= top[:, None])).tolist():
+        S = np.flatnonzero(MS[a, lvl])
+        T = np.flatnonzero(MT[a, lvl])
+        val = _rect_value(A, d, e, S, T)
+        if val > best[a].value:
+            best[a] = CutPair(tuple(S.tolist()), tuple(T.tolist()), float(val))
     return best
 
 
@@ -333,36 +382,22 @@ def lp_candidates(A, d_left, d_right, cs):
     """Build, solve, and round one LP per (ratio, sign); yields records.
 
     The grid is solved as one warm chain per sign: the constraint matrix and
-    objective are built once per sign, and each ratio only changes the
-    right-hand side of that sign's tableau, which a dual simplex repairs
-    from the previous optimal basis.  Records come in the order of ``cs``,
-    the positive sign first.
+    objective are built once per sign, and that sign's tableau solves the
+    stacked right-hand sides by basis segments (``Tableau.solve_chain``).
+    The solutions are rounded together (the batched ``lp_round``).  The grid
+    goes in batches of ``ROUND_BATCH_ENTRIES`` mask entries; records come in
+    the order of ``cs``, the positive sign first.
 
     Each record carries the solved instance data and two rounded pairs: the
     one on the signed matrix (whose value obeys the rounding guarantee) and
     the same sets re-signed as a rectangle of ``A`` itself.
     """
     families = [_CutLpFamily(A, d_left, d_right, sign) for sign in (1, -1)]
-    for c in cs:
-        for family in families:
-            inst = family.instance(c)
-            sign = inst.sign
-            sol = solve_cut_lp(inst)
-            rounded = lp_round(inst.matrix, d_left, d_right, sol["s"], sol["t"])
-            if rounded.S:
-                pair = CutPair(rounded.S, rounded.T, sign * rounded.value)
-            else:
-                pair = rounded
-            yield {
-                "c": c,
-                "sign": sign,
-                "instance": inst,
-                "objective": sol["objective"],
-                "s": sol["s"],
-                "t": sol["t"],
-                "rounded": rounded,
-                "pair": pair,
-            }
+    cs = list(cs)
+    step = max(1, ROUND_BATCH_ENTRIES // sum(families[0].matrix.shape) ** 2)
+    for lo in range(0, len(cs), step):
+        for pair in zip(*(family.records(cs[lo : lo + step]) for family in families)):
+            yield from pair
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +419,12 @@ def _knapsack_table(g, w, W: int) -> np.ndarray:
     return table
 
 
-def _backtrack_set(g, w, a: int, W: int) -> list:
-    table = _knapsack_table(g, w, W)
-    assert np.isfinite(table[len(g), a])
+def _backtrack_set(table, w, a: int) -> list:
+    """The item set of ``table`` (from ``_knapsack_table``) attaining its
+    weight-``a`` entry."""
+    assert np.isfinite(table[-1, a])
     out = []
-    for i in range(len(g), 0, -1):
+    for i in range(len(table) - 1, 0, -1):
         if table[i, a] == table[i - 1, a]:
             continue  # prefer exclusion: smaller masks on ties
         out.append(i - 1)
@@ -437,16 +473,18 @@ def exact_completion(A, d_left, d_right, atol: float = 1e-9, cap: int = COMPLETI
     magnitude = np.maximum(np.abs(hi), np.abs(lo))
     best = float(magnitude.max())
     out = []
-    for t_idx, a_idx in np.argwhere(magnitude >= best - atol):
-        a = int(a_idx) + 1
-        T = _mask_set(int(t_idx) + 1)
-        gcol = G[:, t_idx]
+    tables = {}  # one backtracking table per (column set, sign)
+    for t_idx, a_idx in np.argwhere(reach & (magnitude >= best - atol)).tolist():
+        T = _mask_set(t_idx + 1)
         for side_val, sgn in ((hi[t_idx, a_idx], 1.0), (lo[t_idx, a_idx], -1.0)):
             if abs(side_val) < best - atol:
                 continue
-            S = _backtrack_set(sgn * gcol, w, a, W)
-            pair = (tuple(T), tuple(S)) if flip else (tuple(S), tuple(T))
-            out.append(CutPair(pair[0], pair[1], rectangle_value(A, d, e, pair[0], pair[1])))
+            if (t_idx, sgn) not in tables:
+                tables[t_idx, sgn] = _knapsack_table(sgn * G[:, t_idx], w, W)
+            S = tuple(_backtrack_set(tables[t_idx, sgn], w, a_idx + 1))
+            rows, cols = (T, S) if flip else (S, T)
+            value = _rect_value(A, d, e, np.array(rows, dtype=int), np.array(cols, dtype=int))
+            out.append(CutPair(rows, cols, value))
     return out
 
 
@@ -503,13 +541,9 @@ def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None, det
                          f"smaller side within {COMPLETION_CAP}, and the LP relaxation "
                          "alone can undershoot")
     cs = ratio_candidates(int(d.sum()), int(e.sum()))
-    pool = []
-    lp_best = 0.0
-    nsolved = 0
-    for rec in lp_candidates(A, d, e, cs):
-        nsolved += 1
-        pool.append(rec["pair"])
-        lp_best = max(lp_best, abs(rec["pair"].value))
+    pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
+    nsolved = len(pool)
+    lp_best = max((abs(p.value) for p in pool), default=0.0)
     comp = exact_completion(A, d, e, tol.atol)
     pool.extend(comp)
     pair = _select_pair(pool, tol.atol)
@@ -551,13 +585,9 @@ def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
     cs = [c_lo * (1.0 + eps) ** k for k in range(count + 1)]
     if cs[-1] < c_hi:
         cs.append(c_hi)
-    pool = []
-    lp_best = 0.0
-    nsolved = 0
-    for rec in lp_candidates(A, d, e, cs):
-        nsolved += 1
-        pool.append(rec["pair"])
-        lp_best = max(lp_best, abs(rec["pair"].value))
+    pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
+    nsolved = len(pool)
+    lp_best = max((abs(p.value) for p in pool), default=0.0)
     comp = []
     if np.all(d == np.round(d)) and np.all(e == np.round(e)):
         comp = exact_completion(A, d, e, tol.atol)
@@ -590,46 +620,31 @@ def cut_norm_lp_upper(A) -> float:
     best = 0.0
     for sign in (1.0, -1.0):
         M = sign * A
-        nz = [(i, j, float(M[i, j])) for i in range(m) for j in range(n) if M[i, j] != 0.0]
-        k = len(nz)
+        rows, cols = np.nonzero(M)  # row-major
+        k = len(rows)
         if k == 0:
             continue
-        ncols = k + m + n
-        rows = []
-        rhs = []
-        shift = 0.0
-        for idx, (i, j, a) in enumerate(nz):
-            if a > 0:
-                row = np.zeros(ncols)
-                row[idx] = 1.0
-                row[k + i] = -a
-                rows.append(row)
-                rhs.append(0.0)
-                row = np.zeros(ncols)
-                row[idx] = 1.0
-                row[k + m + j] = -a
-                rows.append(row)
-                rhs.append(0.0)
-            else:
-                # z' = z - a >= 0; z <= 0 and z <= a*(s+t-1)
-                shift += a
-                row = np.zeros(ncols)
-                row[idx] = 1.0
-                rows.append(row)
-                rhs.append(-a)
-                row = np.zeros(ncols)
-                row[idx] = 1.0
-                row[k + i] = -a
-                row[k + m + j] = -a
-                rows.append(row)
-                rhs.append(-2.0 * a)
-        for col in range(k, ncols):
-            row = np.zeros(ncols)
-            row[col] = 1.0
-            rows.append(row)
-            rhs.append(1.0)
-        obj = np.zeros(ncols)
+        a = M[rows, cols]
+        pos, neg = np.flatnonzero(a > 0), np.flatnonzero(a < 0)
+        r = np.arange(k)
+        # two rows per entry, then a unit box row per level variable.
+        # a > 0: z <= a s_i and z <= a t_j; a < 0, with z' = z - a >= 0:
+        # z <= 0 and z <= a (s_i + t_j - 1)
+        A_ub = np.zeros((2 * k + m + n, k + m + n))
+        A_ub[2 * r, r] = 1.0
+        A_ub[2 * r + 1, r] = 1.0
+        A_ub[2 * pos, k + rows[pos]] = -a[pos]
+        A_ub[2 * pos + 1, k + m + cols[pos]] = -a[pos]
+        A_ub[2 * neg + 1, k + rows[neg]] = -a[neg]
+        A_ub[2 * neg + 1, k + m + cols[neg]] = -a[neg]
+        A_ub[2 * k + np.arange(m + n), k + np.arange(m + n)] = 1.0
+        rhs = np.ones(2 * k + m + n)
+        rhs[: 2 * k] = 0.0
+        rhs[2 * neg] = -a[neg]
+        rhs[2 * neg + 1] = -2.0 * a[neg]
+        shift = float(np.cumsum(a[neg])[-1]) if neg.size else 0.0  # summed in order
+        obj = np.zeros(k + m + n)
         obj[:k] = 1.0
-        _, value = simplex_solve(np.array(rows), np.array(rhs), obj)
+        _, value = simplex_solve(A_ub, rhs, obj)
         best = max(best, value + shift)
     return best

@@ -12,7 +12,9 @@ A ``Tableau`` keeps its last optimal basis, so a family of programs that
 share ``A`` and ``c`` and differ only in ``b`` is solved as a parametric
 right-hand side (Chvatal, *Linear Programming*, 1983, ch. 10): a new ``b``
 leaves the reduced costs, hence dual feasibility, untouched, and a dual
-simplex repairs the basic values that turned negative.
+simplex repairs the basic values that turned negative.  While the kept
+basis stays feasible, a new ``b`` is only priced against it, so a stack of
+right-hand sides is solved by basis segments (``Tableau.solve_chain``).
 """
 from __future__ import annotations
 
@@ -30,17 +32,19 @@ class Tableau:
     """Dense tableau of  max ``c @ x``  over  ``A_ub @ x <= b, x >= 0``  for
     a fixed ``(A_ub, c)``, solved for one right-hand side after another.
 
-    The first ``solve`` runs the primal simplex from the slack basis.  A
-    later one reprices the kept tableau for the new ``b``: the basic values
-    are ``B^-1 b``, read off the tableau's slack block, and the value is the
-    cost line's slack block times ``b``.  A dual simplex then pivots until
-    the basic values are nonnegative (leaving row: most negative value;
-    entering column: least ``|reduced cost| / |entry|`` over the row's
-    negative entries, smallest index on ties), and the primal loop confirms
-    optimality.  Any basis is a valid start, so the result does not depend
-    on the order of the solves.  When the repair runs out of entering
-    columns or pivots, or its point violates ``A_ub @ x <= b + tol`` or
-    ``x >= -tol``, the right-hand side is solved again from the slack basis.
+    The first right-hand side is solved by the primal simplex from the
+    slack basis.  A later one reprices the kept tableau for the new ``b``:
+    the basic values are ``B^-1 b``, read off the tableau's slack block, and
+    the value is the cost line's slack block times ``b``.  When they are
+    nonnegative the kept basis is still optimal and no pivot loop runs, so a
+    stack of right-hand sides (``solve_chain``; ``solve`` is its one-row
+    case) is solved by basis segments.  Otherwise a dual simplex pivots
+    until the basic values are nonnegative (leaving row: most negative
+    value; entering column: least ``|reduced cost| / |entry|`` over the
+    row's negative entries, smallest index on ties), and the primal loop
+    confirms optimality.  When the repair runs out of entering columns or
+    pivots, or the point violates ``A_ub @ x <= b + tol`` or ``x >= -tol``,
+    the right-hand side is solved again from the slack basis.
 
     ``pivots`` counts every pivot made and ``cold_solves`` the solves that
     started from the slack basis.
@@ -59,17 +63,30 @@ class Tableau:
         self.cold_solves = 0
 
     def solve(self, b_ub):
-        """Optimal basic solution ``x`` and value ``c @ x`` for ``b_ub >= 0``."""
+        """Optimal basic solution ``x`` and value ``c @ x`` for ``b_ub >= 0``:
+        the one-row case of ``solve_chain``."""
         b = np.asarray(b_ub, dtype=float)
+        assert b.shape == (self.A.shape[0],)
+        xs, values = self.solve_chain(b[None, :])
+        return xs[0], float(values[0])
+
+    def solve_chain(self, bs):
+        """Optimal points ``(N, n)`` and values ``(N,)`` for the right-hand
+        sides ``bs`` ``(N, m)``, all ``>= 0``, solved in order."""
+        bs = np.asarray(bs, dtype=float)
         m, n = self.A.shape
-        assert b.shape == (m,)
-        if np.any(b < -self.tol):
+        assert bs.ndim == 2 and bs.shape[1] == m
+        if np.any(bs < -self.tol):
             raise SimplexError("negative right-hand side; slack basis infeasible")
-        b = np.maximum(b, 0.0)
-        if self.T is not None:
-            result = self._warm(b)
-            if result is not None:
-                return result
+        xs = np.empty((len(bs), n))
+        values = np.empty(len(bs))
+        for i, b in enumerate(np.maximum(bs, 0.0)):
+            point = None if self.T is None else self._warm(b)
+            xs[i], values[i] = self._cold(b) if point is None else point
+        return xs, values
+
+    def _cold(self, b):
+        m, n = self.A.shape
         self.cold_solves += 1
         # tableau rows: constraints; columns: structural vars, slacks, rhs
         T = np.zeros((m + 1, n + m + 1))
@@ -92,13 +109,15 @@ class Tableau:
         slack = slice(n, n + m)
         T[:m, -1] = T[:m, slack] @ b
         T[-1, -1] = T[-1, slack] @ b
-        left = self._dual(self.max_iter)
-        if left is None:
-            return None
-        try:
-            self._primal(left)
-        except SimplexError:
-            return None
+        if T[:m, -1].min() < -self.tol:
+            # the kept basis is no longer primal feasible: repair it
+            left = self._dual(self.max_iter)
+            if left is None:
+                return None
+            try:
+                self._primal(left)
+            except SimplexError:
+                return None
         x, value = self._point()
         if x.min(initial=0.0) < -self.tol or np.any(self.A @ x > b + self.tol):
             return None

@@ -211,6 +211,69 @@ def linprog_max(A_ub, b_ub, c):
     return res.x, -res.fun
 
 
+def lp_candidates_sequential(A, d, e, cs) -> list:
+    """The records of ``cutnorm.lp_candidates``, one LP at a time: each
+    ratio's right-hand side built on its own, one ``Tableau.solve`` per ratio
+    on a warm tableau per sign, and a scan over every distinct level with
+    the package's per-rectangle arithmetic (``np.ix_`` sums), so the results
+    match bit for bit.  Records are dicts with ``c``, ``sign``, ``b_ub``,
+    ``shift_total``, ``objective``, ``s``, ``t`` and ``rounded`` as
+    ``(S, T, value)``."""
+    from pvdkit.simplex import Tableau
+
+    A = np.asarray(A, dtype=float)
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    m, n = A.shape
+    chains = {}
+    for sign in (1, -1):
+        B = sign * A
+        nnz = [(i, j) for i in range(m) for j in range(n) if B[i, j] != 0.0]
+        k = len(nnz)
+        A_ub = np.zeros((2 * k + 2, k + m + n))
+        for r, (i, j) in enumerate(nnz):
+            A_ub[2 * r, r] = A_ub[2 * r + 1, r] = 1.0
+            A_ub[2 * r, k + i] = A_ub[2 * r + 1, k + m + j] = -B[i, j]
+        A_ub[2 * k, k:k + m] = d
+        A_ub[2 * k + 1, k + m:] = e
+        objective = np.zeros(k + m + n)
+        objective[:k] = 1.0
+        chains[sign] = (B, nnz, Tableau(A_ub, objective))
+    out = []
+    for c in cs:
+        for sign in (1, -1):
+            B, nnz, tableau = chains[sign]
+            k = len(nnz)
+            rc = math.sqrt(c)
+            L = np.abs(np.array([B[i, j] for i, j in nnz])) * max(rc / d.min(),
+                                                                   1.0 / (rc * e.min()))
+            b = np.empty(2 * k + 2)
+            b[0:2 * k:2] = b[1:2 * k:2] = L
+            b[2 * k], b[2 * k + 1] = rc, 1.0 / rc
+            x, raw = tableau.solve(b)
+            s, t = x[k:k + m], x[k + m:]
+            out.append({"c": c, "sign": sign, "b_ub": b, "shift_total": float(L.sum()),
+                        "objective": float(raw - float(L.sum())), "s": s, "t": t,
+                        "rounded": level_scan(B, d, e, s, t)})
+    return out
+
+
+def level_scan(B, d, e, s, t) -> tuple:
+    """``(S, T, value)`` of the threshold rounding of the levels ``s``,
+    ``t``: every distinct level above 1e-12 in decreasing order, the first
+    strict maximum above 0 of the package's per-rectangle arithmetic."""
+    levels = np.unique(np.concatenate([s[s > 1e-12], t[t > 1e-12]]))[::-1]
+    rounded, best = ((), (), 0.0), 0.0
+    for r in levels:
+        S, T = np.nonzero(s >= r)[0], np.nonzero(t >= r)[0]
+        if S.size and T.size:
+            val = float(B[np.ix_(S, T)].sum()) / math.sqrt(d[S].sum() * e[T].sum())
+            if val > best:
+                best = val
+                rounded = (tuple(S.tolist()), tuple(T.tolist()), val)
+    return rounded
+
+
 def set_partitions(items):
     """All partitions of a list, as lists of lists (recursive)."""
     items = list(items)

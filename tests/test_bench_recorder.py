@@ -7,7 +7,7 @@ import pathlib
 
 import numpy as np
 
-from pvdkit import domains, tensor
+from pvdkit import cutnorm, domains, simplex, tensor
 from pvdkit.cur import cur_pvd
 
 RECORDER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "recorder.py"
@@ -37,3 +37,24 @@ def test_recorder_installs_and_uninstalls():
     assert rec.calls["tensor.max_step"] > 0
     for (cls, name), original in originals.items():
         assert cls.__dict__[name] is original
+
+
+def test_recorder_wraps_the_lp_route():
+    wrapped = ("build_cut_lp", "solve_cut_lp", "lp_round", "cut_lp_exact", "cut_lp_approx",
+               "exact_completion", "cut_norm_lp_upper")
+    originals = {name: getattr(cutnorm, name) for name in wrapped}
+    solve = simplex.simplex_solve
+    rec = _load_recorder().Recorder()
+    A = np.array([[2.0, -1.0, 0.0], [1.0, 3.0, -2.0], [0.0, 1.0, 1.0]])
+    try:
+        rec.install()
+        pair = cutnorm.cut_lp_exact(A, [1, 2, 1], [2, 1, 1])
+    finally:
+        rec.uninstall()
+    assert rec.calls["cutnorm.lp_exact"] == 1
+    assert rec.calls["cutnorm.completion"] == 1
+    assert rec.errors["cutnorm.lp_exact"] == 0 and not rec._lp_groups
+    for name, original in originals.items():
+        assert getattr(cutnorm, name) is original, name
+    assert simplex.simplex_solve is solve and cutnorm.simplex_solve is solve
+    assert cutnorm.cut_lp_exact(A, [1, 2, 1], [2, 1, 1]) == pair

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,3 +193,22 @@ def test_unknown_ip_rejected(tmp_path, capsys):
     code = cli.main(["pvd", "--input", _graph_file(tmp_path), "--ip", "taxicab"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_parser_is_built_once_and_reused(tmp_path):
+    """Back-to-back ``main`` calls share one parser; with different
+    subcommands and options (the second leaves ``--ip`` and ``--bf-cap`` at
+    their defaults) they write what fresh processes write."""
+    assert cli.build_parser() is cli.build_parser()
+    runs = [["weakreg", "--input", _graph_file(tmp_path), "--eps", "0.6", "--ip", "degree",
+             "--bf-cap", "3"],
+            ["cutnorm", "--input", _mtx_file(tmp_path), "--eps", "0.1"]]
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for i, argv in enumerate(runs):
+        assert cli.main(argv + ["--output", str(tmp_path / f"same-{i}.json")]) == 0
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"fresh-{i}.json"
+        subprocess.run([sys.executable, "-m", "pvdkit.cli", *argv, "--output", str(out)],
+                       check=True, env=env)
+        assert (tmp_path / f"same-{i}.json").read_bytes() == out.read_bytes()

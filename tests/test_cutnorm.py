@@ -12,6 +12,7 @@ from pvdkit.cutnorm import (CutPair, build_cut_lp, cut_lp_approx, cut_lp_exact,
                             ratio_candidates, rectangle_sum, rectangle_value, solve_cut_lp,
                             subset_indicators)
 from pvdkit.domains import CutDomain, UnsupportedDomain
+from pvdkit.simplex import simplex_solve
 
 import oracles
 
@@ -198,6 +199,89 @@ def test_lp_candidates_warm_chain_records():
         assert 5 * sum(tab.pivots for tab in tableaus.values()) < cold_pivots
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _matches_sequential_reference(A, d, e, cs) -> None:
+    """``lp_candidates`` records equal, bit for bit, those of one
+    ``Tableau.solve`` and one level scan per LP."""
+    got = list(lp_candidates(A, d, e, cs))
+    want = oracles.lp_candidates_sequential(A, d, e, cs)
+    assert len(got) == len(want)
+    for rec, ref in zip(got, want):
+        assert (rec["c"], rec["sign"]) == (ref["c"], ref["sign"])
+        assert _bits(rec["instance"].b_ub) == _bits(ref["b_ub"])
+        assert _bits(rec["instance"].shift_total) == _bits(ref["shift_total"])
+        for key in ("objective", "s", "t"):
+            assert _bits(rec[key]) == _bits(ref[key]), key
+        r = rec["rounded"]
+        assert (r.S, r.T) == ref["rounded"][:2]
+        assert _bits(r.value) == _bits(ref["rounded"][2])
+        # the one-row call is the same rounding
+        assert lp_round(rec["instance"].matrix, d, e, rec["s"], rec["t"]) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lp_candidates_match_sequential_reference(data):
+    """The batched grid (right-hand sides priced by basis segments, a chain's
+    levels rounded at once) gives the records of one ``Tableau.solve`` and
+    one level scan per LP, bit for bit, on tie-rich and degenerate inputs."""
+    m = data.draw(st.integers(1, 5), label="m")
+    n = data.draw(st.integers(1, 5), label="n")
+    kind = data.draw(st.sampled_from(["float", "integer", "zero", "duplicate-rows",
+                                      "grid"]), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "float":
+        A = rng.normal(size=(m, n))
+    elif kind == "grid":
+        A = np.round(rng.uniform(-1.0, 1.0, size=(m, n)), 1)
+    elif kind == "zero":
+        A = np.zeros((m, n))
+    else:
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        if kind == "duplicate-rows":
+            A[-1] = A[0]
+    if data.draw(st.booleans(), label="unit weights"):
+        d, e = np.ones(m), np.ones(n)
+    else:
+        d = rng.integers(1, 4, size=m).astype(float)
+        e = rng.integers(1, 4, size=n).astype(float)
+    _matches_sequential_reference(A, d, e, ratio_candidates(int(d.sum()), int(e.sum())))
+
+
+def test_lp_round_keeps_the_scan_tie_rule():
+    """Levels on a few distinct values over entries on a scaled 0.1-grid:
+    distinct rectangles often tie exactly, and the batched sums order them
+    otherwise than the per-rectangle formula (trial 714 of this stream ties
+    so), yet value, sets and the first-maximum rule are the scan's."""
+    rng = np.random.default_rng(0)
+    for trial in range(1000):
+        m, n = rng.integers(1, 7, size=2)
+        A = np.round(rng.uniform(-1, 1, size=(m, n)), 1) * rng.choice([1, 0.3, 1 / 3])
+        d = rng.integers(1, 4, size=m).astype(float)
+        e = rng.integers(1, 4, size=n).astype(float)
+        s = rng.integers(0, 4, size=m) / 3.0
+        t = rng.integers(0, 4, size=n) / 3.0
+        got = lp_round(A, d, e, s, t)
+        assert (got.S, got.T, got.value) == oracles.level_scan(A, d, e, s, t), f"trial {trial}"
+
+
+@pytest.mark.parametrize("batch_lps", [1, 7])
+def test_lp_candidates_batches_keep_records(monkeypatch, batch_lps):
+    """Batches of one ratio (each chain one row, each rounding batch one LP)
+    or of a few keep the records of one LP at a time."""
+    rng = np.random.default_rng(31)
+    A = np.round(rng.uniform(-1.0, 1.0, size=(5, 4)), 1)
+    d = rng.integers(1, 4, size=5).astype(float)
+    e = rng.integers(1, 4, size=4).astype(float)
+    cs = ratio_candidates(int(d.sum()), int(e.sum()))
+    assert len(cs) > 7 * batch_lps
+    monkeypatch.setattr(cutnorm, "ROUND_BATCH_ENTRIES", batch_lps * 9 ** 2)
+    _matches_sequential_reference(A, d, e, cs)
+
+
 def test_cut_lp_exact_refuses_mixed_signs_beyond_completion(monkeypatch):
     """Past the completion cap the LP-only pool can undershoot on a mixed-sign
     matrix, so the exact route refuses before solving any LP."""
@@ -268,6 +352,50 @@ def test_exact_completion_contains_optimum():
         pool = exact_completion(A, d, d)
         best = max(abs(p.value) for p in pool) if pool else 0.0
         assert best == pytest.approx(oracles.cut_pnorm_max(A, d, d), abs=1e-9)
+
+
+def test_exact_completion_zero_matrix_with_unreachable_weights():
+    # row weights (1, 3) reach the sums 1, 3 and 4 only; every rectangle of a
+    # zero matrix ties at 0, and only reachable sums have a row set behind them
+    A = np.zeros((2, 3))
+    pool = exact_completion(A, [1.0, 3.0], [2.0, 2.0, 2.0])
+    assert pool and all(p.value == 0.0 and p.S and p.T for p in pool)
+    assert cut_lp_exact(A, [1, 3], [2, 2, 2]).value == 0.0
+
+
+def test_cut_norm_lp_upper_builds_the_envelope_rows(monkeypatch):
+    """The program handed to the simplex, row by row as the envelope reads:
+    per nonzero entry two rows, then one unit box row per level variable."""
+    rng = np.random.default_rng(30)
+    A = rng.normal(size=(3, 4))
+    A[1, 2] = 0.0
+    seen = []
+
+    def capture(A_ub, b_ub, c):
+        seen.append((np.array(A_ub), np.array(b_ub), np.array(c)))
+        return simplex_solve(A_ub, b_ub, c)
+
+    monkeypatch.setattr(cutnorm, "simplex_solve", capture)
+    cut_norm_lp_upper(A)
+    m, n = A.shape
+    for sign, (A_ub, b_ub, c) in zip((1.0, -1.0), seen):
+        nz = [(i, j, sign * A[i, j]) for i in range(m) for j in range(n) if A[i, j] != 0.0]
+        k = len(nz)
+        rows, rhs = [], []
+        for idx, (i, j, a) in enumerate(nz):
+            first, second = np.zeros(k + m + n), np.zeros(k + m + n)
+            first[idx] = second[idx] = 1.0
+            if a > 0:
+                first[k + i] = second[k + m + j] = -a
+                rhs += [0.0, 0.0]
+            else:
+                second[k + i] = second[k + m + j] = -a
+                rhs += [-a, -2.0 * a]
+            rows += [first, second]
+        rows += list(np.eye(k + m + n)[k:])
+        rhs += [1.0] * (m + n)
+        assert _bits(A_ub) == _bits(np.array(rows)) and _bits(b_ub) == _bits(rhs)
+        assert _bits(c) == _bits([1.0] * k + [0.0] * (m + n))
 
 
 def test_cut_norm_lp_upper_never_undershoots():

@@ -110,3 +110,72 @@ def test_warm_chain_matches_cold_solves(data):
         assert val == pytest.approx(float(c @ x), abs=1e-7)
         assert val == pytest.approx(simplex_solve(A, b, c)[1], abs=1e-7)
         assert val == pytest.approx(oracles.linprog_max(A, b, c)[1], abs=1e-7)
+
+
+class _NoRepair(Tableau):
+    """A dual repair that gives up whenever it would pivot, so every basis
+    change falls back to a cold solve from the slack basis."""
+
+    def _dual(self, budget):
+        m = self.A.shape[0]
+        return None if self.T[:m, -1].min() < -self.tol else super()._dual(budget)
+
+
+def _same_as_repeated_solves(cls, A, c, bs):
+    chain, steps = cls(A, c), cls(A, c)
+    xs, values = chain.solve_chain(bs)
+    assert xs.shape == (len(bs), A.shape[1]) and values.shape == (len(bs),)
+    for i, b in enumerate(bs):
+        x, value = steps.solve(b)
+        assert xs[i].tobytes() == x.tobytes() and values[i] == value, f"row {i}"
+    assert (chain.pivots, chain.cold_solves) == (steps.pivots, steps.cold_solves)
+    return chain
+
+
+def test_solve_chain_repairs_and_falls_back():
+    # the repair example above as one chain: b3 = 9 and 0.4 keep the basis
+    # of the row before them, b3 = 0.5 and the final 10 change it
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    c = np.array([2.0, 1.0])
+    bs = np.array([[1.0, 1.0, b3] for b3 in (10.0, 9.0, 0.5, 0.4, 10.0)])
+    chain = _same_as_repeated_solves(Tableau, A, c, bs)
+    assert chain.pivots > 2 and chain.cold_solves == 1
+    chain = _same_as_repeated_solves(_NoRepair, A, c, bs)
+    assert chain.cold_solves == 3
+
+
+def test_solve_chain_rejects_a_negative_rhs():
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    c = np.array([2.0, 1.0])
+    for bs in ([[1.0, 1.0, -1.0]], [[1.0, 1.0, 2.0], [1.0, 1.0, 1.5], [1.0, -1.0, 1.0]]):
+        with pytest.raises(SimplexError):
+            Tableau(A, c).solve_chain(np.array(bs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_solve_chain_matches_repeated_solves(data):
+    """A chain of right-hand sides (small nudges that keep the basis, zero
+    ones, jumps that force a dual repair, or with the repair disabled a cold
+    solve) gives the points, values and pivot counts of one ``solve`` per
+    row, bit for bit."""
+    m = data.draw(st.integers(2, 6), label="m")
+    n = data.draw(st.integers(2, 6), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    A = np.vstack([rng.normal(size=(m, n)), np.eye(n)])
+    c = rng.normal(size=n)
+    b = np.concatenate([rng.uniform(0.1, 2.0, size=m), np.full(n, 3.0)])
+    bs = []
+    for _ in range(data.draw(st.integers(1, 12), label="rows")):
+        kind = data.draw(st.sampled_from(["nudge", "zero", "jump"]), label="rhs")
+        if kind == "zero":
+            bs.append(np.zeros(m + n))
+            continue
+        if kind == "nudge":
+            b = b * (1.0 + 0.01 * rng.random(m + n))
+        else:
+            b = np.concatenate([rng.uniform(0.1, 2.0, size=m), np.full(n, 3.0)])
+            b[rng.random(m + n) < 0.5] *= rng.choice([0.0, 0.01, 10.0])
+        bs.append(b)
+    cls = _NoRepair if data.draw(st.booleans(), label="no repair") else Tableau
+    _same_as_repeated_solves(cls, A, c, np.array(bs))
