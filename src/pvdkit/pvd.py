@@ -345,11 +345,13 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
     chain_resid = -math.inf
     chain_source = -math.inf
     src_norm = float(la.norm(Aw))
+    resid_at = {}  # truncation index -> its residual norm; many r share one
     for r in range(0, r_max + 1):
-        approx, _idx = best_truncation(result, r)
-        resid = p_norm(result.source - approx, domain, result.tol)
+        approx, idx = best_truncation(result, r)
+        if idx not in resid_at:
+            resid_at[idx] = p_norm(result.source - approx, domain, result.tol)
         tail = float(tail_rms(result.sigmas, r))
-        chain_resid = max(chain_resid, resid - tail)
+        chain_resid = max(chain_resid, resid_at[idx] - tail)
         chain_source = max(chain_source, tail - src_norm / math.sqrt(r + 1))
     if r_max >= 0:
         certs.append({"name": "truncation-chain-residual", "lhs": float(chain_resid),

@@ -195,6 +195,37 @@ def table_witness(A, d=None, e=None, atol: float = 1e-9):
     return S, T, float(table[i, j])
 
 
+def sweep_rows_unpruned(A, d, e, atol: float = 1e-9):
+    """(S, T, value) of the weighted row-set sweep without any pruning: every
+    row set's columns sorted by ``r_j / e_j`` and its best prefix or suffix
+    read off in one pass over all ``2^m`` row sets, then the first row set
+    and first column set within ``atol`` of the maximum.  The same float
+    operations as the package's sweep, so its values compare bitwise."""
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    U = subset_matrix(m)
+    V = subset_matrix(n)
+    R = U @ A
+    order = np.argsort(R / e, axis=1)
+    Rs = np.take_along_axis(R, order, axis=1)
+    Es = e[order]
+    low = np.cumsum(Rs, axis=1) / np.sqrt(np.cumsum(Es, axis=1))
+    high = np.cumsum(Rs[:, ::-1], axis=1) / np.sqrt(np.cumsum(Es[:, ::-1], axis=1))
+    wS = np.sqrt(U @ d)
+    best_per_S = np.maximum(np.abs(low).max(axis=1), np.abs(high).max(axis=1)) / wS
+    best = float(best_per_S.max())
+    s = int(np.argmax(best_per_S >= best - atol))
+    row = V @ R[s]
+    row /= wS[s] * np.sqrt(V @ e)
+    mags = np.abs(row)
+    t = int(np.argmax(mags >= min(best, float(mags.max())) - atol))
+    S = tuple(int(k) for k in np.nonzero(U[s])[0])
+    T = tuple(int(k) for k in np.nonzero(V[t])[0])
+    return S, T, float(row[t])
+
+
 def maxcut_value_fast(A) -> float:
     A = np.asarray(A, dtype=float)
     U = subset_matrix(A.shape[0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pvdkit.cutnorm import (CutPair, build_cut_lp, cut_lp_approx, cut_lp_exact,
                             ratio_candidates, rectangle_sum, rectangle_value, solve_cut_lp,
                             subset_indicators)
 from pvdkit.domains import CutDomain, UnsupportedDomain
+from pvdkit.linalg import DEFAULT_TOL, Tolerance
 from pvdkit.simplex import simplex_solve
 
 import oracles
@@ -139,6 +141,112 @@ def test_sweep_matches_dense_table(data):
     assert (plain.S, plain.T) == (S, T)
     assert plain.value == pytest.approx(value, abs=1e-12)
     assert abs(plain.value) == pytest.approx(oracles.plain_cutnorm_fast(A), abs=1e-12)
+
+
+@st.composite
+def _sweep_inputs(draw):
+    """(A, d, e, tol) for the pruned sweep: zero matrices and zero rows,
+    rank-one ``u e^T`` (Cauchy-Schwarz tight on all columns) and ``u z^T``
+    with mixed-sign ``z`` (many row sets near the bound), duplicate and
+    negated rows, all-negative matrices, and two single-cell rectangles a
+    gap just inside or just outside ``atol`` apart.  Entries and weights are
+    off the dyadic grid and may be scaled to 1e9, and ``atol`` may be 0, so
+    that bound and sweep round differently near the pruning threshold.
+    Sides run to 7, and to 10-12 so that the survivors fill several
+    blocks."""
+    big = draw(st.booleans())
+    m, n = (draw(st.integers(10, 12)), draw(st.integers(1, 12))) if big else \
+        (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    wgrid = st.integers(3, 40).map(lambda k: k / 7.0)
+    weights = st.sampled_from(["unit", "integer", "real"])
+    d, e = (np.array(draw(st.lists(wgrid if w == "real" else st.integers(1, 4).map(float),
+                                   min_size=k, max_size=k))) if w != "unit" else np.ones(k)
+            for w, k in ((draw(weights), m), (draw(weights), n)))
+    tol = draw(st.sampled_from([DEFAULT_TOL, Tolerance(atol=0.0)]))
+    kind = draw(st.sampled_from(["zero", "zero-rows", "rank-one", "rank-one-mixed",
+                                 "dup-neg", "negative", "near-tie"]))
+    vals = st.integers(-30, 30).map(lambda k: k / 3.0)
+    A = np.array(draw(st.lists(vals, min_size=m * n, max_size=m * n))).reshape(m, n)
+    if kind == "zero":
+        return np.zeros((m, n)), d, e, tol
+    if kind == "near-tie":
+        # two cells of value 1 and 1 + gap: within atol the earlier row set wins
+        gap = draw(st.sampled_from([0.5, 0.999, 1.001, 2.0])) * DEFAULT_TOL.atol
+        A = np.zeros((m, n))
+        A[0, 0] = math.sqrt(d[0] * e[0])
+        A[m - 1, n - 1] = (1.0 + gap) * math.sqrt(d[m - 1] * e[n - 1])
+        return A, d, e, DEFAULT_TOL
+    if kind == "zero-rows":
+        A[draw(st.lists(st.integers(0, m - 1), max_size=m))] = 0.0
+    elif kind == "rank-one":
+        A = np.outer(A[:, 0], e)
+    elif kind == "rank-one-mixed":
+        A = np.outer(np.abs(A[:, 0]) + 1.0, A[0])
+    elif kind == "dup-neg" and m > 1:
+        A[1] = A[0]
+        A[-1] = -A[0]
+    elif kind == "negative":
+        A = -np.abs(A) - 1.0 / 3.0
+    return A * draw(st.sampled_from([1.0, 1e9])), d, e, tol
+
+
+def _bitwise_reference(A, d, e, tol) -> None:
+    pair = normalized_cut_bruteforce(A, d, e, tol=tol)
+    S, T, value = oracles.sweep_rows_unpruned(A, d, e, atol=tol.atol)
+    assert (pair.S, pair.T, pair.value.hex()) == (S, T, value.hex())
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_sweep_inputs())
+def test_pruned_sweep_matches_unpruned_reference(inputs):
+    """Same witness and bitwise-equal value as the sweep over every row set."""
+    _bitwise_reference(*inputs)
+
+
+def test_pruned_sweep_keeps_every_block():
+    """All rows equal to a mixed-sign ``z``: a row set of k rows has bound
+    sqrt(12 k) and value sqrt(6 k), so the 2510 row sets with k >= 6 survive
+    and the winner, all rows, is the last of them."""
+    z = np.tile([1.0, -1.0], 6)
+    A = np.outer(np.ones(12), z)
+    ones = np.ones(12)
+    U = subset_indicators(12)
+    rows = cutnorm._pruned_rows(U @ A, ones, np.sqrt(U @ ones), DEFAULT_TOL.atol)
+    assert len(rows) == 2510 > 4 * cutnorm.SWEEP_BLOCK_ROWS
+    assert rows[-1] == 2**12 - 2
+    pair = normalized_cut_bruteforce(A, ones, ones)
+    assert pair.S == tuple(range(12)) and pair.T == tuple(range(0, 12, 2))
+    _bitwise_reference(A, ones, ones, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("scale, weight", [(1e-170, 1.0), (1e-160, 1e-300), (1e-150, 1e-100)])
+def test_pruned_sweep_where_the_bound_underflows(scale, weight):
+    """Entries this small make the squared row sums of the bound underflow;
+    at atol 0 the row sets must still be swept, not dropped."""
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(6, 5)) * scale
+    d = np.full(6, weight)
+    e = np.ones(5)
+    e[2] = weight
+    _bitwise_reference(A, d, e, Tolerance(atol=0.0))
+
+
+def test_weighted_step_memory_is_blocked():
+    """One side-12 weighted step, on a graph residual (few survivors) and on
+    the zero matrix (every row set survives), allocates under 2 MB; the
+    unpruned sweep's temporaries over all 4095 row sets take about 3 MB."""
+    rng = np.random.default_rng(7)
+    G = oracles.gnp_adjacency(rng, 12, 0.5)
+    deg = np.maximum(G.sum(axis=1), 1.0)
+    for A in (G - G.mean(), np.zeros((12, 12))):
+        normalized_cut_bruteforce(A, deg, deg)  # warm the subset-indicator cache
+        tracemalloc.start()
+        try:
+            normalized_cut_bruteforce(A, deg, deg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 def test_ratio_candidates_are_reduced_and_complete():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.linalg as la
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvdkit.domains import CutDomain, FullSphereDomain, UnsupportedDomain
 from pvdkit.linalg import Tolerance
@@ -189,3 +191,67 @@ def test_tolerance_stops_early():
     res = compute_pvd(A, CutDomain(np.ones(3)), tol=Tolerance(atol=1e-6))
     assert res.exhausted
     assert res.num_terms <= 4
+
+
+@st.composite
+def _engine_inputs(draw):
+    """(A, d, e) at sides 1-7 with non-integer weights: zero, rank-one, tied
+    (a signed permutation-like matrix whose cells all reach the same value)
+    and duplicate-row matrices."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    wgrid = st.integers(3, 40).map(lambda k: k / 7.0)
+    d = np.array(draw(st.lists(wgrid, min_size=m, max_size=m)))
+    e = np.array(draw(st.lists(wgrid, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["zero", "rank-one", "tied", "dup-row"]))
+    vals = st.integers(-9, 9).map(lambda k: k / 3.0)
+    if kind == "zero":
+        A = np.zeros((m, n))
+    elif kind == "rank-one":
+        u = np.array(draw(st.lists(vals, min_size=m, max_size=m)))
+        z = np.array(draw(st.lists(vals, min_size=n, max_size=n)))
+        A = np.outer(u, z)
+    elif kind == "tied":
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+        A = np.zeros((m, n))
+        for i, sign in enumerate(signs):
+            A[i, i % n] = sign * math.sqrt(d[i] * e[i % n])
+    else:
+        A = np.array(draw(st.lists(vals, min_size=m * n, max_size=m * n))).reshape(m, n)
+        A[m // 2:] = A[0]
+    return A, d, e
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=_engine_inputs())
+def test_engine_invariants_on_degenerate_inputs(inputs):
+    """Every certificate passes, and ``exhausted`` is claimed only when the
+    exact maximizer's last step found the residual's restricted norm within
+    tolerance (checked against the dense table)."""
+    A, d, e = inputs
+    res = compute_pvd(A, CutDomain(d, e))
+    verdict = verify_pvd(res)
+    assert verdict["pass"] and verdict["certificates"], verdict["certificates"]
+    residual = A - truncate(res, res.num_terms)
+    # [DERIVED] restricted norm of the final residual by the dense table
+    table_norm = oracles.cut_pnorm_max_fast(residual, d, e)
+    assert res.residual_pnorm == pytest.approx(table_norm, abs=1e-9)
+    if res.exhausted:
+        assert table_norm <= res.tol.atol + 1e-12
+
+
+def test_verify_pvd_replays_each_truncation_once():
+    """``verify_pvd`` maximizes once per step and once per distinct best
+    truncation, however many ``r`` share it."""
+    rng = np.random.default_rng(51)
+    G = oracles.gnp_adjacency(rng, 8, 0.5)
+    for d in (np.ones(8), np.maximum(G.sum(axis=1), 1.0)):
+        dom = CutDomain(d)
+        res = compute_pvd(G, dom)
+        assert res.exhausted
+        calls = []
+        step = dom.max_step
+        dom.max_step = lambda R, tol: calls.append(1) or step(R, tol)
+        assert verify_pvd(res)["pass"]
+        indices = {best_truncation(res, r)[1] for r in range(res.num_terms + 1)}
+        assert len(indices) < res.num_terms + 1
+        assert len(calls) == res.num_terms + len(indices)
