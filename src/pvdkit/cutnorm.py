@@ -17,9 +17,13 @@ matrices whose smaller side is beyond it.
 
 Only the right-hand side of a relaxation depends on ``c``, so a ratio grid
 is solved as one warm chain per sign: the constraint matrix is built once,
-and ``simplex.Tableau.solve_chain`` prices each right-hand side against the
-kept optimal basis, pivoting only where that basis stops being feasible.
-The chain's LPs are rounded together, from one batch of threshold masks.
+and ``simplex.Tableau.solve_chain`` solves the stacked right-hand sides by
+basis segments.  The kept optimal basis's inverse is copied once per
+segment, each ratio is priced against it, and the segment's points are
+written and checked at once; only the ratio where that basis stops being
+feasible is repaired, by pivots that are rank-one updates of the tableau.
+The chain's LPs are rounded together, from one batch of threshold masks,
+and each distinct rectangle among their best levels is evaluated once.
 
 The row-set sweep rests on a prefix lemma.  Fix a row set ``S`` with row
 sums ``r`` and positive column weights ``e``.  On the box ``[0, 1]^n`` the
@@ -392,7 +396,11 @@ def _round_levels(A, d, e, s, t) -> list:
     summed in another order than ``_rect_value``; the levels within twice
     ``slack`` (a bound on that rounding error) of an LP's best are evaluated
     again by ``_rect_value`` in decreasing order, keeping the first strict
-    maximum above 0: the value and the tie rule of a scan over the levels."""
+    maximum above 0: the value and the tie rule of a scan over the levels.
+    Neighbouring LPs of a chain share most of those rectangles, so each
+    distinct pair of masks is evaluated once per call, keyed by the bytes of
+    its ``S`` and ``T`` masks; a rectangle's value does not depend on the LP
+    it came from."""
     m, n = A.shape
     levels = np.sort(np.concatenate([s, t], axis=1), axis=1)[:, ::-1]
     fresh = levels > 1e-12
@@ -407,12 +415,17 @@ def _round_levels(A, d, e, s, t) -> list:
              * np.abs(A).sum() / math.sqrt(d.min() * e.min()))
     top = np.maximum(approx.max(axis=1), 0.0) - 2 * slack
     best = [CutPair((), (), 0.0)] * len(levels)
+    rectangles = {}  # one evaluation per distinct (S, T) mask pair
     for a, lvl in np.argwhere(fresh & (approx >= top[:, None])).tolist():
-        S = np.flatnonzero(MS[a, lvl])
-        T = np.flatnonzero(MT[a, lvl])
-        val = _rect_value(A, d, e, S, T)
-        if val > best[a].value:
-            best[a] = CutPair(tuple(S.tolist()), tuple(T.tolist()), float(val))
+        key = (MS[a, lvl].tobytes(), MT[a, lvl].tobytes())
+        pair = rectangles.get(key)
+        if pair is None:
+            S = np.flatnonzero(MS[a, lvl])
+            T = np.flatnonzero(MT[a, lvl])
+            pair = rectangles[key] = CutPair(tuple(S.tolist()), tuple(T.tolist()),
+                                             float(_rect_value(A, d, e, S, T)))
+        if pair.value > best[a].value:
+            best[a] = pair
     return best
 
 
@@ -430,9 +443,10 @@ def lp_candidates(A, d_left, d_right, cs):
     The grid is solved as one warm chain per sign: the constraint matrix and
     objective are built once per sign, and that sign's tableau solves the
     stacked right-hand sides by basis segments (``Tableau.solve_chain``).
-    The solutions are rounded together (the batched ``lp_round``).  The grid
-    goes in batches of ``ROUND_BATCH_ENTRIES`` mask entries; records come in
-    the order of ``cs``, the positive sign first.
+    The solutions are rounded together (the batched ``lp_round``), each
+    distinct rectangle once.  The grid goes in batches of
+    ``ROUND_BATCH_ENTRIES`` mask entries; records come in the order of
+    ``cs``, the positive sign first.
 
     Each record carries the solved instance data and two rounded pairs: the
     one on the signed matrix (whose value obeys the rounding guarantee) and
@@ -608,13 +622,14 @@ def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
     """Same pipeline as ``cut_lp_exact``, but the ratio candidates come from
     a geometric ``(1+eps)`` grid spanning every achievable ``d(S)/e(T)``.
 
-    The returned value is at least ``exact / (1 + eps)`` whenever the
-    completion sweep can run (integer weights), the matrix is enumerable
-    (either side within the brute-force cap), or the entries are
-    sign-consistent.  On mixed-sign matrices beyond those regimes the LP
-    relaxation alone can lose more than the grid factor, because entries of
-    the minority sign adjacent to the support enter the relaxation as forced
-    penalties.
+    The returned value is at least ``exact / (1 + eps)``.  On a matrix with
+    both signs the LP relaxation alone can lose more than the grid factor,
+    because entries of the minority sign adjacent to the support enter it as
+    forced penalties, so the pool is closed by an exact route: the
+    completion sweep (integer weights, smaller side within
+    ``COMPLETION_CAP``) or the row-set sweep (both sides within
+    ``BRUTE_FORCE_CAP``).  A mixed-sign matrix outside both regimes raises
+    ``ValueError`` before any LP is solved.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -625,6 +640,13 @@ def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
     if d_right is None and m != n:
         raise ValueError("d_right is required for rectangular matrices")
     e = as_weights(d_right, n, "right weights") if d_right is not None else d
+    integer = bool(np.all(d == np.round(d)) and np.all(e == np.round(e)))
+    if (A.min() < 0 < A.max() and not (integer and min(m, n) <= COMPLETION_CAP)
+            and max(m, n) > BRUTE_FORCE_CAP):
+        raise ValueError(f"mixed-sign {m}x{n} matrix outside the exact regimes (integer "
+                         f"weights with the smaller side within {COMPLETION_CAP}, or both "
+                         f"sides within {BRUTE_FORCE_CAP}): the LP relaxation alone can "
+                         "miss the (1+eps) guarantee")
     c_lo = float(d.min() / e.sum())
     c_hi = float(d.sum() / e.min())
     count = int(math.ceil(math.log(c_hi / c_lo) / math.log1p(eps))) if c_hi > c_lo else 0
@@ -635,7 +657,7 @@ def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
     nsolved = len(pool)
     lp_best = max((abs(p.value) for p in pool), default=0.0)
     comp = []
-    if np.all(d == np.round(d)) and np.all(e == np.round(e)):
+    if integer:
         comp = exact_completion(A, d, e, tol.atol)
         pool.extend(comp)
     elif max(m, n) <= BRUTE_FORCE_CAP:

@@ -47,7 +47,8 @@ class CutDomain:
         Greedy-step strategy.  "auto" enumerates within ``bf_cap`` and falls
         back to the LP route (integer weights only) beyond it.  The LP route
         raises ``UnsupportedDomain`` on a residual with both signs whose
-        smaller side exceeds ``cutnorm.COMPLETION_CAP``.
+        smaller side exceeds ``cutnorm.COMPLETION_CAP``, and "lp-approx" on
+        one outside every exact regime of ``cutnorm.cut_lp_approx``.
     approx_eps : float, optional
         Grid parameter for the "lp-approx" strategy.
     """
@@ -116,7 +117,10 @@ class CutDomain:
                 raise UnsupportedDomain(str(exc)) from exc
         else:
             eps = 0.5 if self.approx_eps is None else float(self.approx_eps)
-            pair = cut_lp_approx(R, eps, d, e, tol=tol)
+            try:
+                pair = cut_lp_approx(R, eps, d, e, tol=tol)
+            except ValueError as exc:
+                raise UnsupportedDomain(str(exc)) from exc
         return pair.masks(), pair.value
 
 

@@ -12,9 +12,13 @@ A ``Tableau`` keeps its last optimal basis, so a family of programs that
 share ``A`` and ``c`` and differ only in ``b`` is solved as a parametric
 right-hand side (Chvatal, *Linear Programming*, 1983, ch. 10): a new ``b``
 leaves the reduced costs, hence dual feasibility, untouched, and a dual
-simplex repairs the basic values that turned negative.  While the kept
-basis stays feasible, a new ``b`` is only priced against it, so a stack of
-right-hand sides is solved by basis segments (``Tableau.solve_chain``).
+simplex repairs the basic values that turned negative.  A stack of
+right-hand sides is solved by basis segments (``Tableau.solve_chain``): the
+kept basis's inverse and cost line are copied once, and the rows that stay
+primal feasible are priced against them, one matrix-vector product each,
+with their points written and checked per segment; only the row that ends a
+segment goes through the repair.  A pivot is one rank-one update of the
+whole tableau.
 """
 from __future__ import annotations
 
@@ -22,6 +26,11 @@ import numpy as np
 
 #: consecutive degenerate pivots tolerated before switching to Bland's rule
 DEGENERATE_STREAK = 24
+
+#: rows of a basis segment whose points are checked against ``A_ub`` at once
+SEGMENT_ROWS = 256
+
+EPS = np.finfo(float).eps
 
 
 class SimplexError(RuntimeError):
@@ -33,25 +42,35 @@ class Tableau:
     a fixed ``(A_ub, c)``, solved for one right-hand side after another.
 
     The first right-hand side is solved by the primal simplex from the
-    slack basis.  A later one reprices the kept tableau for the new ``b``:
-    the basic values are ``B^-1 b``, read off the tableau's slack block, and
-    the value is the cost line's slack block times ``b``.  When they are
-    nonnegative the kept basis is still optimal and no pivot loop runs, so a
-    stack of right-hand sides (``solve_chain``; ``solve`` is its one-row
-    case) is solved by basis segments.  Otherwise a dual simplex pivots
-    until the basic values are nonnegative (leaving row: most negative
-    value; entering column: least ``|reduced cost| / |entry|`` over the
-    row's negative entries, smallest index on ties), and the primal loop
-    confirms optimality.  When the repair runs out of entering columns or
-    pivots, or the point violates ``A_ub @ x <= b + tol`` or ``x >= -tol``,
-    the right-hand side is solved again from the slack basis.
+    slack basis.  Later ones are solved by basis segments: the kept
+    tableau's slack block (``B^-1``) and the cost line's slack block are
+    copied once, and each following ``b`` is priced against them, its basic
+    values ``B^-1 b`` and its value by the same matrix-vector products a
+    single solve makes.  The segment ends at the first ``b`` with a basic
+    value below ``-tol``; its points are written with one scatter and
+    checked against ``A_ub @ x <= b + tol`` by one product per block of
+    ``SEGMENT_ROWS`` rows, and a row that fails that check also ends it.  A
+    row whose check the block product's rounding could decide otherwise is
+    checked by the per-row product a single solve makes, so every decision
+    is that of one solve per row.  The row that ends a segment is priced
+    again on the tableau, and a dual simplex pivots until the basic values
+    are nonnegative (leaving row: most negative value; entering column:
+    least ``|reduced cost| / |entry|`` over the row's negative entries,
+    smallest index on ties), and the primal loop confirms optimality.  When the repair runs out of entering columns or pivots, or
+    the point violates ``A_ub @ x <= b + tol`` or ``x >= -tol``, the
+    right-hand side is solved again from the slack basis.  A pivot updates
+    the whole tableau by one rank-one product; rows with a zero multiplier
+    subtract exact zeros.
 
-    ``pivots`` counts every pivot made and ``cold_solves`` the solves that
-    started from the slack basis.
+    ``pivots`` counts every pivot made, ``cold_solves`` the solves that
+    started from the slack basis, ``repairs`` the right-hand sides that took
+    the dual repair, and ``bland_switches`` the primal solves that reached
+    ``DEGENERATE_STREAK`` degenerate pivots in a row.
     """
 
     def __init__(self, A_ub, c, tol: float = 1e-9, max_iter: int | None = None):
         self.A = np.asarray(A_ub, dtype=float)
+        self.row_abs = np.abs(self.A).sum(axis=1)
         self.c = np.asarray(c, dtype=float)
         m, n = self.A.shape
         assert self.c.shape == (n,)
@@ -61,6 +80,8 @@ class Tableau:
         self.basis = None
         self.pivots = 0
         self.cold_solves = 0
+        self.repairs = 0
+        self.bland_switches = 0
 
     def solve(self, b_ub):
         """Optimal basic solution ``x`` and value ``c @ x`` for ``b_ub >= 0``:
@@ -78,12 +99,67 @@ class Tableau:
         assert bs.ndim == 2 and bs.shape[1] == m
         if np.any(bs < -self.tol):
             raise SimplexError("negative right-hand side; slack basis infeasible")
+        bs = np.maximum(bs, 0.0)
         xs = np.empty((len(bs), n))
         values = np.empty(len(bs))
-        for i, b in enumerate(np.maximum(bs, 0.0)):
-            point = None if self.T is None else self._warm(b)
-            xs[i], values[i] = self._cold(b) if point is None else point
+        i = 0
+        while i < len(bs):
+            point = None
+            if self.T is not None:
+                i = self._segment(bs, i, xs, values)
+                if i == len(bs):
+                    break
+                point = self._warm(bs[i])
+            xs[i], values[i] = self._cold(bs[i]) if point is None else point
+            i += 1
         return xs, values
+
+    def _segment(self, bs, start: int, xs, values) -> int:
+        """Solve the rows ``start, start+1, ...`` of ``bs`` that the kept
+        basis still solves, into ``xs`` and ``values``; the first row it
+        does not solve, or ``len(bs)``."""
+        T, tol = self.T, self.tol
+        m, n = self.A.shape
+        inverse = T[:m, n : n + m].copy()
+        cost = T[-1, n : n + m].copy()
+        structural = np.flatnonzero(self.basis < n)
+        columns = self.basis[structural]
+        lo = start
+        while lo < len(bs):
+            hi = min(lo + SEGMENT_ROWS, len(bs))
+            rhs = np.empty((hi - lo, m))
+            products = np.empty(hi - lo)
+            rows = 0
+            while lo + rows < hi:
+                b = bs[lo + rows]
+                rhs[rows] = inverse @ b
+                if rhs[rows].min() < -tol:
+                    break
+                products[rows] = cost @ b
+                rows += 1
+            block = np.zeros((rows, n))
+            block[:, columns] = rhs[:rows, structural]
+            limit = bs[lo : lo + rows] + tol
+            # the block product rounds otherwise than the per-row product of a
+            # single solve, by less than 2 (n + 1) eps |A_ub| |x|; wherever the
+            # two may fall on different sides of the limit, the per-row
+            # product decides
+            scale = np.outer(np.abs(block).max(axis=1, initial=0.0), self.row_abs)
+            doubt = (np.abs(limit) + 3 * (n + 1) * scale) * EPS
+            for r in np.flatnonzero(np.any(block @ self.A.T > limit - doubt, axis=1)).tolist():
+                if np.any(self.A @ block[r] > limit[r]):
+                    rows = r
+                    break
+            if rows:
+                xs[lo : lo + rows] = block[:rows]
+                values[lo : lo + rows] = -products[:rows]
+                # leave the tableau as solving the last accepted row alone would
+                T[:m, -1] = rhs[rows - 1]
+                T[-1, -1] = products[rows - 1]
+            if lo + rows < hi:
+                return lo + rows
+            lo = hi
+        return lo
 
     def _cold(self, b):
         m, n = self.A.shape
@@ -111,6 +187,7 @@ class Tableau:
         T[-1, -1] = T[-1, slack] @ b
         if T[:m, -1].min() < -self.tol:
             # the kept basis is no longer primal feasible: repair it
+            self.repairs += 1
             left = self._dual(self.max_iter)
             if left is None:
                 return None
@@ -148,6 +225,7 @@ class Tableau:
         T, tol, basis = self.T, self.tol, self.basis
         m = self.A.shape[0]
         degenerate = 0
+        switched = False
         for _ in range(budget):
             costs = T[-1, :-1]
             if degenerate < DEGENERATE_STREAK:
@@ -155,17 +233,20 @@ class Tableau:
                 if costs[j] <= tol:
                     return
             else:
+                if not switched:
+                    switched = True
+                    self.bland_switches += 1
                 pos = np.flatnonzero(costs > tol)
                 if pos.size == 0:
                     return
                 j = int(pos[0])  # Bland: smallest index
 
             col = T[:m, j]
-            rows = np.flatnonzero(col > tol)
-            if rows.size == 0:
+            entering = col > tol
+            if not entering.any():
                 raise SimplexError("objective unbounded above")
-            ratios = T[rows, -1] / col[rows]
-            ties = rows[ratios <= ratios.min() + tol]
+            ratios = np.divide(T[:m, -1], col, out=np.full(m, np.inf), where=entering)
+            ties = np.flatnonzero(ratios <= ratios.min() + tol)
             i = int(ties[basis[ties].argmin()])  # smallest basic index on ties
 
             if T[i, -1] <= tol:
@@ -178,9 +259,9 @@ class Tableau:
     def _pivot(self, i: int, j: int) -> None:
         T = self.T
         T[i] /= T[i, j]
-        rows = np.flatnonzero(T[:, j])
-        rows = rows[rows != i]
-        T[rows] -= T[rows, j, None] * T[i]
+        col = T[:, j].copy()
+        col[i] = 0.0
+        T -= np.multiply.outer(col, T[i])
         T[:, j] = 0.0  # keep the pivot column exactly unit
         T[i, j] = 1.0
         self.basis[i] = j

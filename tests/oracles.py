@@ -242,16 +242,192 @@ def linprog_max(A_ub, b_ub, c):
     return res.x, -res.fun
 
 
+class ReferenceSimplexError(RuntimeError):
+    pass
+
+
+class ReferenceTableau:
+    """The tableau simplex with one warm solve per right-hand side, frozen
+    as the reference: every row of a chain goes through ``_warm`` on its own
+    (reprice, dual repair, per-row feasibility checks), a pivot updates only
+    the rows with a nonzero multiplier, and the primal ratio test gathers
+    the rows with a positive entry.  ``pvdkit.simplex.Tableau`` (segment
+    pricing, rank-one pivots, a masked ratio test) must give its points,
+    values and counters bit for bit."""
+
+    DEGENERATE_STREAK = 24
+
+    def __init__(self, A_ub, c, tol: float = 1e-9):
+        self.A = np.asarray(A_ub, dtype=float)
+        self.c = np.asarray(c, dtype=float)
+        m, n = self.A.shape
+        self.tol = tol
+        self.max_iter = 2000 + 50 * (m + n)
+        self.T = None
+        self.basis = None
+        self.pivots = self.cold_solves = self.repairs = self.bland_switches = 0
+
+    def solve(self, b):
+        xs, values = self.solve_chain(np.asarray(b, dtype=float)[None, :])
+        return xs[0], float(values[0])
+
+    def solve_chain(self, bs):
+        bs = np.asarray(bs, dtype=float)
+        if np.any(bs < -self.tol):
+            raise ReferenceSimplexError("negative right-hand side; slack basis infeasible")
+        xs = np.empty((len(bs), self.A.shape[1]))
+        values = np.empty(len(bs))
+        for i, b in enumerate(np.maximum(bs, 0.0)):
+            point = None if self.T is None else self._warm(b)
+            xs[i], values[i] = self._cold(b) if point is None else point
+        return xs, values
+
+    def _cold(self, b):
+        m, n = self.A.shape
+        self.cold_solves += 1
+        T = np.zeros((m + 1, n + m + 1))
+        T[:m, :n] = self.A
+        T[:m, n:n + m] = np.eye(m)
+        T[:m, -1] = b
+        T[-1, :n] = self.c
+        self.T = T
+        self.basis = np.arange(n, n + m)
+        try:
+            self._primal(self.max_iter)
+        except ReferenceSimplexError:
+            self.T = None
+            raise
+        return self._point()
+
+    def _warm(self, b):
+        T = self.T
+        m, n = self.A.shape
+        slack = slice(n, n + m)
+        T[:m, -1] = T[:m, slack] @ b
+        T[-1, -1] = T[-1, slack] @ b
+        if T[:m, -1].min() < -self.tol:
+            self.repairs += 1
+            left = self._dual(self.max_iter)
+            if left is None:
+                return None
+            try:
+                self._primal(left)
+            except ReferenceSimplexError:
+                return None
+        x, value = self._point()
+        if x.min(initial=0.0) < -self.tol or np.any(self.A @ x > b + self.tol):
+            return None
+        return x, value
+
+    def _dual(self, budget: int):
+        T, tol = self.T, self.tol
+        m = self.A.shape[0]
+        for used in range(budget + 1):
+            rhs = T[:m, -1]
+            i = int(rhs.argmin())
+            if rhs[i] >= -tol:
+                return budget - used
+            if used == budget:
+                return None
+            row = T[i, :-1]
+            cols = np.flatnonzero(row < -tol)
+            if cols.size == 0:
+                return None
+            ratios = np.abs(T[-1, cols]) / -row[cols]
+            j = int(cols[int((ratios <= ratios.min() + tol).argmax())])
+            self._pivot(i, j)
+        return None
+
+    def _primal(self, budget: int) -> None:
+        T, tol, basis = self.T, self.tol, self.basis
+        m = self.A.shape[0]
+        degenerate = 0
+        switched = False
+        for _ in range(budget):
+            costs = T[-1, :-1]
+            if degenerate < self.DEGENERATE_STREAK:
+                j = int(costs.argmax())
+                if costs[j] <= tol:
+                    return
+            else:
+                if not switched:
+                    switched = True
+                    self.bland_switches += 1
+                pos = np.flatnonzero(costs > tol)
+                if pos.size == 0:
+                    return
+                j = int(pos[0])
+            col = T[:m, j]
+            rows = np.flatnonzero(col > tol)
+            if rows.size == 0:
+                raise ReferenceSimplexError("objective unbounded above")
+            ratios = T[rows, -1] / col[rows]
+            ties = rows[ratios <= ratios.min() + tol]
+            i = int(ties[basis[ties].argmin()])
+            if T[i, -1] <= tol:
+                degenerate += 1
+            else:
+                degenerate = 0
+            self._pivot(i, j)
+        raise ReferenceSimplexError(f"no optimum within {budget} pivots")
+
+    def _pivot(self, i: int, j: int) -> None:
+        T = self.T
+        T[i] /= T[i, j]
+        rows = np.flatnonzero(T[:, j])
+        rows = rows[rows != i]
+        T[rows] -= T[rows, j, None] * T[i]
+        T[:, j] = 0.0
+        T[i, j] = 1.0
+        self.basis[i] = j
+        self.pivots += 1
+
+    def _point(self):
+        m, n = self.A.shape
+        x = np.zeros(n + m)
+        x[self.basis] = self.T[:m, -1]
+        return x[:n], float(-self.T[-1, -1])
+
+
+def cut_lp_rows(B, d, e):
+    """Constraint rows, objective and nonzero entries ``(i, j)`` (row-major)
+    of the shifted cut relaxation of the signed matrix ``B``: per entry,
+    ``y_ij - B_ij s_i <= L_ij`` and ``y_ij - B_ij t_j <= L_ij``, then
+    ``d.s <= sqrt(c)`` and ``e.t <= 1/sqrt(c)``; maximize ``sum y``."""
+    m, n = B.shape
+    nnz = [(i, j) for i in range(m) for j in range(n) if B[i, j] != 0.0]
+    k = len(nnz)
+    A_ub = np.zeros((2 * k + 2, k + m + n))
+    for r, (i, j) in enumerate(nnz):
+        A_ub[2 * r, r] = A_ub[2 * r + 1, r] = 1.0
+        A_ub[2 * r, k + i] = A_ub[2 * r + 1, k + m + j] = -B[i, j]
+    A_ub[2 * k, k:k + m] = d
+    A_ub[2 * k + 1, k + m:] = e
+    objective = np.zeros(k + m + n)
+    objective[:k] = 1.0
+    return A_ub, objective, nnz
+
+
+def cut_lp_rhs(B, d, e, nnz, c):
+    """Right-hand side of the relaxation of ``cut_lp_rows`` at ratio ``c``,
+    and its shift total ``sum L``."""
+    k = len(nnz)
+    rc = math.sqrt(c)
+    L = np.abs(np.array([B[i, j] for i, j in nnz])) * max(rc / d.min(), 1.0 / (rc * e.min()))
+    b = np.empty(2 * k + 2)
+    b[0:2 * k:2] = b[1:2 * k:2] = L
+    b[2 * k], b[2 * k + 1] = rc, 1.0 / rc
+    return b, float(L.sum())
+
+
 def lp_candidates_sequential(A, d, e, cs) -> list:
     """The records of ``cutnorm.lp_candidates``, one LP at a time: each
-    ratio's right-hand side built on its own, one ``Tableau.solve`` per ratio
-    on a warm tableau per sign, and a scan over every distinct level with
-    the package's per-rectangle arithmetic (``np.ix_`` sums), so the results
-    match bit for bit.  Records are dicts with ``c``, ``sign``, ``b_ub``,
-    ``shift_total``, ``objective``, ``s``, ``t`` and ``rounded`` as
-    ``(S, T, value)``."""
-    from pvdkit.simplex import Tableau
-
+    ratio's right-hand side built on its own, one ``ReferenceTableau.solve``
+    per ratio on a warm tableau per sign, and a scan over every distinct
+    level with the package's per-rectangle arithmetic (``np.ix_`` sums), so
+    the results match bit for bit.  Records are dicts with ``c``, ``sign``,
+    ``b_ub``, ``shift_total``, ``objective``, ``s``, ``t`` and ``rounded``
+    as ``(S, T, value)``."""
     A = np.asarray(A, dtype=float)
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -259,32 +435,18 @@ def lp_candidates_sequential(A, d, e, cs) -> list:
     chains = {}
     for sign in (1, -1):
         B = sign * A
-        nnz = [(i, j) for i in range(m) for j in range(n) if B[i, j] != 0.0]
-        k = len(nnz)
-        A_ub = np.zeros((2 * k + 2, k + m + n))
-        for r, (i, j) in enumerate(nnz):
-            A_ub[2 * r, r] = A_ub[2 * r + 1, r] = 1.0
-            A_ub[2 * r, k + i] = A_ub[2 * r + 1, k + m + j] = -B[i, j]
-        A_ub[2 * k, k:k + m] = d
-        A_ub[2 * k + 1, k + m:] = e
-        objective = np.zeros(k + m + n)
-        objective[:k] = 1.0
-        chains[sign] = (B, nnz, Tableau(A_ub, objective))
+        A_ub, objective, nnz = cut_lp_rows(B, d, e)
+        chains[sign] = (B, nnz, ReferenceTableau(A_ub, objective))
     out = []
     for c in cs:
         for sign in (1, -1):
             B, nnz, tableau = chains[sign]
             k = len(nnz)
-            rc = math.sqrt(c)
-            L = np.abs(np.array([B[i, j] for i, j in nnz])) * max(rc / d.min(),
-                                                                   1.0 / (rc * e.min()))
-            b = np.empty(2 * k + 2)
-            b[0:2 * k:2] = b[1:2 * k:2] = L
-            b[2 * k], b[2 * k + 1] = rc, 1.0 / rc
+            b, shift = cut_lp_rhs(B, d, e, nnz, c)
             x, raw = tableau.solve(b)
             s, t = x[k:k + m], x[k + m:]
-            out.append({"c": c, "sign": sign, "b_ub": b, "shift_total": float(L.sum()),
-                        "objective": float(raw - float(L.sum())), "s": s, "t": t,
+            out.append({"c": c, "sign": sign, "b_ub": b, "shift_total": shift,
+                        "objective": float(raw - shift), "s": s, "t": t,
                         "rounded": level_scan(B, d, e, s, t)})
     return out
 

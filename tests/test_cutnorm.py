@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvdkit import cutnorm
+from pvdkit import cli, cutnorm
 from pvdkit.cutnorm import (CutPair, build_cut_lp, cut_lp_approx, cut_lp_exact,
                             cut_norm_bruteforce, cut_norm_lp_upper, exact_completion,
                             lp_candidates, lp_round, normalized_cut_bruteforce,
@@ -376,6 +377,33 @@ def test_lp_round_keeps_the_scan_tie_rule():
         assert (got.S, got.T, got.value) == oracles.level_scan(A, d, e, s, t), f"trial {trial}"
 
 
+def test_round_levels_evaluates_each_rectangle_once_per_call(monkeypatch):
+    """One batched rounding of many LPs, whose levels share row sets with
+    different column sets, gives each LP its own scan; ``_rect_value`` runs
+    once per distinct rectangle."""
+    A = np.array([[1.0, -1.0]])
+    got = cutnorm._round_levels(A, np.ones(1), np.ones(2), np.ones((2, 1)),
+                                np.array([[1.0, 0.0], [1.0, 1.0]]))
+    assert [(p.S, p.T, p.value) for p in got] == [((0,), (0,), 1.0), ((), (), 0.0)]
+    rng = np.random.default_rng(4)
+    A = np.round(rng.uniform(-1, 1, size=(3, 4)), 1)
+    d, e = rng.integers(1, 4, size=3).astype(float), rng.integers(1, 4, size=4).astype(float)
+    s = rng.integers(0, 4, size=(300, 3)) / 3.0
+    t = rng.integers(0, 4, size=(300, 4)) / 3.0
+    calls = []
+    rect_value = cutnorm._rect_value
+
+    def counted(*args):
+        calls.append(tuple(map(tuple, args[3:])))
+        return rect_value(*args)
+
+    monkeypatch.setattr(cutnorm, "_rect_value", counted)
+    got = cutnorm._round_levels(A, d, e, s, t)
+    assert len(calls) == len(set(calls)) < len(s)
+    for a, pair in enumerate(got):
+        assert (pair.S, pair.T, pair.value) == oracles.level_scan(A, d, e, s[a], t[a]), f"LP {a}"
+
+
 @pytest.mark.parametrize("batch_lps", [1, 7])
 def test_lp_candidates_batches_keep_records(monkeypatch, batch_lps):
     """Batches of one ratio (each chain one row, each rounding batch one LP)
@@ -403,6 +431,40 @@ def test_cut_lp_exact_refuses_mixed_signs_beyond_completion(monkeypatch):
         cut_lp_exact(A)
     with pytest.raises(UnsupportedDomain, match="mixed-sign"):
         CutDomain(np.ones(18), maximizer="lp").max_step(A)
+
+
+def test_cut_lp_approx_refuses_mixed_signs_outside_the_exact_regimes(monkeypatch, tmp_path,
+                                                                     capsys):
+    """With non-integer weights and a side beyond the brute-force cap, or a
+    smaller side beyond the completion cap, no exact route closes the pool,
+    and the LP relaxation alone misses the (1+eps) guarantee: on 13x3
+    matrices with entries in -3..3 and all weights 1.5 it did in 35 of 40
+    draws of this stream (draw 3 gave 1.556 against an exact 4.007).  Such
+    inputs are refused before any LP is solved."""
+    rng = np.random.default_rng(5)
+    draws = [rng.integers(-3, 4, size=(13, 3)).astype(float) for _ in range(4)]
+    d, e = np.full(13, 1.5), np.full(3, 1.5)
+    # the same inputs inside a regime keep the guarantee
+    for A, dd, ee in ((draws[3], np.ones(13), np.ones(3)), (np.abs(draws[3]), d, e)):
+        exact = abs(normalized_cut_bruteforce(A, dd, ee, cap=13).value)
+        assert abs(cut_lp_approx(A, 0.1, dd, ee).value) >= exact / 1.1 - 1e-9
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(cutnorm, "lp_candidates", no_lp)
+    for A in draws:
+        with pytest.raises(ValueError, match="mixed-sign"):
+            cut_lp_approx(A, 0.1, d, e)
+        with pytest.raises(UnsupportedDomain, match="mixed-sign"):
+            CutDomain(d, e, maximizer="lp-approx", approx_eps=0.1).max_step(A)
+    big = np.random.default_rng(30).integers(-3, 4, size=(18, 18)).astype(float)
+    with pytest.raises(ValueError, match="mixed-sign"):
+        cut_lp_approx(big, 0.5)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big.tolist()))
+    assert cli.main(["cutnorm", "--input", str(path), "--eps", "0.5"]) == 2
+    assert "mixed-sign" in capsys.readouterr().err
 
 
 def test_cut_lp_exact_matches_bruteforce():

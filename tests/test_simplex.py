@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvdkit.simplex import SimplexError, Tableau, simplex_solve
+from pvdkit import simplex
+from pvdkit.cutnorm import ratio_candidates
+from pvdkit.simplex import DEGENERATE_STREAK, SimplexError, Tableau, simplex_solve
 
 import oracles
 
@@ -65,8 +69,21 @@ def test_degenerate_lp_terminates():
     ])
     b = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
     c = np.array([1.0, 1.0])
-    x, val = simplex_solve(A, b, c)
+    tab = Tableau(A, c)
+    x, val = tab.solve(b)
     assert val == pytest.approx(2.0)
+    assert (tab.repairs, tab.bland_switches) == (0, 0)
+    # the dense 5x5 cut relaxation at a zero right-hand side: every pivot is
+    # degenerate, so the primal loop reaches Bland's rule, and still stops
+    rng = np.random.default_rng(7)
+    B = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=(5, 5))
+    A_ub, objective, nnz = oracles.cut_lp_rows(B, np.ones(5), np.ones(5))
+    assert len(nnz) == 25
+    tab = Tableau(A_ub, objective)
+    x, val = tab.solve(np.zeros(len(A_ub)))
+    assert val == 0.0 and not x.any()
+    assert tab.pivots > DEGENERATE_STREAK
+    assert (tab.cold_solves, tab.repairs, tab.bland_switches) == (1, 0, 1)
 
 
 def test_warm_solve_repairs_an_infeasible_basis():
@@ -128,8 +145,26 @@ def _same_as_repeated_solves(cls, A, c, bs):
     for i, b in enumerate(bs):
         x, value = steps.solve(b)
         assert xs[i].tobytes() == x.tobytes() and values[i] == value, f"row {i}"
-    assert (chain.pivots, chain.cold_solves) == (steps.pivots, steps.cold_solves)
+    assert _counters(chain) == _counters(steps)
     return chain
+
+
+def _counters(tab) -> tuple:
+    return tab.pivots, tab.cold_solves, tab.repairs, tab.bland_switches
+
+
+def _same_as_reference(A, c, bs, tab=None, ref=None):
+    """``Tableau.solve_chain`` gives the points, values and counters of the
+    frozen per-row reference tableau, bit for bit."""
+    tab = Tableau(A, c) if tab is None else tab
+    ref = oracles.ReferenceTableau(A, c) if ref is None else ref
+    xs, values = tab.solve_chain(bs)
+    want_xs, want_values = ref.solve_chain(bs)
+    for i in range(len(bs)):
+        assert xs[i].tobytes() == want_xs[i].tobytes(), f"row {i}"
+        assert values[i].tobytes() == want_values[i].tobytes(), f"row {i}"
+    assert _counters(tab) == _counters(ref)
+    return tab
 
 
 def test_solve_chain_repairs_and_falls_back():
@@ -139,9 +174,11 @@ def test_solve_chain_repairs_and_falls_back():
     c = np.array([2.0, 1.0])
     bs = np.array([[1.0, 1.0, b3] for b3 in (10.0, 9.0, 0.5, 0.4, 10.0)])
     chain = _same_as_repeated_solves(Tableau, A, c, bs)
-    assert chain.pivots > 2 and chain.cold_solves == 1
+    assert chain.pivots > 2 and chain.cold_solves == 1 and chain.repairs == 2
     chain = _same_as_repeated_solves(_NoRepair, A, c, bs)
-    assert chain.cold_solves == 3
+    # both rows entered the repair, which gave up, so both were solved cold
+    assert chain.cold_solves == 3 and chain.repairs == 2
+    _same_as_reference(A, c, bs)
 
 
 def test_solve_chain_rejects_a_negative_rhs():
@@ -179,3 +216,130 @@ def test_solve_chain_matches_repeated_solves(data):
         bs.append(b)
     cls = _NoRepair if data.draw(st.booleans(), label="no repair") else Tableau
     _same_as_repeated_solves(cls, A, c, np.array(bs))
+
+
+def _cut_chain(rng, data):
+    """Right-hand sides of a dense 5x5 cut relaxation (k = 25) over its ratio
+    grid, in grid order, shuffled, or with the zero right-hand side mixed in
+    (every pivot from it is degenerate, so it reaches Bland's rule)."""
+    B = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=(5, 5))
+    B *= data.draw(st.sampled_from([1.0, 0.1, 1 / 3]), label="scale")
+    if data.draw(st.booleans(), label="unit weights"):
+        d = e = np.ones(5)
+    else:
+        d, e = rng.integers(1, 4, size=(2, 5)).astype(float)
+    A_ub, objective, nnz = oracles.cut_lp_rows(B, d, e)
+    cs = ratio_candidates(int(d.sum()), int(e.sum()))
+    bs = np.array([oracles.cut_lp_rhs(B, d, e, nnz, c)[0] for c in cs])
+    order = data.draw(st.sampled_from(["grid", "shuffled", "zeros"]), label="order")
+    if order == "shuffled":
+        bs = bs[rng.permutation(len(bs))]
+    elif order == "zeros":
+        bs[rng.random(len(bs)) < 0.2] = 0.0
+        bs[0] = 0.0
+    return A_ub, objective, bs
+
+
+def _boxed_chain(rng, data):
+    """A random LP with box rows, over nudges that keep the basis, jumps
+    that force a repair, and zero right-hand sides; at large scales the
+    absolute tolerance is below the rounding of ``A_ub @ x``, so the
+    feasibility check decides on the last bits."""
+    m = data.draw(st.integers(2, 6), label="m")
+    n = data.draw(st.integers(2, 6), label="n")
+    A = np.vstack([rng.normal(size=(m, n)), np.eye(n)])
+    c = rng.normal(size=n)
+    b = np.concatenate([rng.uniform(0.1, 2.0, size=m), np.full(n, 3.0)])
+    bs = []
+    for _ in range(data.draw(st.integers(1, 40), label="rows")):
+        kind = data.draw(st.sampled_from(["nudge", "nudge", "zero", "jump"]), label="rhs")
+        if kind == "zero":
+            bs.append(np.zeros(m + n))
+            continue
+        if kind == "nudge":
+            b = b * (1.0 + 0.01 * rng.random(m + n))
+        else:
+            b = np.concatenate([rng.uniform(0.1, 2.0, size=m), np.full(n, 3.0)])
+            b[rng.random(m + n) < 0.5] *= rng.choice([0.0, 0.01, 10.0])
+        bs.append(b)
+    return A, c, np.array(bs) * data.draw(st.sampled_from([1.0, 1e6, 1e9]), label="scale")
+
+
+def _degenerate_chain(rng, data):
+    """Many rows through the origin: zero right-hand sides on most rows, so
+    pivots are degenerate and long streaks reach Bland's rule."""
+    n = data.draw(st.integers(2, 8), label="n")
+    rows = data.draw(st.integers(n, 30), label="rows through 0")
+    A = np.vstack([rng.normal(size=(rows, n)), np.eye(n)])
+    c = rng.normal(size=n) + 1.0
+    bs = np.concatenate([np.zeros((6, rows)), rng.uniform(0.5, 2.0, size=(6, n))], axis=1)
+    bs[rng.random(6) < 0.5, :rows] = rng.uniform(0.0, 0.1)
+    return A, c, bs
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_solve_chain_matches_reference_tableau(data):
+    """Segment pricing (whatever the guard block size), the rank-one pivot
+    and the masked ratio test give the points, values, pivot counts, cold
+    solves, repairs and Bland switches of the frozen per-row reference, bit
+    for bit: on dense 5x5 cut relaxations over their ratio grids, random
+    boxed LPs, degenerate LPs and zero right-hand sides."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = data.draw(st.sampled_from(["cut", "boxed", "degenerate"]), label="kind")
+    chain = {"cut": _cut_chain, "boxed": _boxed_chain, "degenerate": _degenerate_chain}[kind]
+    A, c, bs = chain(rng, data)
+    with mock.patch.object(simplex, "SEGMENT_ROWS", data.draw(
+            st.sampled_from([1, 2, 3, simplex.SEGMENT_ROWS]), label="segment rows")):
+        _same_as_reference(A, c, bs)
+
+
+def test_reference_cases_reach_every_path():
+    """The generators above reach Bland's rule, repairs and cold fallbacks."""
+    rng = np.random.default_rng(3)
+    B = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=(5, 5))
+    d = e = np.ones(5)
+    A_ub, objective, nnz = oracles.cut_lp_rows(B, d, e)
+    bs = np.array([oracles.cut_lp_rhs(B, d, e, nnz, c)[0] for c in ratio_candidates(5, 5)])
+    bs[[0, 7]] = 0.0
+    tab = _same_as_reference(A_ub, objective, bs)
+    assert tab.bland_switches >= 1 and tab.repairs >= 1 and tab.cold_solves >= 1
+
+
+def test_segment_guard_sends_a_violating_point_to_the_repair_path():
+    """A kept inverse that prices a row feasible but whose point violates
+    ``A_ub x <= b`` (here a tampered slack block, as a badly conditioned
+    basis could leave it) ends the segment at that row; the rows before it
+    keep the basis, and that row is solved again from the slack basis, as
+    the per-row reference does."""
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    c = np.array([2.0, 1.0])
+    tab, ref = Tableau(A, c), oracles.ReferenceTableau(A, c)
+    first = np.array([[1.0, 1.0, 10.0]])
+    _same_as_reference(A, c, first, tab, ref)
+    for t in (tab, ref):
+        t.T[0, 2] = 1.01  # x_0 = 1.01 b_0 against the row x_0 <= b_0
+    bs = np.array([[0.0, 1.0, 10.0], [0.0, 0.5, 10.0], [1.0, 1.0, 10.0], [1.0, 0.5, 10.0]])
+    with mock.patch.object(simplex, "SEGMENT_ROWS", 3):
+        _same_as_reference(A, c, bs, tab, ref)
+    assert tab.cold_solves == 2 and tab.repairs == 0
+    xs, _ = Tableau(A, c).solve_chain(np.vstack([first, bs]))
+    assert np.all(xs @ A.T <= np.vstack([first, bs]) + 1e-9)
+
+
+def test_segment_guard_decides_like_the_per_row_check_at_large_scales():
+    """At right-hand sides near 1e9 the tolerance 1e-9 is below the rounding
+    of ``A_ub @ x``, so about a third of the rows of a nudged chain fail the
+    check by a few ulps and are solved cold.  The segment's block product
+    rounds otherwise than the per-row product; where the two can disagree
+    the per-row product decides, so the same rows go cold as in the
+    reference."""
+    rng = np.random.default_rng(0)
+    cold = 0
+    for _ in range(20):
+        A = np.vstack([rng.normal(size=(5, 5)), np.eye(5)])
+        c = rng.normal(size=5)
+        b = np.concatenate([rng.uniform(0.1, 2.0, size=5), np.full(5, 3.0)])
+        tab = _same_as_reference(A, c, np.array([b * (1 + 1e-3 * k) for k in range(30)]) * 1e9)
+        cold += tab.cold_solves
+    assert cold > 100
