@@ -17,15 +17,15 @@ import sys
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import (cut_lp_approx, cut_lp_exact, normalized_cut_bruteforce,
-                      rectangle_value, subset_indicators)
+from .cutnorm import (cut_lp_approx, cut_lp_exact, integer_weights,
+                      normalized_cut_bruteforce, rectangle_value, subset_indicators)
 from .domains import CutDomain, UnsupportedDomain
 from .graphs import (core_density, cut_pseudorandomness_profile, degree_weights,
                      lp_upper_regularity_check, row_sums,
                      spectral_projection_values, threshold_rank)
 from .io import InputError, guess_format, load_matrix, read_json_tensor, read_weights
 from .linalg import Tolerance, frob_norm
-from .pvd import compute_pvd, p_norm, verify_pvd
+from .pvd import certificate, compute_pvd, p_norm, verify_pvd
 from .regularity import max_cut_details, szemeredi_partition, weak_regularity_partition
 from .simplex import SimplexError
 from .tensor import CutTuples, tensor_bound_check
@@ -53,11 +53,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
-
-
-def _cert(name: str, lhs: float, rhs: float) -> dict:
-    return {"name": name, "lhs": float(lhs), "rhs": float(rhs),
-            "pass": bool(float(lhs) <= float(rhs))}
 
 
 def resolve_weights(ip: str, A: np.ndarray):
@@ -102,10 +97,6 @@ def _tol(args) -> Tolerance:
     return Tolerance(atol=args.tol_abs, rtol=args.tol_rel)
 
 
-def _integerish(w: np.ndarray) -> bool:
-    return bool(np.all(w == np.round(w)) and np.all(w >= 1))
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_pvd(args):
@@ -140,23 +131,23 @@ def cmd_cutnorm(args):
         pair = cut_lp_approx(A, args.eps, d, e, tol=_tol(args))
         if max(m, n) <= args.bf_cap:
             exact = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, tol=_tol(args))
-            certs.append(_cert("approx-guarantee",
-                               abs(exact.value) / (1.0 + args.eps) - abs(pair.value), 1e-9))
+            certs.append(certificate("approx-guarantee",
+                                     abs(exact.value) / (1.0 + args.eps) - abs(pair.value), 1e-9))
     elif max(m, n) <= args.bf_cap:
         method = "bruteforce"
         pair = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, tol=_tol(args))
-        if _integerish(d) and _integerish(e):
+        if integer_weights(d) and integer_weights(e):
             other = cut_lp_exact(A, d, e, tol=_tol(args))
-            certs.append(_cert("dual-route-agreement",
-                               abs(abs(pair.value) - abs(other.value)), 1e-6))
+            certs.append(certificate("dual-route-agreement",
+                                     abs(abs(pair.value) - abs(other.value)), 1e-6))
     else:
-        if not (_integerish(d) and _integerish(e)):
+        if not (integer_weights(d) and integer_weights(e)):
             raise ValueError(f"matrix side exceeds --bf-cap {args.bf_cap} and the "
                              "LP route needs positive integer weights")
         method = "lp-exact"
         pair = cut_lp_exact(A, d, e, tol=_tol(args))
     witness = rectangle_value(A, d, e, pair.S, pair.T) if pair.S else 0.0
-    certs.insert(0, _cert("witness-consistency", abs(pair.value - witness), 1e-9))
+    certs.insert(0, certificate("witness-consistency", abs(pair.value - witness), 1e-9))
     results = {
         "value": abs(pair.value),
         "signed_value": pair.value,
@@ -253,13 +244,14 @@ def cmd_classes(args):
                           "parts": [list(p) for p in lp_parts]},
     }
     certs = [
-        _cert("majorization",
-              profile.sigma_prefix_norm, float(la.norm(spectral[:r])) + 1e-8),
-        _cert("core-density-identity",
-              abs(core - core_other), 1e-10 * max(1.0, core_other)),
+        certificate("majorization",
+                    profile.sigma_prefix_norm, float(la.norm(spectral[:r])) + 1e-8),
+        certificate("core-density-identity",
+                    abs(core - core_other), 1e-10 * max(1.0, core_other)),
     ]
     if args.ip == "degree":
-        certs.append(_cert("degree-mass-identity", abs(profile.cut_mass_ratio - 1.0), 0.0))
+        certs.append(certificate("degree-mass-identity",
+                                 abs(profile.cut_mass_ratio - 1.0), 0.0))
     params = {"eps": eps, "r": r, "p": args.p, "eta": args.eta,
               "ip": args.ip, "seed": args.seed}
     return info, params, results, certs
@@ -280,7 +272,7 @@ def cmd_cur(args):
         "source_frob_norm": src,
         "exhausted": result.exhausted,
     }
-    certs = [_cert("cur-chain", resid, args.eps * src + 1e-9)]
+    certs = [certificate("cur-chain", resid, args.eps * src + 1e-9)]
     return info, {"eps": args.eps}, results, certs
 
 
@@ -318,8 +310,8 @@ def cmd_maxcut(args):
         U = subset_indicators(n)
         best = float(((U @ A) * (1.0 - U)).sum(axis=1).max())
         slack = det["weak_irregularity_ub"] + det["grid_term"]
-        certs.append(_cert("estimate-vs-bruteforce",
-                           abs(det["estimate"] - best), slack + 1e-6))
+        certs.append(certificate("estimate-vs-bruteforce",
+                                 abs(det["estimate"] - best), slack + 1e-6))
     results = {
         "estimate": det["estimate"],
         "bipartition": list(det["bipartition"]),

@@ -1,19 +1,17 @@
 """Cut-norm style rectangle maximizers.
 
-Three routes to ``max |A(S, T)| / sqrt(d(S) e(T))`` over nonempty index sets:
+Two routes to ``max |A(S, T)| / sqrt(d(S) e(T))`` over nonempty index sets:
 
-* an exact sweep over the row sets (small sides only),
+* an exact sweep over the row sets of one side, and
 * a linear-programming relaxation per candidate ratio ``c = d(S)/e(T)``,
-  rounded by a threshold scan over the LP levels, and
-* an exact completion sweep (subsets on one side, a weight-exact knapsack
-  on the other) that closes the gap the relaxation leaves on sign-mixed
-  matrices.
+  rounded by a threshold scan over the LP levels and closed by the same
+  sweep run over the smaller side (``exact_completion``).
 
 The LP route alone is exact for entrywise-nonnegative matrices; with mixed
 signs, negative entries adjacent to a good rectangle force negative payments
-into the LP objective and the relaxation can undershoot, which is why
-``cut_lp_exact`` finishes with the completion sweep, and refuses sign-mixed
-matrices whose smaller side is beyond it.
+into the LP objective and the relaxation can undershoot, which is why the LP
+routes close their pool with the sweep, and refuse sign-mixed matrices whose
+smaller side is beyond ``COMPLETION_CAP``.
 
 Only the right-hand side of a relaxation depends on ``c``, so a ratio grid
 is solved as one warm chain per sign: the constraint matrix is built once,
@@ -33,8 +31,12 @@ gradient.  The gradient in column ``j`` has the sign of ``(r.x) (2 r_j - lam
 e_j)`` with ``lam = (r.x)/(e.x)``, so the best column set is cut off by the
 threshold ``r_j/e_j = lam/2``: with the columns sorted by ``r_j/e_j`` in
 decreasing order it is a prefix for a positive sum and a suffix for a
-negative one.  This holds for any positive weights.  For the plain form ``|A(S,T)|``
-the best column set is the positive or the negative support of ``r``.
+negative one.  This holds for any positive weights.  A column exactly at
+the threshold would gain by a flip, by convexity, so every best column set
+is such a prefix or suffix, whatever order the sort gives tied ratios; this
+is what lets ``exact_completion`` return all of them.  For the plain form
+``|A(S,T)|`` the best column set is the positive or the negative support of
+``r``.
 
 Most row sets need no sort.  By Cauchy-Schwarz, ``|r(T)| / sqrt(e(T)) <=
 sqrt(sum_j r_j^2 / e_j)`` for every column set ``T``, so ``ub(S) =
@@ -145,18 +147,25 @@ def _rect_value(A, d, e, S, T) -> float:
     return rectangle_sum(A, S, T) / math.sqrt(d[S].sum() * e[T].sum())
 
 
-def _prefix_best(R, e, wS) -> np.ndarray:
-    """Best normalized value of each row set (rows of ``R``, their row sums;
-    ``wS`` the square roots of their weights) over all column sets: the best
-    prefix or suffix of its columns sorted by ``r_j / e_j``.  Each row is
-    evaluated on its own, so a row's value does not depend on its block."""
+def _sorted_prefixes(R, e) -> tuple:
+    """Each row's column order by ``r_j / e_j``, increasing, and the values
+    ``r(T) / sqrt(e(T))`` of its prefixes (``low``, which hold the negative
+    optimum) and of its suffixes (``high``, longest last, which hold the
+    positive one).  Each row is evaluated on its own, so a row's values do
+    not depend on its block."""
     order = np.argsort(R / e, axis=1)
     Rs = np.take_along_axis(R, order, axis=1)
     Es = e[order]
-    # prefixes of the increasing order hold the negative optimum, suffixes
-    # the positive one
     low = np.cumsum(Rs, axis=1) / np.sqrt(np.cumsum(Es, axis=1))
     high = np.cumsum(Rs[:, ::-1], axis=1) / np.sqrt(np.cumsum(Es[:, ::-1], axis=1))
+    return order, low, high
+
+
+def _prefix_best(R, e, wS) -> np.ndarray:
+    """Best normalized value of each row set (rows of ``R``, their row sums;
+    ``wS`` the square roots of their weights) over all column sets: the best
+    prefix or suffix of its columns sorted by ``r_j / e_j``."""
+    _, low, high = _sorted_prefixes(R, e)
     return np.maximum(np.abs(low).max(axis=1), np.abs(high).max(axis=1)) / wS
 
 
@@ -176,31 +185,42 @@ def _pruned_rows(R, e, wS, atol: float) -> np.ndarray:
                           | (np.minimum(squares, upper) < 2.0**-900))
 
 
+def _row_set_sweep(A, d, e, atol: float) -> tuple:
+    """The sweep core shared by the exact maximizers: the row sums ``R`` of
+    every row set in mask order, the square roots ``wS`` of their weights,
+    the ascending indices of the row sets that survive the pruning, and the
+    best normalized value of each survivor (the prefix lemma of the module
+    docstring), sorted in blocks of ``SWEEP_BLOCK_ROWS``."""
+    U = subset_indicators(A.shape[0])
+    R = U @ A
+    wS = np.sqrt(U @ d)
+    rows = _pruned_rows(R, e, wS, atol)
+    best_per_S = np.concatenate([
+        _prefix_best(R[block], e, wS[block])
+        for block in np.split(rows, range(SWEEP_BLOCK_ROWS, len(rows), SWEEP_BLOCK_ROWS))])
+    return R, wS, rows, best_per_S
+
+
 def _sweep_rows(A, d, e, cap: int, tol: Tolerance | None) -> CutPair:
     """Normalized form (plain ``|A(S,T)|`` when ``d`` is None) maximized over
-    row sets, each with its best column set read off its row sums (the prefix
-    lemma of the module docstring).  Ties within ``tol.atol`` break to the
-    smallest (S mask, T mask): the first qualifying row set, then the first
-    column set in that row's ``2^n`` values."""
+    row sets, each with its best column set read off its row sums.  Ties
+    within ``tol.atol`` break to the smallest (S mask, T mask): the first
+    qualifying row set, then the first column set in that row's ``2^n``
+    values."""
     tol = tol or DEFAULT_TOL
     m, n = A.shape
     if max(m, n) > cap:
         raise ValueError(f"matrix sides {A.shape} exceed brute-force cap {cap}")
-    U = subset_indicators(m)
-    V = subset_indicators(n)
-    R = U @ A  # row sums of every row subset, mask order
     if d is None:
+        R = subset_indicators(m) @ A  # row sums of every row subset, mask order
         rows = np.arange(len(R))
         best_per_S = np.maximum(np.where(R > 0, R, 0.0).sum(axis=1),
                                 -np.where(R < 0, R, 0.0).sum(axis=1))
     else:
-        wS = np.sqrt(U @ d)
-        rows = _pruned_rows(R, e, wS, tol.atol)  # ascending, so the tie rule holds
-        best_per_S = np.concatenate([
-            _prefix_best(R[block], e, wS[block])
-            for block in np.split(rows, range(SWEEP_BLOCK_ROWS, len(rows), SWEEP_BLOCK_ROWS))])
+        R, wS, rows, best_per_S = _row_set_sweep(A, d, e, tol.atol)
     best = float(best_per_S.max())
     s = int(rows[np.argmax(best_per_S >= best - tol.atol)])
+    V = subset_indicators(n)
     row = V @ R[s]
     if d is not None:
         row /= wS[s] * np.sqrt(V @ e)
@@ -461,90 +481,44 @@ def lp_candidates(A, d_left, d_right, cs):
 
 
 # ---------------------------------------------------------------------------
-# exact completion: enumerate one side, knapsack the other
+# exact completion: the row-set sweep over the smaller side closes the LP pool
 # ---------------------------------------------------------------------------
 
 
-def _knapsack_table(g, w, W: int) -> np.ndarray:
-    """table[k, a] = max sum of g over subsets of the first k items with
-    weight exactly a (-inf when unreachable)."""
-    k = len(g)
-    table = np.full((k + 1, W + 1), -np.inf)
-    table[0, 0] = 0.0
-    for i in range(1, k + 1):
-        table[i] = table[i - 1]
-        wi = w[i - 1]
-        cand = table[i - 1, : W + 1 - wi] + g[i - 1]
-        table[i, wi:] = np.maximum(table[i, wi:], cand)
-    return table
-
-
-def _backtrack_set(table, w, a: int) -> list:
-    """The item set of ``table`` (from ``_knapsack_table``) attaining its
-    weight-``a`` entry."""
-    assert np.isfinite(table[-1, a])
-    out = []
-    for i in range(len(table) - 1, 0, -1):
-        if table[i, a] == table[i - 1, a]:
-            continue  # prefer exclusion: smaller masks on ties
-        out.append(i - 1)
-        a -= w[i - 1]
-    assert a == 0
-    return sorted(out)
-
-
 def exact_completion(A, d_left, d_right, atol: float = 1e-9, cap: int = COMPLETION_CAP) -> list:
-    """Exact normalized-rectangle candidates, immune to entry signs.
+    """Exact normalized-rectangle candidates, for any signs and any positive
+    weights: the closer of the LP routes.
 
-    Enumerates every nonempty subset on the side with fewer indices and, for
-    the other side, solves a weight-exact knapsack per achievable weight sum
-    (this is where integer weights are required).  Returns every rectangle
-    within ``atol`` of the best absolute value, as CutPairs of ``A``.
+    Runs the row-set sweep over the subsets of the smaller side (``A``'s
+    rows when ``m <= n``, else its columns) and returns, for every swept set
+    within ``atol`` of the best value, each prefix and suffix of its sorted
+    other side within ``atol`` as a CutPair of ``A`` valued by
+    ``rectangle_value``.  By the prefix lemma every best rectangle of a swept
+    set is such a prefix or suffix, so the pool holds the rectangle that the
+    tie rule of ``normalized_cut_bruteforce`` picks.  Returns an empty list
+    when the smaller side exceeds ``cap``; the long side is never enumerated.
     """
     A = as_matrix(A)
     m, n = A.shape
     d = as_weights(d_left, m)
     e = as_weights(d_right, n)
-    flip = m < n  # enumerate the smaller side as "columns"
+    flip = m > n
     B, dd, ee = (A.T, e, d) if flip else (A, d, e)
-    if B.shape[1] > cap:
+    if B.shape[0] > cap:
         return []
-    if not np.all(dd == np.round(dd)):
-        return []
-    w = [int(v) for v in dd]
-    W = sum(w)
-    U = subset_indicators(B.shape[1])
-    G = B @ U.T  # per-row sums over every column subset
-    eT = U @ ee
-    nT = U.shape[0]
-    dpmax = np.full((nT, W + 1), -np.inf)
-    dpmin = np.full((nT, W + 1), np.inf)
-    dpmax[:, 0] = 0.0
-    dpmin[:, 0] = 0.0
-    for i in range(B.shape[0]):
-        wi = w[i]
-        gi = G[i][:, None]
-        dpmax[:, wi:] = np.maximum(dpmax[:, wi:], dpmax[:, : W + 1 - wi] + gi)
-        dpmin[:, wi:] = np.minimum(dpmin[:, wi:], dpmin[:, : W + 1 - wi] + gi)
-    denom = np.sqrt(np.arange(1, W + 1)[None, :] * eT[:, None])
-    reach = np.isfinite(dpmax[:, 1:])
-    hi = np.where(reach, dpmax[:, 1:] / denom, 0.0)
-    lo = np.where(reach, dpmin[:, 1:] / denom, 0.0)
-    magnitude = np.maximum(np.abs(hi), np.abs(lo))
-    best = float(magnitude.max())
+    R, wS, rows, best_per_S = _row_set_sweep(B, dd, ee, atol)
+    best = float(best_per_S.max())
+    winners = rows[best_per_S >= best - atol]
+    order, low, high = _sorted_prefixes(R[winners], ee)
     out = []
-    tables = {}  # one backtracking table per (column set, sign)
-    for t_idx, a_idx in np.argwhere(reach & (magnitude >= best - atol)).tolist():
-        T = _mask_set(t_idx + 1)
-        for side_val, sgn in ((hi[t_idx, a_idx], 1.0), (lo[t_idx, a_idx], -1.0)):
-            if abs(side_val) < best - atol:
-                continue
-            if (t_idx, sgn) not in tables:
-                tables[t_idx, sgn] = _knapsack_table(sgn * G[:, t_idx], w, W)
-            S = tuple(_backtrack_set(tables[t_idx, sgn], w, a_idx + 1))
-            rows, cols = (T, S) if flip else (S, T)
-            value = _rect_value(A, d, e, np.array(rows, dtype=int), np.array(cols, dtype=int))
-            out.append(CutPair(rows, cols, value))
+    for s, w, o, lo, hi in zip(winners.tolist(), wS[winners], order, low, high):
+        swept = _mask_set(s + 1)
+        sides = [o[: k + 1] for k in np.flatnonzero(np.abs(lo) / w >= best - atol)]
+        sides += [o[len(o) - 1 - k :] for k in np.flatnonzero(np.abs(hi) / w >= best - atol)]
+        for side in sides:
+            other = tuple(sorted(side.tolist()))
+            S, T = (other, swept) if flip else (swept, other)
+            out.append(CutPair(S, T, _rect_value(A, d, e, np.array(S), np.array(T))))
     return out
 
 
@@ -557,21 +531,53 @@ def _select_pair(pool, atol: float) -> CutPair:
     return min(winners, key=lambda p: p.masks())
 
 
-def _integer_weights(d: np.ndarray, name: str) -> None:
-    if not (np.all(d == np.round(d)) and np.all(d >= 1)):
-        raise ValueError(f"{name} must be positive integers for the LP ratio enumeration")
+def integer_weights(w) -> bool:
+    """Whether every weight is a positive integer, as the ratio enumeration
+    of ``cut_lp_exact`` needs."""
+    return bool(np.all(w == np.round(w)) and np.all(w >= 1))
+
+
+def _lp_weights(A, d_left, d_right) -> tuple:
+    """Validated weights of an LP route; ``d_right`` defaults to ``d_left``
+    for square matrices."""
+    m, n = A.shape
+    d = as_weights(d_left, m, "left weights")
+    if d_right is None and m != n:
+        raise ValueError("d_right is required for rectangular matrices")
+    e = as_weights(d_right, n, "right weights") if d_right is not None else d
+    return d, e
+
+
+def _closed_lp_route(A, d, e, cs, tol: Tolerance, grid_key: str) -> tuple:
+    """The best rectangle of the LP relaxations of the ratios ``cs``, with
+    the pool closed by ``exact_completion``, and its diagnostics.  A matrix
+    with both signs whose smaller side is beyond the completion is refused
+    before any LP is solved: the relaxation alone can undershoot there,
+    because entries of the minority sign adjacent to the support enter it
+    as forced penalties."""
+    m, n = A.shape
+    if min(m, n) > COMPLETION_CAP and A.min() < 0 < A.max():
+        raise ValueError(f"mixed-sign {m}x{n} matrix: the exact completion needs the "
+                         f"smaller side within {COMPLETION_CAP}, and the LP relaxation "
+                         "alone can undershoot")
+    pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
+    info = {"lp_rounded_best": max((abs(p.value) for p in pool), default=0.0),
+            "lp_count": len(pool), grid_key: len(cs)}
+    comp = exact_completion(A, d, e, tol.atol)
+    info["completion_candidates"] = len(comp)
+    return _select_pair(pool + comp, tol.atol), info
 
 
 def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None, details: bool = False):
     """Maximize ``|A(S,T)| / sqrt(d(S) e(T))`` via the LP relaxation family.
 
     Solves one LP per reduced-fraction ratio candidate ``c = a/b`` (both
-    signs of ``A``), rounds every solution, and finishes with the exact
-    completion sweep; the best rectangle over all candidates is returned.
-    Requires positive integer weights, and on a matrix with both signs the
-    smaller side within ``COMPLETION_CAP`` (the completion closes the gap the
-    relaxation leaves there); otherwise raises ``ValueError`` before any LP
-    is solved.
+    signs of ``A``), rounds every solution, and closes the pool with the
+    exact completion (the row-set sweep over the smaller side); the best
+    rectangle over all candidates is returned.  Requires positive integer
+    weights, and on a matrix with both signs the smaller side within
+    ``COMPLETION_CAP``; otherwise raises ``ValueError`` before any LP is
+    solved.
 
     Parameters
     ----------
@@ -588,89 +594,41 @@ def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None, det
     CutPair, or (CutPair, dict) when ``details`` is set.
     """
     A = as_matrix(A)
-    m, n = A.shape
     tol = tol or DEFAULT_TOL
-    d = as_weights(d_left, m, "left weights")
-    if d_right is None and m != n:
-        raise ValueError("d_right is required for rectangular matrices")
-    e = as_weights(d_right, n, "right weights") if d_right is not None else d
-    _integer_weights(d, "left weights")
-    _integer_weights(e, "right weights")
-    if min(m, n) > COMPLETION_CAP and A.min() < 0 < A.max():
-        raise ValueError(f"mixed-sign {m}x{n} matrix: the exact completion needs the "
-                         f"smaller side within {COMPLETION_CAP}, and the LP relaxation "
-                         "alone can undershoot")
+    d, e = _lp_weights(A, d_left, d_right)
+    for w, name in ((d, "left weights"), (e, "right weights")):
+        if not integer_weights(w):
+            raise ValueError(f"{name} must be positive integers for the LP ratio enumeration")
     cs = ratio_candidates(int(d.sum()), int(e.sum()))
-    pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
-    nsolved = len(pool)
-    lp_best = max((abs(p.value) for p in pool), default=0.0)
-    comp = exact_completion(A, d, e, tol.atol)
-    pool.extend(comp)
-    pair = _select_pair(pool, tol.atol)
-    if details:
-        return pair, {
-            "lp_rounded_best": lp_best,
-            "lp_count": nsolved,
-            "ratio_count": len(cs),
-            "completion_candidates": len(comp),
-        }
-    return pair
+    pair, info = _closed_lp_route(A, d, e, cs, tol, "ratio_count")
+    return (pair, info) if details else pair
 
 
 def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
                   tol: Tolerance | None = None, details: bool = False):
     """Same pipeline as ``cut_lp_exact``, but the ratio candidates come from
-    a geometric ``(1+eps)`` grid spanning every achievable ``d(S)/e(T)``.
+    a geometric ``(1+eps)`` grid spanning every achievable ``d(S)/e(T)``, so
+    any positive weights are accepted.
 
-    The returned value is at least ``exact / (1 + eps)``.  On a matrix with
-    both signs the LP relaxation alone can lose more than the grid factor,
-    because entries of the minority sign adjacent to the support enter it as
-    forced penalties, so the pool is closed by an exact route: the
-    completion sweep (integer weights, smaller side within
-    ``COMPLETION_CAP``) or the row-set sweep (both sides within
-    ``BRUTE_FORCE_CAP``).  A mixed-sign matrix outside both regimes raises
-    ``ValueError`` before any LP is solved.
+    The returned value is at least ``exact / (1 + eps)``: the exact
+    completion closes the pool whenever the smaller side is within
+    ``COMPLETION_CAP``, and beyond it the LP relaxation is exact on a
+    one-signed matrix.  A matrix with both signs and the smaller side beyond
+    ``COMPLETION_CAP`` raises ``ValueError`` before any LP is solved.
     """
     A = as_matrix(A)
-    m, n = A.shape
     tol = tol or DEFAULT_TOL
     if eps <= 0:
         raise ValueError("eps must be positive")
-    d = as_weights(d_left, m, "left weights")
-    if d_right is None and m != n:
-        raise ValueError("d_right is required for rectangular matrices")
-    e = as_weights(d_right, n, "right weights") if d_right is not None else d
-    integer = bool(np.all(d == np.round(d)) and np.all(e == np.round(e)))
-    if (A.min() < 0 < A.max() and not (integer and min(m, n) <= COMPLETION_CAP)
-            and max(m, n) > BRUTE_FORCE_CAP):
-        raise ValueError(f"mixed-sign {m}x{n} matrix outside the exact regimes (integer "
-                         f"weights with the smaller side within {COMPLETION_CAP}, or both "
-                         f"sides within {BRUTE_FORCE_CAP}): the LP relaxation alone can "
-                         "miss the (1+eps) guarantee")
+    d, e = _lp_weights(A, d_left, d_right)
     c_lo = float(d.min() / e.sum())
     c_hi = float(d.sum() / e.min())
     count = int(math.ceil(math.log(c_hi / c_lo) / math.log1p(eps))) if c_hi > c_lo else 0
     cs = [c_lo * (1.0 + eps) ** k for k in range(count + 1)]
     if cs[-1] < c_hi:
         cs.append(c_hi)
-    pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
-    nsolved = len(pool)
-    lp_best = max((abs(p.value) for p in pool), default=0.0)
-    comp = []
-    if integer:
-        comp = exact_completion(A, d, e, tol.atol)
-        pool.extend(comp)
-    elif max(m, n) <= BRUTE_FORCE_CAP:
-        pool.append(normalized_cut_bruteforce(A, d, e, tol=tol))
-    pair = _select_pair(pool, tol.atol)
-    if details:
-        return pair, {
-            "lp_rounded_best": lp_best,
-            "lp_count": nsolved,
-            "grid_size": len(cs),
-            "completion_candidates": len(comp),
-        }
-    return pair
+    pair, info = _closed_lp_route(A, d, e, cs, tol, "grid_size")
+    return (pair, info) if details else pair
 
 
 def cut_norm_lp_upper(A) -> float:

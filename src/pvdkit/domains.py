@@ -22,7 +22,6 @@ import numpy.linalg as la
 from .cutnorm import (
     BRUTE_FORCE_CAP,
     _mask_set,
-    cut_lp_approx,
     cut_lp_exact,
     normalized_cut_bruteforce,
 )
@@ -43,30 +42,26 @@ class CutDomain:
     ----------
     d_left, d_right : array_like
         Strictly positive weight vectors; ``d_right`` defaults to ``d_left``.
-    maximizer : {"auto", "enumerate", "lp", "lp-approx"}
+    maximizer : {"auto", "enumerate", "lp"}
         Greedy-step strategy.  "auto" enumerates within ``bf_cap`` and falls
-        back to the LP route (integer weights only) beyond it.  The LP route
-        raises ``UnsupportedDomain`` on a residual with both signs whose
-        smaller side exceeds ``cutnorm.COMPLETION_CAP``, and "lp-approx" on
-        one outside every exact regime of ``cutnorm.cut_lp_approx``.
-    approx_eps : float, optional
-        Grid parameter for the "lp-approx" strategy.
+        back to the LP route beyond it.  The LP route (``cutnorm.cut_lp_exact``)
+        raises ``UnsupportedDomain`` on non-integer weights and on a residual
+        with both signs whose smaller side exceeds ``cutnorm.COMPLETION_CAP``.
     """
 
     kind = "cut"
 
     def __init__(self, d_left, d_right=None, maximizer: str = "auto",
-                 bf_cap: int = BRUTE_FORCE_CAP, approx_eps=None):
+                 bf_cap: int = BRUTE_FORCE_CAP):
         d = np.asarray(d_left, dtype=float)
         e = d if d_right is None else np.asarray(d_right, dtype=float)
         m, n = d.shape[0], e.shape[0]
         self.weights = (as_weights(d, m, "left weights"), as_weights(e, n, "right weights"))
         self.shape = (m, n)
-        if maximizer not in ("auto", "enumerate", "lp", "lp-approx"):
+        if maximizer not in ("auto", "enumerate", "lp"):
             raise ValueError(f"unknown maximizer {maximizer!r}")
         self.maximizer = maximizer
         self.bf_cap = bf_cap
-        self.approx_eps = approx_eps
         self.whitener = np.sqrt(np.outer(*self.weights))
 
     def size(self):
@@ -108,17 +103,9 @@ class CutDomain:
             if max(m, n) > self.bf_cap:
                 raise UnsupportedDomain(f"cut domain on {self.shape} exceeds cap {self.bf_cap}")
             pair = normalized_cut_bruteforce(R, d, e, cap=self.bf_cap, tol=tol)
-        elif strategy == "lp":
-            if not (np.all(d == np.round(d)) and np.all(e == np.round(e))):
-                raise UnsupportedDomain("LP maximizer needs positive integer weights")
+        else:
             try:
                 pair = cut_lp_exact(R, d, e, tol=tol)
-            except ValueError as exc:
-                raise UnsupportedDomain(str(exc)) from exc
-        else:
-            eps = 0.5 if self.approx_eps is None else float(self.approx_eps)
-            try:
-                pair = cut_lp_approx(R, eps, d, e, tol=tol)
             except ValueError as exc:
                 raise UnsupportedDomain(str(exc)) from exc
         return pair.masks(), pair.value

@@ -278,6 +278,12 @@ def combination_coefficients(result: PvdResult, num_terms: int) -> Array:
     return alpha
 
 
+def certificate(name: str, lhs: float, rhs: float) -> dict:
+    """One report certificate: the claim ``lhs <= rhs``, both sides as floats."""
+    return {"name": name, "lhs": float(lhs), "rhs": float(rhs),
+            "pass": bool(float(lhs) <= float(rhs))}
+
+
 def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e-9,
                max_atoms: int = VERIFY_ATOM_CAP) -> dict:
     """Replay a finished run against independent computations.
@@ -320,16 +326,14 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
     sig_norm = float(la.norm(result.sigmas))
     allowance = frob_rtol * max(1.0, float(la.norm(Aw)))
     gap = abs(sig_norm - proj_norm) if result.exhausted else sig_norm - proj_norm
-    certs.append({"name": "projection-identity", "lhs": gap, "rhs": allowance,
-                  "pass": bool(gap <= allowance)})
+    certs.append(certificate("projection-identity", gap, allowance))
 
     if result.num_terms:
         gram = result.basis_white @ result.basis_white.T
         ortho = float(np.max(np.abs(gram - np.eye(result.num_terms))))
     else:
         ortho = 0.0
-    certs.append({"name": "basis-orthonormality", "lhs": ortho, "rhs": frob_rtol,
-                  "pass": bool(ortho <= frob_rtol)})
+    certs.append(certificate("basis-orthonormality", ortho, frob_rtol))
 
     worst = -math.inf
     Rw = (result.source / domain.whitener).copy()
@@ -338,8 +342,7 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
         worst = max(worst, abs(value) - result.sigmas[j])
         Rw -= result.increments[j] / domain.whitener
     if result.num_terms:
-        certs.append({"name": "step-dominance", "lhs": float(worst), "rhs": step_atol,
-                      "pass": bool(worst <= step_atol)})
+        certs.append(certificate("step-dominance", worst, step_atol))
 
     r_max = result.num_terms if result.exhausted else result.num_terms - 1
     chain_resid = -math.inf
@@ -354,9 +357,7 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
         chain_resid = max(chain_resid, resid_at[idx] - tail)
         chain_source = max(chain_source, tail - src_norm / math.sqrt(r + 1))
     if r_max >= 0:
-        certs.append({"name": "truncation-chain-residual", "lhs": float(chain_resid),
-                      "rhs": step_atol, "pass": bool(chain_resid <= step_atol)})
-        certs.append({"name": "truncation-chain-source", "lhs": float(chain_source),
-                      "rhs": step_atol, "pass": bool(chain_source <= step_atol)})
+        certs.append(certificate("truncation-chain-residual", chain_resid, step_atol))
+        certs.append(certificate("truncation-chain-source", chain_source, step_atol))
 
     return {"pass": all(c["pass"] for c in certs), "certificates": certs}

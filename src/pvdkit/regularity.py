@@ -32,7 +32,7 @@ from .cutnorm import (
 )
 from .domains import CutDomain
 from .linalg import DEFAULT_TOL, Tolerance, as_adjacency, as_matrix, as_weights
-from .pvd import best_truncation, compute_pvd, tail_rms, truncate
+from .pvd import best_truncation, certificate, compute_pvd, tail_rms, truncate
 
 Array = np.ndarray
 
@@ -194,14 +194,11 @@ def weak_regularity_partition(A, eps: float, weights=None, tol: Tolerance | None
 
     deviation = _block_deviation(approx, partition)
     certs = [
-        {"name": "cut-norm-chain", "lhs": wub, "rhs": bound + 1e-9,
-         "pass": bool(wub <= bound + 1e-9)},
-        {"name": "partition-size", "lhs": float(len(partition)),
-         "rhs": float(2 ** (2 * m)), "pass": bool(len(partition) <= 2 ** (2 * m))},
+        certificate("cut-norm-chain", wub, bound + 1e-9),
+        certificate("partition-size", len(partition), 2 ** (2 * m)),
     ]
     if np.all(d == d[0]):
-        certs.append({"name": "block-constance", "lhs": deviation, "rhs": 1e-9,
-                      "pass": bool(deviation <= 1e-9)})
+        certs.append(certificate("block-constance", deviation, 1e-9))
     sz = None
     if max(len(p) for p in partition) <= bf_cap:
         sz = szemeredi_irregularity_ub(A, partition, bf_cap)
@@ -300,18 +297,11 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
 
     atol = 1e-9
     certs = [
-        {"name": "pigeonhole-window", "lhs": window, "rhs": threshold + atol,
-         "pass": bool(window <= threshold + atol)},
-        {"name": "window-captures-gap", "lhs": gap_frob ** 2, "rhs": window + atol,
-         "pass": bool(gap_frob ** 2 <= window + atol)},
-        {"name": "first-term-control", "lhs": cutb, "rhs": ones_mass * tail + atol,
-         "pass": bool(cutb <= ones_mass * tail + atol)},
-        {"name": "second-term-control", "lhs": block_gap_sum,
-         "rhs": ones_mass * gap_frob + atol,
-         "pass": bool(block_gap_sum <= ones_mass * gap_frob + atol)},
-        {"name": "gap-scale", "lhs": gap_frob,
-         "rhs": eps * math.sqrt(horizon) + atol,
-         "pass": bool(gap_frob <= eps * math.sqrt(horizon) + atol)},
+        certificate("pigeonhole-window", window, threshold + atol),
+        certificate("window-captures-gap", gap_frob ** 2, window + atol),
+        certificate("first-term-control", cutb, ones_mass * tail + atol),
+        certificate("second-term-control", block_gap_sum, ones_mass * gap_frob + atol),
+        certificate("gap-scale", gap_frob, eps * math.sqrt(horizon) + atol),
     ]
 
     wub, _ = _cut_norm_ub(A - coarse, bf_cap)

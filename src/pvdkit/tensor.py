@@ -20,7 +20,7 @@ import numpy.linalg as la
 from .cutnorm import _mask_set
 from .domains import ExplicitTuples, FactorDomain  # noqa: F401  (re-export)
 from .linalg import Tolerance, as_tensor, as_weights
-from .pvd import PvdResult, best_truncation, compute_pvd, p_norm, tail_rms
+from .pvd import PvdResult, best_truncation, certificate, compute_pvd, p_norm, tail_rms
 
 Array = np.ndarray
 
@@ -120,13 +120,9 @@ def tensor_bound_check(T, domain, r: int, tol: Tolerance | None = None,
     src = float(la.norm((T / domain.whitener).ravel())) / math.sqrt(r + 1)
     recomputed = p_norm(T - sum(result.increments, np.zeros(T.shape)), domain, result.tol)
     certs = [
-        {"name": "residual-vs-tail", "lhs": lhs, "rhs": tail + atol,
-         "pass": bool(lhs <= tail + atol)},
-        {"name": "tail-vs-source", "lhs": tail, "rhs": src + atol,
-         "pass": bool(tail <= src + atol)},
-        {"name": "residual-consistency",
-         "lhs": abs(recomputed - result.residual_pnorm), "rhs": atol,
-         "pass": bool(abs(recomputed - result.residual_pnorm) <= atol)},
+        certificate("residual-vs-tail", lhs, tail + atol),
+        certificate("tail-vs-source", tail, src + atol),
+        certificate("residual-consistency", abs(recomputed - result.residual_pnorm), atol),
     ]
     return {"pass": all(c["pass"] for c in certs), "certificates": certs,
             "r": r, "sigmas": result.sigmas.tolist()}

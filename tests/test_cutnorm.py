@@ -435,29 +435,24 @@ def test_cut_lp_exact_refuses_mixed_signs_beyond_completion(monkeypatch):
 
 def test_cut_lp_approx_refuses_mixed_signs_outside_the_exact_regimes(monkeypatch, tmp_path,
                                                                      capsys):
-    """With non-integer weights and a side beyond the brute-force cap, or a
-    smaller side beyond the completion cap, no exact route closes the pool,
-    and the LP relaxation alone misses the (1+eps) guarantee: on 13x3
-    matrices with entries in -3..3 and all weights 1.5 it did in 35 of 40
-    draws of this stream (draw 3 gave 1.556 against an exact 4.007).  Such
-    inputs are refused before any LP is solved."""
+    """The LP relaxation alone misses the (1+eps) guarantee on mixed-sign
+    matrices: on 13x3 matrices with entries in -3..3 and all weights 1.5 it
+    did in 35 of 40 draws of this stream (draw 3 gave 1.556 against an exact
+    4.007).  The exact completion closes every pool whose smaller side is
+    within ``COMPLETION_CAP``, whatever the weights, so these draws keep the
+    guarantee; only a mixed-sign matrix with a larger smaller side is
+    refused, before any LP is solved."""
     rng = np.random.default_rng(5)
     draws = [rng.integers(-3, 4, size=(13, 3)).astype(float) for _ in range(4)]
     d, e = np.full(13, 1.5), np.full(3, 1.5)
-    # the same inputs inside a regime keep the guarantee
-    for A, dd, ee in ((draws[3], np.ones(13), np.ones(3)), (np.abs(draws[3]), d, e)):
-        exact = abs(normalized_cut_bruteforce(A, dd, ee, cap=13).value)
-        assert abs(cut_lp_approx(A, 0.1, dd, ee).value) >= exact / 1.1 - 1e-9
+    for A in draws:
+        exact = abs(normalized_cut_bruteforce(A, d, e, cap=13).value)
+        assert abs(cut_lp_approx(A, 0.1, d, e).value) >= exact / 1.1 - 1e-9
 
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(cutnorm, "lp_candidates", no_lp)
-    for A in draws:
-        with pytest.raises(ValueError, match="mixed-sign"):
-            cut_lp_approx(A, 0.1, d, e)
-        with pytest.raises(UnsupportedDomain, match="mixed-sign"):
-            CutDomain(d, e, maximizer="lp-approx", approx_eps=0.1).max_step(A)
     big = np.random.default_rng(30).integers(-3, 4, size=(18, 18)).astype(float)
     with pytest.raises(ValueError, match="mixed-sign"):
         cut_lp_approx(big, 0.5)
@@ -531,6 +526,55 @@ def test_exact_completion_zero_matrix_with_unreachable_weights():
     pool = exact_completion(A, [1.0, 3.0], [2.0, 2.0, 2.0])
     assert pool and all(p.value == 0.0 and p.S and p.T for p in pool)
     assert cut_lp_exact(A, [1, 3], [2, 2, 2]).value == 0.0
+
+
+@st.composite
+def _completion_inputs(draw):
+    """Integer-entry matrices with sides 1-6 in both orientations (zero,
+    rank-one and duplicated rows among them, so exact ties are common), with
+    unit, integer or non-integer weights."""
+    A = draw(_matrices().filter(lambda M: np.all(M == np.round(M))))
+    if draw(st.booleans()):
+        A = A.T.copy()
+    m, n = A.shape
+    return A, draw(_weights(m)), draw(_weights(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_completion_inputs())
+def test_exact_completion_selects_the_table_witness(inputs):
+    """The completion's pool holds the rectangle the dense table's tie rule
+    picks, with its value."""
+    A, d, e = inputs
+    pair = cutnorm._select_pair(exact_completion(A, d, e), 1e-9)
+    S, T, value = oracles.table_witness(A, d, e)
+    assert (pair.S, pair.T) == (S, T)
+    assert pair.value == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(3, 16), (16, 3)])
+def test_exact_completion_sweeps_only_the_short_side(shape, monkeypatch):
+    """A long side beyond ``BRUTE_FORCE_CAP`` is sorted, never enumerated:
+    only the short side's subsets are built."""
+    rng = np.random.default_rng(40 + shape[0])
+    A = rng.integers(-3, 4, size=shape).astype(float)
+    d = rng.integers(1, 4, size=shape[0]).astype(float)
+    e = rng.uniform(0.5, 2.0, size=shape[1])
+    built = []
+    real = cutnorm.subset_indicators
+
+    def counted(k):
+        built.append(k)
+        return real(k)
+
+    monkeypatch.setattr(cutnorm, "subset_indicators", counted)
+    pool = exact_completion(A, d, e)
+    assert max(shape) > cutnorm.BRUTE_FORCE_CAP and built == [min(shape)]
+    best = max(abs(p.value) for p in pool)
+    assert best == pytest.approx(oracles.cut_pnorm_max_fast(A, d, e), abs=1e-9)
+    for p in pool:
+        want = oracles.weighted_rect_value(A, d, e, p.S, p.T)
+        assert p.value == pytest.approx(want, rel=1e-12)
 
 
 def test_cut_norm_lp_upper_builds_the_envelope_rows(monkeypatch):
