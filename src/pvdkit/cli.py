@@ -4,7 +4,8 @@ Every subcommand reads one input file, runs the requested computation, and
 emits a single JSON report: sorted keys, two-space indent, full-precision
 floats, no timestamps.  Certificates are (name, lhs, rhs, pass) records; the
 process exits 0 only when every certificate in the report passed, 1 when any
-failed, and 2 on usage or input errors.
+failed, and 2 on usage or input errors.  Each subcommand takes only the
+options its handler reads (``COMMANDS``); any other option is a usage error.
 """
 from __future__ import annotations
 
@@ -17,11 +18,11 @@ import sys
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import (cut_lp_approx, cut_lp_exact, integer_weights,
+from .cutnorm import (BRUTE_FORCE_CAP, cut_lp_approx, cut_lp_exact, integer_weights,
                       normalized_cut_bruteforce, rectangle_value, subset_indicators)
 from .domains import CutDomain, UnsupportedDomain
-from .graphs import (core_density, cut_pseudorandomness_profile, degree_weights,
-                     lp_upper_regularity_check, row_sums,
+from .graphs import (EXHAUSTIVE_PARTITION_CAP, core_density, cut_pseudorandomness_profile,
+                     degree_weights, lp_upper_regularity_check, row_sums,
                      spectral_projection_values, threshold_rank)
 from .io import InputError, guess_format, load_matrix, read_json_tensor, read_weights
 from .linalg import Tolerance, frob_norm
@@ -94,7 +95,7 @@ def _load(args):
 
 
 def _tol(args) -> Tolerance:
-    return Tolerance(atol=args.tol_abs, rtol=args.tol_rel)
+    return Tolerance(atol=args.tol_abs)
 
 
 # ---------------------------------------------------------------- commands
@@ -221,7 +222,7 @@ def cmd_classes(args):
     profile = cut_pseudorandomness_profile(A, weights=d, r=r, tol=_tol(args),
                                            bf_cap=args.bf_cap)
     spectral = spectral_projection_values(A, weights=d, r=r)
-    mode = "exhaustive" if n <= 12 else "sampled"
+    mode = "exhaustive" if n <= EXHAUSTIVE_PARTITION_CAP else "sampled"
     lp_ratio, lp_parts = lp_upper_regularity_check(A, args.p, args.eta, mode=mode,
                                                    samples=args.samples, seed=args.seed)
     deg = row_sums(A)
@@ -326,16 +327,47 @@ def cmd_maxcut(args):
     return info, {"eps": args.eps, "delta": det["delta"], "ip": args.ip}, results, certs
 
 
-HANDLERS = {
-    "pvd": cmd_pvd,
-    "cutnorm": cmd_cutnorm,
-    "weakreg": cmd_weakreg,
-    "szemreg": cmd_szemreg,
-    "classes": cmd_classes,
-    "cur": cmd_cur,
-    "tensor": cmd_tensor,
-    "maxcut": cmd_maxcut,
+#: every option a subcommand may take, by flag, with its argparse settings
+OPTIONS = {
+    "format": dict(choices=["matrix-market", "edge-list", "json"],
+                   help="input format (default: guessed from the extension)"),
+    "ip": dict(default="euclidean",
+               help="inner product weights: euclidean, degree, degree-plus-avg, "
+                    "or file:<path>"),
+    "eps": dict(type=float, default=None),
+    "r": dict(type=int, default=None),
+    "p": dict(type=float, default=2.0),
+    "eta": dict(type=float, default=0.5),
+    "base": dict(type=float, default=16.0),
+    "delta": dict(type=float, default=None),
+    "tol-abs": dict(type=float, default=1e-9),
+    "bf-cap": dict(type=int, default=BRUTE_FORCE_CAP),
+    "samples": dict(type=int, default=10_000),
+    "seed": dict(type=int, default=0),
 }
+
+_CUT = ("format", "ip", "eps", "tol-abs", "bf-cap")
+
+#: each subcommand's handler, help line, and the options its handler reads;
+#: besides these, every subcommand takes ``--input`` and ``--output``
+COMMANDS = {
+    "pvd": (cmd_pvd, "greedy decomposition of a matrix over the cut domain",
+            ("format", "ip", "r", "tol-abs", "bf-cap")),
+    "cutnorm": (cmd_cutnorm, "normalized cut maximum of a matrix", _CUT),
+    "weakreg": (cmd_weakreg, "weak regularity partition with certified irregularity", _CUT),
+    "szemreg": (cmd_szemreg, "exponential-ladder regularity partition", _CUT + ("base",)),
+    "classes": (cmd_classes, "pseudorandomness statistics of a graph",
+                ("format", "ip", "eps", "r", "p", "eta", "tol-abs", "bf-cap", "samples",
+                 "seed")),
+    "cur": (cmd_cur, "column/row skeleton decomposition", ("format", "eps", "tol-abs")),
+    "tensor": (cmd_tensor, "tensor decomposition bound check (JSON input)",
+               ("ip", "r", "tol-abs")),
+    "maxcut": (cmd_maxcut, "max-cut estimate from the regularity pipeline",
+               ("format", "ip", "eps", "delta", "bf-cap")),
+}
+
+#: the handler ``main`` runs for each subcommand
+HANDLERS = {name: handler for name, (handler, _, _) in COMMANDS.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,34 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Greedy projection decompositions "
                                                  "over cut-type domains, with certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("pvd", "greedy decomposition of a matrix over the cut domain"),
-        ("cutnorm", "normalized cut maximum of a matrix"),
-        ("weakreg", "weak regularity partition with certified irregularity"),
-        ("szemreg", "exponential-ladder regularity partition"),
-        ("classes", "pseudorandomness statistics of a graph"),
-        ("cur", "column/row skeleton decomposition"),
-        ("tensor", "tensor decomposition bound check (JSON input)"),
-        ("maxcut", "max-cut estimate from the regularity pipeline"),
-    ]:
+    for name, (_, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="input file")
-        p.add_argument("--format", choices=["matrix-market", "edge-list", "json"],
-                       help="input format (default: guessed from the extension)")
-        p.add_argument("--ip", default="euclidean",
-                       help="inner product weights: euclidean, degree, "
-                            "degree-plus-avg, or file:<path>")
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--eta", type=float, default=0.5)
-        p.add_argument("--base", type=float, default=16.0)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--tol-abs", type=float, default=1e-9)
-        p.add_argument("--tol-rel", type=float, default=1e-9)
-        p.add_argument("--bf-cap", type=int, default=12)
-        p.add_argument("--samples", type=int, default=10_000)
-        p.add_argument("--seed", type=int, default=0)
+        for flag in options:
+            p.add_argument(f"--{flag}", **OPTIONS[flag])
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
     return parser
 

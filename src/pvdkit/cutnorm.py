@@ -34,9 +34,9 @@ decreasing order it is a prefix for a positive sum and a suffix for a
 negative one.  This holds for any positive weights.  A column exactly at
 the threshold would gain by a flip, by convexity, so every best column set
 is such a prefix or suffix, whatever order the sort gives tied ratios; this
-is what lets ``exact_completion`` return all of them.  For the plain form
-``|A(S,T)|`` the best column set is the positive or the negative support of
-``r``.
+is what lets ``exact_completion`` find the one the tie rule picks.  For the
+plain form ``|A(S,T)|`` the best column set is the positive or the negative
+support of ``r``.
 
 Most row sets need no sort.  By Cauchy-Schwarz, ``|r(T)| / sqrt(e(T)) <=
 sqrt(sum_j r_j^2 / e_j)`` for every column set ``T``, so ``ub(S) =
@@ -66,7 +66,7 @@ from .simplex import Tableau, simplex_solve
 #: default cap on one side's length for brute-force rectangle enumeration
 BRUTE_FORCE_CAP = 12
 
-#: default cap on the enumerated side of the exact completion sweep
+#: cap on the enumerated side of the exact completion sweep
 COMPLETION_CAP = 17
 
 #: cap on the entries of one batch of level masks in the LP rounding; a
@@ -287,18 +287,16 @@ class CutLpInstance:
     Variables are shifted (y = x + L) so the slack basis is feasible; entries
     with A_ij = 0 carry no variable (their x is forced to 0).  Only ``b_ub``
     and ``shift_total`` depend on ``c``; instances of one (matrix, sign)
-    share the rest and the ``tableau`` that solves them.
+    share the rest and the ``tableau`` that solves them, which holds the
+    constraint matrix and the objective.
     """
 
     c: float
     sign: int
     matrix: np.ndarray  # sign * A
     d_left: np.ndarray
-    d_right: np.ndarray
     nnz: list
-    A_ub: np.ndarray
     b_ub: np.ndarray
-    objective: np.ndarray
     shift_total: float
     tableau: Tableau
 
@@ -328,10 +326,9 @@ class _CutLpFamily:
         A_ub[2 * r + 1, k + m + cols] = -a
         A_ub[2 * k, k : k + m] = self.d
         A_ub[2 * k + 1, k + m :] = self.e
-        self.A_ub = A_ub
-        self.objective = np.zeros(k + m + n)
-        self.objective[:k] = 1.0
-        self.tableau = Tableau(A_ub, self.objective)
+        objective = np.zeros(k + m + n)
+        objective[:k] = 1.0
+        self.tableau = Tableau(A_ub, objective)
 
     def instances(self, cs) -> tuple:
         """The right-hand sides of the ratios ``cs`` stacked ``(N, 2k+2)``,
@@ -347,8 +344,8 @@ class _CutLpFamily:
         b[:, 1 : 2 * k : 2] = L
         b[:, 2 * k] = rc
         b[:, 2 * k + 1] = 1.0 / rc
-        return b, [CutLpInstance(c, self.sign, self.matrix, self.d, self.e, self.nnz,
-                                 self.A_ub, b_ub, self.objective, shift, self.tableau)
+        return b, [CutLpInstance(c, self.sign, self.matrix, self.d, self.nnz, b_ub, shift,
+                                 self.tableau)
                    for c, b_ub, shift in zip(cs.tolist(), b, L.sum(axis=1).tolist())]
 
     def instance(self, c: float) -> CutLpInstance:
@@ -391,7 +388,7 @@ def solve_cut_lp(inst: CutLpInstance) -> dict:
     }
 
 
-def lp_round(A, d_left, d_right, s, t, tol: Tolerance | None = None) -> CutPair:
+def lp_round(A, d_left, d_right, s, t) -> CutPair:
     """Threshold rounding of LP levels into a rectangle.
 
     Scans the sets ``S(r) = {i : s_i >= r}``, ``T(r) = {j : t_j >= r}`` over
@@ -485,18 +482,20 @@ def lp_candidates(A, d_left, d_right, cs):
 # ---------------------------------------------------------------------------
 
 
-def exact_completion(A, d_left, d_right, atol: float = 1e-9, cap: int = COMPLETION_CAP) -> list:
+def exact_completion(A, d_left, d_right, atol: float = 1e-9) -> list:
     """Exact normalized-rectangle candidates, for any signs and any positive
     weights: the closer of the LP routes.
 
     Runs the row-set sweep over the subsets of the smaller side (``A``'s
-    rows when ``m <= n``, else its columns) and returns, for every swept set
-    within ``atol`` of the best value, each prefix and suffix of its sorted
-    other side within ``atol`` as a CutPair of ``A`` valued by
-    ``rectangle_value``.  By the prefix lemma every best rectangle of a swept
-    set is such a prefix or suffix, so the pool holds the rectangle that the
-    tie rule of ``normalized_cut_bruteforce`` picks.  Returns an empty list
-    when the smaller side exceeds ``cap``; the long side is never enumerated.
+    rows when ``m <= n``, else its columns).  The rectangles within ``atol``
+    of the best sweep value are the swept sets within ``atol``, each with
+    the prefixes and suffixes of its sorted other side within ``atol``; by
+    the prefix lemma they are all of them.  Of these, two are returned as
+    CutPairs of ``A`` valued by ``rectangle_value``: first the one with the
+    largest sweep value, then the one with the smallest (S mask, T mask),
+    the rectangle that the tie rule of ``normalized_cut_bruteforce`` picks
+    (one pair when they coincide).  Returns an empty list when the smaller
+    side exceeds ``COMPLETION_CAP``; the long side is never enumerated.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -504,22 +503,25 @@ def exact_completion(A, d_left, d_right, atol: float = 1e-9, cap: int = COMPLETI
     e = as_weights(d_right, n)
     flip = m > n
     B, dd, ee = (A.T, e, d) if flip else (A, d, e)
-    if B.shape[0] > cap:
+    if B.shape[0] > COMPLETION_CAP:
         return []
     R, wS, rows, best_per_S = _row_set_sweep(B, dd, ee, atol)
     best = float(best_per_S.max())
     winners = rows[best_per_S >= best - atol]
     order, low, high = _sorted_prefixes(R[winners], ee)
-    out = []
+    out = []  # (sweep value, S, T) of every rectangle within ``atol``
     for s, w, o, lo, hi in zip(winners.tolist(), wS[winners], order, low, high):
         swept = _mask_set(s + 1)
-        sides = [o[: k + 1] for k in np.flatnonzero(np.abs(lo) / w >= best - atol)]
-        sides += [o[len(o) - 1 - k :] for k in np.flatnonzero(np.abs(hi) / w >= best - atol)]
-        for side in sides:
+        lo, hi = np.abs(lo) / w, np.abs(hi) / w
+        sides = [(lo[k], o[: k + 1]) for k in np.flatnonzero(lo >= best - atol)]
+        sides += [(hi[k], o[len(o) - 1 - k :]) for k in np.flatnonzero(hi >= best - atol)]
+        for value, side in sides:
             other = tuple(sorted(side.tolist()))
-            S, T = (other, swept) if flip else (swept, other)
-            out.append(CutPair(S, T, _rect_value(A, d, e, np.array(S), np.array(T))))
-    return out
+            out.append((value, other, swept) if flip else (value, swept, other))
+    top = max(out, key=lambda c: c[0])
+    first = min(out, key=lambda c: (_set_mask(c[1]), _set_mask(c[2])))
+    return [CutPair(S, T, _rect_value(A, d, e, np.array(S), np.array(T)))
+            for _, S, T in dict.fromkeys([top, first])]
 
 
 def _select_pair(pool, atol: float) -> CutPair:
@@ -563,9 +565,7 @@ def _closed_lp_route(A, d, e, cs, tol: Tolerance, grid_key: str) -> tuple:
     pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
     info = {"lp_rounded_best": max((abs(p.value) for p in pool), default=0.0),
             "lp_count": len(pool), grid_key: len(cs)}
-    comp = exact_completion(A, d, e, tol.atol)
-    info["completion_candidates"] = len(comp)
-    return _select_pair(pool + comp, tol.atol), info
+    return _select_pair(pool + exact_completion(A, d, e, tol.atol), tol.atol), info
 
 
 def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None, details: bool = False):
@@ -587,7 +587,7 @@ def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None, det
         square matrices.
     details : bool
         When true, also return a diagnostics dict (LP-only best value,
-        number of LPs solved, completion candidate count).
+        number of LPs solved, number of ratios).
 
     Returns
     -------

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as la
 
+from .cutnorm import BRUTE_FORCE_CAP
 from .domains import CutDomain
 from .linalg import Tolerance, as_adjacency, as_weights, whitened
 from .pvd import compute_pvd
@@ -100,7 +101,7 @@ class PseudorandomnessProfile:
 
 def cut_pseudorandomness_profile(A, weights=None, r: int = 1,
                                  tol: Tolerance | None = None,
-                                 bf_cap: int = 12) -> PseudorandomnessProfile:
+                                 bf_cap: int = BRUTE_FORCE_CAP) -> PseudorandomnessProfile:
     """Profile the first r cut projection values against the graph's cut mass.
 
     ``cut_mass_ratio`` is (sum of all entries) / (sum of weights) — for a

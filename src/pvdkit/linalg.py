@@ -16,13 +16,10 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair used across the package."""
+    """Absolute tolerance of the greedy engine and the exact maximizers:
+    the stopping threshold and the width of the tie band."""
 
     atol: float = 1e-9
-    rtol: float = 1e-9
-
-    def close(self, a: float, b: float) -> bool:
-        return abs(a - b) <= self.atol + self.rtol * max(abs(a), abs(b))
 
 
 DEFAULT_TOL = Tolerance()

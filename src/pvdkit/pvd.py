@@ -27,6 +27,8 @@ from .linalg import DEFAULT_TOL, DEPENDENCE_RTOL, Tolerance
 Array = np.ndarray
 
 VERIFY_ATOM_CAP = 70_000
+VERIFY_FROB_RTOL = 1e-8
+VERIFY_STEP_ATOL = 1e-9
 
 
 @dataclass
@@ -36,9 +38,9 @@ class PvdResult:
     ``keys``/``values`` record the selected atoms and their signed form
     values; ``sigmas`` the projection values; ``coeffs`` the signed expansion
     coefficients along the orthonormalized directions (``sigmas ==
-    |coeffs|``).  ``increments`` and ``basis`` are in original (unwhitened)
-    coordinates; ``basis_white`` holds the flattened orthonormal rows the
-    engine actually worked with. ``residual_pnorm`` is the domain-restricted
+    |coeffs|``).  ``increments`` are in original (unwhitened) coordinates;
+    ``basis_white`` holds the flattened orthonormal rows the engine actually
+    worked with. ``residual_pnorm`` is the domain-restricted
     norm of the final residual; ``exhausted`` says whether it is below the
     stopping tolerance (as opposed to the run hitting ``max_terms`` or a
     numerically dependent atom).
@@ -51,7 +53,6 @@ class PvdResult:
     sigmas: Array
     coeffs: Array
     increments: list = field(repr=False)
-    basis: list = field(repr=False)
     basis_white: Array = field(repr=False)
     residual_pnorm: float
     exhausted: bool
@@ -73,13 +74,9 @@ class PvdResult:
         return [self.domain.describe(k) for k in self.keys]
 
 
-def _gs_insert(g_flat: Array, basis: Array, used: int, dep_rtol: float):
-    """Orthonormalize ``g_flat`` against the first ``used`` rows of ``basis``.
-
-    Returns (direction, distance) where distance is the norm of the
-    orthogonal component relative to the input norm, or (None, 0.0) when the
-    candidate is numerically dependent.
-    """
+def _gs_insert(g_flat: Array, basis: Array, used: int):
+    """Orthonormalize ``g_flat`` against the first ``used`` rows of ``basis``;
+    None when the candidate is dependent up to ``DEPENDENCE_RTOL``."""
     nrm0 = la.norm(g_flat)
     v = g_flat.copy()
     if used:
@@ -87,9 +84,9 @@ def _gs_insert(g_flat: Array, basis: Array, used: int, dep_rtol: float):
         v -= Q.T @ (Q @ v)
         v -= Q.T @ (Q @ v)
     nrm = la.norm(v)
-    if nrm <= dep_rtol * nrm0:
-        return None, 0.0
-    return v / nrm, nrm / nrm0
+    if nrm <= DEPENDENCE_RTOL * nrm0:
+        return None
+    return v / nrm
 
 
 def orthogonal_increment(candidate, basis, d_left=None, d_right=None):
@@ -119,7 +116,7 @@ def orthogonal_increment(candidate, basis, d_left=None, d_right=None):
     flats = [np.asarray(B, dtype=float) / wh for B in basis]
     Q = (np.stack([f.ravel() for f in flats]) if flats
          else np.zeros((0, C.size)))
-    q, _ = _gs_insert((C / wh).ravel(), Q, len(flats), DEPENDENCE_RTOL)
+    q = _gs_insert((C / wh).ravel(), Q, len(flats))
     if q is None:
         return None
     return q.reshape(C.shape) * wh
@@ -173,7 +170,7 @@ def compute_pvd(source, domain, max_terms=None, tol: Tolerance | None = None) ->
             exhausted = True
             break
         g = domain.atom(key).ravel()
-        q, _dist = _gs_insert(g, basis, used, DEPENDENCE_RTOL)
+        q = _gs_insert(g, basis, used)
         if q is None:
             # An exact maximizer with nonzero value is independent of the
             # previous atoms; landing here means the greedy step is drowned
@@ -196,7 +193,6 @@ def compute_pvd(source, domain, max_terms=None, tol: Tolerance | None = None) ->
     basis = basis[:used]
     wh = domain.whitener
     increments = [coeffs[j] * basis[j].reshape(A.shape) * wh for j in range(used)]
-    basis_mats = [basis[j].reshape(A.shape) * wh for j in range(used)]
     return PvdResult(
         domain=domain,
         source=A,
@@ -205,7 +201,6 @@ def compute_pvd(source, domain, max_terms=None, tol: Tolerance | None = None) ->
         sigmas=np.abs(np.array(coeffs)),
         coeffs=np.array(coeffs),
         increments=increments,
-        basis=basis_mats,
         basis_white=basis,
         residual_pnorm=float(final_pnorm),
         exhausted=exhausted,
@@ -284,8 +279,7 @@ def certificate(name: str, lhs: float, rhs: float) -> dict:
             "pass": bool(float(lhs) <= float(rhs))}
 
 
-def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e-9,
-               max_atoms: int = VERIFY_ATOM_CAP) -> dict:
+def verify_pvd(result: PvdResult) -> dict:
     """Replay a finished run against independent computations.
 
     Checks, each reported as a named (lhs, rhs, pass) certificate:
@@ -293,20 +287,22 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
     * ``projection-identity``: the Euclidean norm of the projection values
       against the weighted Frobenius norm of the projection of the source
       onto the span of *all* atoms (two-sided for exhausted runs, one-sided
-      otherwise).  The cut domain holds every singleton rectangle, so its
+      otherwise), within ``VERIFY_FROB_RTOL`` times the whitened source norm
+      (at least 1).  The cut domain holds every singleton rectangle, so its
       atoms span all matrices and the target is the whitened source norm
       itself (Parseval); for every other domain it is the dense
       least-squares projection onto the stacked atoms.
     * ``basis-orthonormality``: largest deviation of the basis Gram matrix
-      from the identity.
+      from the identity, against ``VERIFY_FROB_RTOL``.
     * ``step-dominance``: each projection value must cover the
       domain-restricted norm of the residual it was extracted from.
     * ``truncation-chain-residual`` / ``truncation-chain-source``: for every
       certifiable ``r``, the best truncation's residual norm against the RMS
-      tail bound, and that bound against the source-norm bound.
+      tail bound, and that bound against the source-norm bound.  These three
+      allow ``VERIFY_STEP_ATOL``.
 
     Raises ``UnsupportedDomain`` when a domain other than the cut domain
-    cannot be enumerated or has more than ``max_atoms`` atoms.
+    cannot be enumerated or has more than ``VERIFY_ATOM_CAP`` atoms.
     """
     domain = result.domain
     Aw = (result.source / domain.whitener).ravel()
@@ -316,15 +312,16 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
         size = domain.size()
         if size is None:
             raise UnsupportedDomain("verification needs an enumerable domain")
-        if size > max_atoms:
-            raise UnsupportedDomain(f"domain has {size} atoms; verification cap is {max_atoms}")
+        if size > VERIFY_ATOM_CAP:
+            raise UnsupportedDomain(
+                f"domain has {size} atoms; verification cap is {VERIFY_ATOM_CAP}")
         G = np.stack([atom.ravel() for _, atom in domain.atoms()])
         coef, *_ = la.lstsq(G.T, Aw, rcond=None)
         proj_norm = float(la.norm(G.T @ coef))
 
     certs = []
     sig_norm = float(la.norm(result.sigmas))
-    allowance = frob_rtol * max(1.0, float(la.norm(Aw)))
+    allowance = VERIFY_FROB_RTOL * max(1.0, float(la.norm(Aw)))
     gap = abs(sig_norm - proj_norm) if result.exhausted else sig_norm - proj_norm
     certs.append(certificate("projection-identity", gap, allowance))
 
@@ -333,7 +330,7 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
         ortho = float(np.max(np.abs(gram - np.eye(result.num_terms))))
     else:
         ortho = 0.0
-    certs.append(certificate("basis-orthonormality", ortho, frob_rtol))
+    certs.append(certificate("basis-orthonormality", ortho, VERIFY_FROB_RTOL))
 
     worst = -math.inf
     Rw = (result.source / domain.whitener).copy()
@@ -342,7 +339,7 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
         worst = max(worst, abs(value) - result.sigmas[j])
         Rw -= result.increments[j] / domain.whitener
     if result.num_terms:
-        certs.append(certificate("step-dominance", worst, step_atol))
+        certs.append(certificate("step-dominance", worst, VERIFY_STEP_ATOL))
 
     r_max = result.num_terms if result.exhausted else result.num_terms - 1
     chain_resid = -math.inf
@@ -357,7 +354,7 @@ def verify_pvd(result: PvdResult, frob_rtol: float = 1e-8, step_atol: float = 1e
         chain_resid = max(chain_resid, resid_at[idx] - tail)
         chain_source = max(chain_source, tail - src_norm / math.sqrt(r + 1))
     if r_max >= 0:
-        certs.append(certificate("truncation-chain-residual", chain_resid, step_atol))
-        certs.append(certificate("truncation-chain-source", chain_source, step_atol))
+        certs.append(certificate("truncation-chain-residual", chain_resid, VERIFY_STEP_ATOL))
+        certs.append(certificate("truncation-chain-source", chain_source, VERIFY_STEP_ATOL))
 
     return {"pass": all(c["pass"] for c in certs), "certificates": certs}

@@ -43,11 +43,9 @@ GRID_CAP = 200_000
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty parts covering range(n), ordered by smallest member,
-    plus the subset pairs whose refinement produced them (may be empty)."""
+    """Disjoint nonempty parts covering range(n), ordered by smallest member."""
 
     parts: tuple
-    provenance: tuple = ()
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -81,26 +79,19 @@ class RegularityReport:
 
 
 def refine(pairs, num_vertices: int) -> Partition:
-    """Common refinement of the bipartitions induced by (S, T) subset pairs.
+    """Common refinement of the bipartitions induced by ``(S, T)`` pairs of
+    index collections.
 
     Two vertices land in the same part iff they agree on membership in every
-    S and every T.  Accepts CutPair-like objects (``.S``/``.T``) or plain
-    pairs of index collections.  With no pairs the ground set is one part.
+    S and every T.  With no pairs the ground set is one part.
     """
-    norm = []
-    for p in pairs:
-        S = getattr(p, "S", None)
-        T = getattr(p, "T", None)
-        if S is None:
-            S, T = p
-        norm.append((frozenset(int(i) for i in S), frozenset(int(j) for j in T)))
+    sets = [(frozenset(int(i) for i in S), frozenset(int(j) for j in T)) for S, T in pairs]
     groups: dict = {}
     for v in range(num_vertices):
-        sig = tuple((v in S, v in T) for S, T in norm)
+        sig = tuple((v in S, v in T) for S, T in sets)
         groups.setdefault(sig, []).append(v)
     parts = sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
-    prov = tuple((tuple(sorted(S)), tuple(sorted(T))) for S, T in norm)
-    return Partition(parts=tuple(parts), provenance=prov)
+    return Partition(parts=tuple(parts))
 
 
 def block_average(A, partition: Partition) -> Array:
@@ -340,17 +331,17 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
 
 
 def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
-                    split_cap: int = SPLIT_CAP, grid_cap: int = GRID_CAP,
                     bf_cap: int = BRUTE_FORCE_CAP) -> dict:
     """Max-cut estimate on the block-constant approximant, with the slack
     terms needed to compare against the true maximum.
 
-    When the per-part split-count space is at most ``split_cap`` the exact
+    When the per-part split-count space is at most ``SPLIT_CAP`` the exact
     optimum over all split counts is found and ``grid_term`` is 0; otherwise
     split fractions are scanned on a ``delta`` grid (default ``eps/4``),
     fractional counts are floored and remainders assigned greedily by
     marginal gain, and ``grid_term = delta * sum(|approx|)`` reports the grid
-    coarseness allowance.
+    coarseness allowance.  A grid of more than ``GRID_CAP`` points raises
+    ``ValueError``.
     """
     if delta is None:
         delta = eps / 4.0
@@ -373,7 +364,7 @@ def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
     total_splits = 1
     for sz in sizes:
         total_splits *= int(sz) + 1
-    if total_splits <= split_cap:
+    if total_splits <= SPLIT_CAP:
         best_counts = None
         best_val = -math.inf
         for counts in itertools.product(*(range(sz + 1) for sz in sizes)):
@@ -387,9 +378,9 @@ def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
         fracs = np.arange(0.0, 1.0 + delta / 2.0, delta)
         if fracs[-1] < 1.0:
             fracs = np.append(fracs, 1.0)
-        if len(fracs) ** p > grid_cap:
+        if len(fracs) ** p > GRID_CAP:
             raise ValueError(
-                f"{len(fracs)}^{p} grid points exceed the cap {grid_cap}")
+                f"{len(fracs)}^{p} grid points exceed the cap {GRID_CAP}")
         best_counts = None
         best_val = -math.inf
         for point in itertools.product(fracs, repeat=p):

@@ -30,6 +30,9 @@ DEGENERATE_STREAK = 24
 #: rows of a basis segment whose points are checked against ``A_ub`` at once
 SEGMENT_ROWS = 256
 
+#: pivot, feasibility and optimality tolerance
+TOL = 1e-9
+
 EPS = np.finfo(float).eps
 
 
@@ -47,8 +50,8 @@ class Tableau:
     copied once, and each following ``b`` is priced against them, its basic
     values ``B^-1 b`` and its value by the same matrix-vector products a
     single solve makes.  The segment ends at the first ``b`` with a basic
-    value below ``-tol``; its points are written with one scatter and
-    checked against ``A_ub @ x <= b + tol`` by one product per block of
+    value below ``-TOL``; its points are written with one scatter and
+    checked against ``A_ub @ x <= b + TOL`` by one product per block of
     ``SEGMENT_ROWS`` rows, and a row that fails that check also ends it.  A
     row whose check the block product's rounding could decide otherwise is
     checked by the per-row product a single solve makes, so every decision
@@ -56,26 +59,27 @@ class Tableau:
     again on the tableau, and a dual simplex pivots until the basic values
     are nonnegative (leaving row: most negative value; entering column:
     least ``|reduced cost| / |entry|`` over the row's negative entries,
-    smallest index on ties), and the primal loop confirms optimality.  When the repair runs out of entering columns or pivots, or
-    the point violates ``A_ub @ x <= b + tol`` or ``x >= -tol``, the
-    right-hand side is solved again from the slack basis.  A pivot updates
+    smallest index on ties), and the primal loop confirms optimality.
+    When the repair runs out of entering columns or pivots, or the point
+    violates ``A_ub @ x <= b + TOL`` or ``x >= -TOL``, the right-hand side
+    is solved again from the slack basis.  A pivot updates
     the whole tableau by one rank-one product; rows with a zero multiplier
     subtract exact zeros.
 
     ``pivots`` counts every pivot made, ``cold_solves`` the solves that
     started from the slack basis, ``repairs`` the right-hand sides that took
     the dual repair, and ``bland_switches`` the primal solves that reached
-    ``DEGENERATE_STREAK`` degenerate pivots in a row.
+    ``DEGENERATE_STREAK`` degenerate pivots in a row.  Every test uses the
+    tolerance ``TOL``; a run may make ``2000 + 50 (m + n)`` pivots.
     """
 
-    def __init__(self, A_ub, c, tol: float = 1e-9, max_iter: int | None = None):
+    def __init__(self, A_ub, c):
         self.A = np.asarray(A_ub, dtype=float)
         self.row_abs = np.abs(self.A).sum(axis=1)
         self.c = np.asarray(c, dtype=float)
         m, n = self.A.shape
         assert self.c.shape == (n,)
-        self.tol = tol
-        self.max_iter = 2000 + 50 * (m + n) if max_iter is None else max_iter
+        self.max_iter = 2000 + 50 * (m + n)
         self.T = None
         self.basis = None
         self.pivots = 0
@@ -97,7 +101,7 @@ class Tableau:
         bs = np.asarray(bs, dtype=float)
         m, n = self.A.shape
         assert bs.ndim == 2 and bs.shape[1] == m
-        if np.any(bs < -self.tol):
+        if np.any(bs < -TOL):
             raise SimplexError("negative right-hand side; slack basis infeasible")
         bs = np.maximum(bs, 0.0)
         xs = np.empty((len(bs), n))
@@ -118,7 +122,7 @@ class Tableau:
         """Solve the rows ``start, start+1, ...`` of ``bs`` that the kept
         basis still solves, into ``xs`` and ``values``; the first row it
         does not solve, or ``len(bs)``."""
-        T, tol = self.T, self.tol
+        T, tol = self.T, TOL
         m, n = self.A.shape
         inverse = T[:m, n : n + m].copy()
         cost = T[-1, n : n + m].copy()
@@ -185,7 +189,7 @@ class Tableau:
         slack = slice(n, n + m)
         T[:m, -1] = T[:m, slack] @ b
         T[-1, -1] = T[-1, slack] @ b
-        if T[:m, -1].min() < -self.tol:
+        if T[:m, -1].min() < -TOL:
             # the kept basis is no longer primal feasible: repair it
             self.repairs += 1
             left = self._dual(self.max_iter)
@@ -196,14 +200,14 @@ class Tableau:
             except SimplexError:
                 return None
         x, value = self._point()
-        if x.min(initial=0.0) < -self.tol or np.any(self.A @ x > b + self.tol):
+        if x.min(initial=0.0) < -TOL or np.any(self.A @ x > b + TOL):
             return None
         return x, value
 
     def _dual(self, budget: int):
         """Dual simplex until the basic values are nonnegative; the pivots
         left of ``budget``, or None when it fails."""
-        T, tol = self.T, self.tol
+        T, tol = self.T, TOL
         m = self.A.shape[0]
         for used in range(budget + 1):
             rhs = T[:m, -1]
@@ -222,7 +226,7 @@ class Tableau:
         return None
 
     def _primal(self, budget: int) -> None:
-        T, tol, basis = self.T, self.tol, self.basis
+        T, tol, basis = self.T, TOL, self.basis
         m = self.A.shape[0]
         degenerate = 0
         switched = False
@@ -274,7 +278,7 @@ class Tableau:
         return x[:n], float(-self.T[-1, -1])
 
 
-def simplex_solve(A_ub, b_ub, c, tol: float = 1e-9, max_iter: int | None = None):
+def simplex_solve(A_ub, b_ub, c):
     """Maximize ``c @ x`` over ``A_ub @ x <= b_ub, x >= 0`` (``b_ub >= 0``).
 
     Parameters
@@ -282,10 +286,6 @@ def simplex_solve(A_ub, b_ub, c, tol: float = 1e-9, max_iter: int | None = None)
     A_ub : (m, n) array_like
     b_ub : (m,) array_like, nonnegative
     c : (n,) array_like
-    tol : float
-        Pivot / optimality tolerance.
-    max_iter : int, optional
-        Pivot budget; defaults to ``2000 + 50 * (m + n)``.
 
     Returns
     -------
@@ -294,4 +294,4 @@ def simplex_solve(A_ub, b_ub, c, tol: float = 1e-9, max_iter: int | None = None)
     value : float
         The optimal objective value.
     """
-    return Tableau(A_ub, c, tol, max_iter).solve(b_ub)
+    return Tableau(A_ub, c).solve(b_ub)

@@ -100,8 +100,7 @@ def tensor_pvd(T, domain, max_terms=None, tol: Tolerance | None = None) -> PvdRe
     return compute_pvd(T, domain, max_terms=max_terms, tol=tol)
 
 
-def tensor_bound_check(T, domain, r: int, tol: Tolerance | None = None,
-                       atol: float = 1e-9) -> dict:
+def tensor_bound_check(T, domain, r: int, tol: Tolerance | None = None) -> dict:
     """Certify the truncation bound chain at rank ``r``.
 
     Runs the greedy decomposition, takes the best truncation at ``r``, and
@@ -109,6 +108,7 @@ def tensor_bound_check(T, domain, r: int, tol: Tolerance | None = None,
     norm of the residual against the RMS tail of the projection values, and
     that tail against the source Frobenius bound.  A third certificate checks
     that the engine's residual norm agrees with one recomputed from scratch.
+    Each allows an absolute ``1e-9``.
     """
     T = as_tensor(T, "tensor")
     if r < 0:
@@ -119,6 +119,7 @@ def tensor_bound_check(T, domain, r: int, tol: Tolerance | None = None,
     tail = float(tail_rms(result.sigmas, r))
     src = float(la.norm((T / domain.whitener).ravel())) / math.sqrt(r + 1)
     recomputed = p_norm(T - sum(result.increments, np.zeros(T.shape)), domain, result.tol)
+    atol = 1e-9
     certs = [
         certificate("residual-vs-tail", lhs, tail + atol),
         certificate("tail-vs-source", tail, src + atol),

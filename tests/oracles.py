@@ -226,6 +226,41 @@ def sweep_rows_unpruned(A, d, e, atol: float = 1e-9):
     return S, T, float(row[t])
 
 
+def completion_pool(A, d, e, atol: float = 1e-9) -> list:
+    """(S, T, value) of every rectangle the row-set sweep over the smaller
+    side finds within ``atol`` of its best value: each prefix and suffix of
+    a swept set's sorted other side whose sweep value is within ``atol``, in
+    row-set order, prefixes first.  Unpruned, with the same float operations
+    as the package's sweep, and each rectangle valued as ``rectangle_value``
+    values it, so the values compare bitwise."""
+    A = np.asarray(A, dtype=float)
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    flip = A.shape[0] > A.shape[1]
+    B, dd, ee = (A.T, e, d) if flip else (A, d, e)
+    U = subset_matrix(B.shape[0])
+    R = U @ B
+    order = np.argsort(R / ee, axis=1)
+    Rs = np.take_along_axis(R, order, axis=1)
+    Es = ee[order]
+    low = np.abs(np.cumsum(Rs, axis=1) / np.sqrt(np.cumsum(Es, axis=1)))
+    high = np.abs(np.cumsum(Rs[:, ::-1], axis=1) / np.sqrt(np.cumsum(Es[:, ::-1], axis=1)))
+    wS = np.sqrt(U @ dd)
+    best = float((np.maximum(low.max(axis=1), high.max(axis=1)) / wS).max())
+    out = []
+    for s, o in enumerate(order):
+        swept = tuple(int(k) for k in np.nonzero(U[s])[0])
+        k_all = range(len(o))
+        sides = [o[: k + 1] for k in k_all if low[s, k] / wS[s] >= best - atol]
+        sides += [o[len(o) - 1 - k :] for k in k_all if high[s, k] / wS[s] >= best - atol]
+        for side in sides:
+            other = tuple(sorted(int(j) for j in side))
+            S, T = (other, swept) if flip else (swept, other)
+            value = float(A[np.ix_(S, T)].sum()) / math.sqrt(d[list(S)].sum() * e[list(T)].sum())
+            out.append((S, T, value))
+    return out
+
+
 def maxcut_value_fast(A) -> float:
     A = np.asarray(A, dtype=float)
     U = subset_matrix(A.shape[0])

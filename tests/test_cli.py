@@ -212,3 +212,45 @@ def test_parser_is_built_once_and_reused(tmp_path):
         subprocess.run([sys.executable, "-m", "pvdkit.cli", *argv, "--output", str(out)],
                        check=True, env=env)
         assert (tmp_path / f"same-{i}.json").read_bytes() == out.read_bytes()
+
+
+class _ReadRecorder:
+    """A parsed namespace that records the name of every option read from it."""
+
+    def __init__(self, args):
+        self._args = args
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_each_declared_option_is_read(tmp_path, name):
+    """A subcommand declares exactly the options its handler reads, besides
+    ``--input`` and the ``--output`` that ``main`` reads."""
+    if name == "cur":
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]]))
+    elif name == "tensor":
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"dims": [2, 2, 2], "entries": [1, 0, 0, 1, 0, 1, 1, 0]}))
+    else:
+        path = _graph_file(tmp_path)
+    eps = {"weakreg": "0.6", "szemreg": "0.8", "cur": "0.5", "maxcut": "0.5"}
+    argv = [name, "--input", str(path)] + (["--eps", eps[name]] if name in eps else [])
+    args = _ReadRecorder(cli.build_parser().parse_args(argv))
+    cli.HANDLERS[name](args)
+    _, _, options = cli.COMMANDS[name]
+    assert args.read == {"input"} | {flag.replace("-", "_") for flag in options}
+
+
+@pytest.mark.parametrize("argv", [["cur", "--ip", "degree"],
+                                  ["maxcut", "--eps", "0.5", "--tol-abs", "1e-6"],
+                                  ["pvd", "--tol-rel", "1e-9"]])
+def test_option_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "--input", _graph_file(tmp_path), *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

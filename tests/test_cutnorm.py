@@ -552,6 +552,27 @@ def test_exact_completion_selects_the_table_witness(inputs):
     assert pair.value == pytest.approx(value, abs=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(A=_matrices().filter(lambda M: np.all(M == np.round(M))), data=st.data())
+def test_exact_completion_selects_as_the_full_pool(A, data):
+    """An LP pool closed by the completion's pairs selects what it selects
+    closed by every rectangle the sweep finds within the tolerance: integer
+    matrices (zero and rank-one among them) in both orientations, with unit
+    or integer weights, as the LP ratio enumeration needs."""
+    if data.draw(st.booleans()):
+        A = A.T.copy()
+    d, e = (data.draw(st.lists(st.integers(1, 3).map(float), min_size=k, max_size=k)
+                      .map(np.array)) for k in A.shape)
+    cs = ratio_candidates(int(d.sum()), int(e.sum()))
+    lp_pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
+    full = [CutPair(S, T, value) for S, T, value in oracles.completion_pool(A, d, e)]
+    pairs = exact_completion(A, d, e)
+    assert 1 <= len(pairs) <= 2 and set(pairs) <= set(full)
+    assert abs(pairs[0].value) == pytest.approx(max(abs(p.value) for p in full), abs=1e-12)
+    for pool in ([], lp_pool):
+        assert cutnorm._select_pair(pool + pairs, 1e-9) == cutnorm._select_pair(pool + full, 1e-9)
+
+
 @pytest.mark.parametrize("shape", [(3, 16), (16, 3)])
 def test_exact_completion_sweeps_only_the_short_side(shape, monkeypatch):
     """A long side beyond ``BRUTE_FORCE_CAP`` is sorted, never enumerated:

@@ -11,7 +11,7 @@ import oracles
 
 def test_tolerance_defaults():
     tol = Tolerance()
-    assert tol.atol == 1e-9 and tol.rtol == 1e-9
+    assert tol.atol == 1e-9
 
 
 def test_as_matrix_rejects_bad_input():

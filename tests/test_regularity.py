@@ -4,6 +4,7 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
+from pvdkit import regularity
 from pvdkit.regularity import (Partition, block_average, max_cut_details,
                                max_cut_estimate, refine, szemeredi_irregularity_ub,
                                szemeredi_partition, weak_irregularity_ub,
@@ -172,10 +173,11 @@ def test_max_cut_estimate_within_slack_of_bruteforce():
         assert abs(info["estimate"] - true) <= slack, f"trial {trial}"
 
 
-def test_max_cut_grid_fallback_runs():
+def test_max_cut_grid_fallback_runs(monkeypatch):
+    monkeypatch.setattr(regularity, "SPLIT_CAP", 1)
     rng = np.random.default_rng(99)
     A = oracles.gnp_adjacency(rng, 9, 0.5)
-    info = max_cut_details(A, 0.5, split_cap=1)
+    info = max_cut_details(A, 0.5)
     assert not info["exact_split"]
     assert info["grid_term"] > 0
     true = oracles.maxcut_value(A)

@@ -135,7 +135,7 @@ class _NoRepair(Tableau):
 
     def _dual(self, budget):
         m = self.A.shape[0]
-        return None if self.T[:m, -1].min() < -self.tol else super()._dual(budget)
+        return None if self.T[:m, -1].min() < -simplex.TOL else super()._dual(budget)
 
 
 def _same_as_repeated_solves(cls, A, c, bs):
