@@ -372,13 +372,15 @@ HANDLERS = {name: handler for name, (handler, _, _) in COMMANDS.items()}
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once (``parse_args`` leaves it as is)."""
-    parser = argparse.ArgumentParser(prog="pvdkit",
+    """The command-line parser, built once (``parse_args`` leaves it as is).
+    Options are not matched by prefix, so whether ``--e`` parses does not
+    depend on which options a subcommand has."""
+    parser = argparse.ArgumentParser(prog="pvdkit", allow_abbrev=False,
                                      description="Greedy projection decompositions "
                                                  "over cut-type domains, with certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--input", required=True, help="input file")
         for flag in options:
             p.add_argument(f"--{flag}", **OPTIONS[flag])

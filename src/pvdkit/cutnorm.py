@@ -550,25 +550,23 @@ def _lp_weights(A, d_left, d_right) -> tuple:
     return d, e
 
 
-def _closed_lp_route(A, d, e, cs, tol: Tolerance, grid_key: str) -> tuple:
+def _closed_lp_route(A, d, e, cs, tol: Tolerance) -> CutPair:
     """The best rectangle of the LP relaxations of the ratios ``cs``, with
-    the pool closed by ``exact_completion``, and its diagnostics.  A matrix
-    with both signs whose smaller side is beyond the completion is refused
-    before any LP is solved: the relaxation alone can undershoot there,
-    because entries of the minority sign adjacent to the support enter it
-    as forced penalties."""
+    the pool closed by ``exact_completion``.  A matrix with both signs
+    whose smaller side is beyond the completion is refused before any LP is
+    solved: the relaxation alone can undershoot there, because entries of
+    the minority sign adjacent to the support enter it as forced
+    penalties."""
     m, n = A.shape
     if min(m, n) > COMPLETION_CAP and A.min() < 0 < A.max():
         raise ValueError(f"mixed-sign {m}x{n} matrix: the exact completion needs the "
                          f"smaller side within {COMPLETION_CAP}, and the LP relaxation "
                          "alone can undershoot")
     pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
-    info = {"lp_rounded_best": max((abs(p.value) for p in pool), default=0.0),
-            "lp_count": len(pool), grid_key: len(cs)}
-    return _select_pair(pool + exact_completion(A, d, e, tol.atol), tol.atol), info
+    return _select_pair(pool + exact_completion(A, d, e, tol.atol), tol.atol)
 
 
-def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None, details: bool = False):
+def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None) -> CutPair:
     """Maximize ``|A(S,T)| / sqrt(d(S) e(T))`` via the LP relaxation family.
 
     Solves one LP per reduced-fraction ratio candidate ``c = a/b`` (both
@@ -585,13 +583,6 @@ def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None, det
     d_left, d_right : array_like, optional
         Positive integer weights; ``d_right`` defaults to ``d_left`` for
         square matrices.
-    details : bool
-        When true, also return a diagnostics dict (LP-only best value,
-        number of LPs solved, number of ratios).
-
-    Returns
-    -------
-    CutPair, or (CutPair, dict) when ``details`` is set.
     """
     A = as_matrix(A)
     tol = tol or DEFAULT_TOL
@@ -600,12 +591,11 @@ def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None, det
         if not integer_weights(w):
             raise ValueError(f"{name} must be positive integers for the LP ratio enumeration")
     cs = ratio_candidates(int(d.sum()), int(e.sum()))
-    pair, info = _closed_lp_route(A, d, e, cs, tol, "ratio_count")
-    return (pair, info) if details else pair
+    return _closed_lp_route(A, d, e, cs, tol)
 
 
 def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
-                  tol: Tolerance | None = None, details: bool = False):
+                  tol: Tolerance | None = None) -> CutPair:
     """Same pipeline as ``cut_lp_exact``, but the ratio candidates come from
     a geometric ``(1+eps)`` grid spanning every achievable ``d(S)/e(T)``, so
     any positive weights are accepted.
@@ -627,8 +617,7 @@ def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
     cs = [c_lo * (1.0 + eps) ** k for k in range(count + 1)]
     if cs[-1] < c_hi:
         cs.append(c_hi)
-    pair, info = _closed_lp_route(A, d, e, cs, tol, "grid_size")
-    return (pair, info) if details else pair
+    return _closed_lp_route(A, d, e, cs, tol)
 
 
 def cut_norm_lp_upper(A) -> float:

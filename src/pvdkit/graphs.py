@@ -20,6 +20,8 @@ from .regularity import Partition
 Array = np.ndarray
 
 EXHAUSTIVE_PARTITION_CAP = 12
+#: labelings scored at once by ``lp_upper_regularity_check``
+PARTITION_BLOCK = 2048
 
 
 def row_sums(A) -> Array:
@@ -142,8 +144,32 @@ def lp_upper_regularity_check(A, p: float, eta: float, mode: str = "exhaustive",
     ``(sum_(i,j) (|Vi||Vj|/n^2) * density(Vi,Vj)^p)^(1/p) / (overall density)``
     where density(Vi,Vj) = A(Vi,Vj)/(|Vi||Vj|).  Exhaustive mode enumerates
     every set partition (restricted-growth strings) and is a true certificate;
-    sampled mode draws uniform vertex labelings and can only exhibit
+    sampled mode draws uniform vertex labelings (one
+    ``rng.integers(0, q, size=n)`` per sample) and can only exhibit
     violations.
+
+    Labelings are scored ``PARTITION_BLOCK`` at a time.  For each part ``a``
+    of a block, ``X_a A`` gives the block masses ``(X_a A * X_b).sum(1)``,
+    with ``X_a`` the part's indicator rows, and each term's power is taken
+    with Python's ``**`` once per distinct base.  Those sums run in another
+    order than the one-partition scorer ``ratio_of``, so on real weights a
+    block score can differ from it in the last bits.  Every labeling whose
+    block score ``acc`` (the sum before the ``1/p`` power) is within a
+    relative ``slack`` of the largest block score so far is scored again by
+    ``ratio_of``, in enumeration order, keeping the first strict maximum:
+    the value and the witness of a scan of ``ratio_of`` over every labeling.
+    The slack is derived from the nonnegativity of ``A``.  A block mass sums
+    at most ``n^2`` nonnegative terms, so in any order it is within relative
+    ``n^2 u`` of the exact sum (``u = eps/2``); the division adds ``u``, the
+    power multiplies the error by ``p`` and ``**`` adds at most one ulp, and
+    the weight ``|Vi||Vj|/n^2`` adds ``2u``.  ``acc`` sums at most ``q^2``
+    nonnegative terms, so both scores are within ``g = (p(n^2+1) + q^2 + 3)u``
+    of the exact one, and the final power and division move ``ratio_of`` by
+    at most ``3u``.  A maximizer of ``ratio_of`` therefore has a block score
+    of at least ``(1 - 4g - 6pu)`` times the largest one; ``slack`` is at
+    least twice that, and the largest score so far is at most the final
+    one, so no maximizer is skipped.  Memory is a few arrays of ``PARTITION_BLOCK`` rows in both modes,
+    whatever the number of partitions.
 
     Returns
     -------
@@ -179,43 +205,93 @@ def lp_upper_regularity_check(A, p: float, eta: float, mode: str = "exhaustive",
                 acc += (size / n ** 2) * (mass / size) ** p
         return acc ** (1.0 / p) / mean_density, parts
 
-    best = -math.inf
-    witness = None
     if mode == "exhaustive":
         if n > EXHAUSTIVE_PARTITION_CAP:
             raise ValueError(f"exhaustive mode capped at n={EXHAUSTIVE_PARTITION_CAP}")
-        for labels in _restricted_growth_strings(n, q):
-            val, parts = ratio_of(labels)
-            if val > best:
-                best = val
-                witness = parts
+        blocks = _growth_string_blocks(n, q)
     elif mode == "sampled":
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            labels = rng.integers(0, q, size=n)
-            val, parts = ratio_of(labels.tolist())
-            if val > best:
-                best = val
-                witness = parts
+        blocks = _sampled_blocks(np.random.default_rng(seed), n, q, samples)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    slack = 4 * (p * (n * n + 4) + q * q + 4) * np.finfo(float).eps
+    best, witness, high = -math.inf, None, -math.inf
+    for labels in blocks:
+        acc = _block_scores(A, labels, q, p)
+        high = max(high, float(acc.max()))
+        for row in labels[acc >= high * (1.0 - slack)]:
+            val, parts = ratio_of(row.tolist())
+            if val > best:
+                best, witness = val, parts
     return float(best), Partition(parts=tuple(witness))
 
 
-def _restricted_growth_strings(n: int, max_labels: int):
-    """All set partitions of range(n) into at most max_labels parts, as label
-    strings a with a[0] = 0 and a[i] <= max(a[:i]) + 1."""
-    labels = [0] * n
+def _block_scores(A: Array, labels: Array, q: int, p: float) -> Array:
+    """``sum_(a,b) (|Va||Vb|/n^2) * density(Va,Vb)^p`` of each labeling row
+    of ``labels``, over the part pairs in label order (empty parts add 0)."""
+    n = labels.shape[1]
+    X = [labels == a for a in range(q)]
+    sizes = [x.sum(axis=1).astype(float) for x in X]
+    acc = np.zeros(len(labels))
+    for a in range(q):
+        XA = X[a].astype(float) @ A
+        for b in range(q):
+            size = sizes[a] * sizes[b]
+            mass = (XA * X[b]).sum(axis=1)
+            base = np.divide(mass, size, out=np.zeros_like(mass), where=size > 0)
+            uniq, inv = np.unique(base, return_inverse=True)
+            acc += size / n ** 2 * np.array([x ** p for x in uniq.tolist()])[inv]
+    return acc
 
-    def rec(i: int, top: int):
-        if i == n:
-            yield tuple(labels)
-            return
-        for c in range(min(top + 1, max_labels - 1) + 1):
-            labels[i] = c
-            yield from rec(i + 1, max(top, c))
 
-    yield from rec(1, 0) if n > 1 else iter([(0,)])
+def _growth_string_blocks(n: int, max_labels: int):
+    """Every set partition of range(n) into at most ``max_labels`` parts, as
+    label strings a with a[0] = 0 and a[i] <= max(a[:i]) + 1, in
+    lexicographic order and in blocks of at most ``PARTITION_BLOCK`` rows.
+    The last ``k`` labels of a string depend on its head only through the
+    head's largest label, so each head is expanded by the table of tails for
+    that label: the label strings of length ``k``, in lexicographic order,
+    that keep the growth rule."""
+    if n == 1:
+        yield np.zeros((1, 1), dtype=np.int8)
+        return
+    k = n - 1
+    while max_labels ** k > PARTITION_BLOCK:
+        k -= 1
+    grid = np.indices((max_labels,) * k, dtype=np.int8).reshape(k, -1).T
+    tails = []
+    for top in range(max_labels):
+        prior = np.maximum.accumulate(np.insert(grid[:, :-1], 0, top, axis=1), axis=1)
+        tails.append(grid[np.all(grid <= prior + 1, axis=1)])
+    block, filled = np.empty((PARTITION_BLOCK, n), dtype=np.int8), 0
+    for rest in _growth_heads(n - k - 1, 0, max_labels):
+        head = (0,) + rest
+        tail = tails[max(head)]
+        if filled + len(tail) > PARTITION_BLOCK:
+            yield block[:filled]
+            block, filled = np.empty_like(block), 0
+        block[filled : filled + len(tail), : n - k] = head
+        block[filled : filled + len(tail), n - k :] = tail
+        filled += len(tail)
+    yield block[:filled]
+
+
+def _growth_heads(length: int, top: int, max_labels: int):
+    """Every continuation of ``length`` labels after a restricted-growth
+    head whose largest label is ``top``, in lexicographic order."""
+    if length == 0:
+        yield ()
+        return
+    for c in range(min(top + 1, max_labels - 1) + 1):
+        for rest in _growth_heads(length - 1, max(top, c), max_labels):
+            yield (c,) + rest
+
+
+def _sampled_blocks(rng, n: int, q: int, samples: int):
+    """``samples`` uniform labelings, one ``rng.integers(0, q, size=n)`` per
+    sample, in blocks of at most ``PARTITION_BLOCK`` rows."""
+    for start in range(0, samples, PARTITION_BLOCK):
+        count = min(PARTITION_BLOCK, samples - start)
+        yield np.stack([rng.integers(0, q, size=n) for _ in range(count)])
 
 
 def _symmetrized_whitened(A: Array, d: Array) -> Array:

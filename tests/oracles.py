@@ -585,3 +585,59 @@ def gram_max_step(keys, gram, resid, atol: float = 1e-9):
     mags = np.abs(vals)
     idx = int(np.nonzero(mags >= mags.max() - atol)[0][0])
     return keys[idx], float(vals[idx])
+
+
+def restricted_growth_strings(n: int, max_labels: int):
+    """Every set partition of range(n) into at most ``max_labels`` parts, as
+    label strings a with a[0] = 0 and a[i] <= max(a[:i]) + 1, in
+    lexicographic order (recursive)."""
+    labels = [0] * n
+
+    def rec(i: int, top: int):
+        if i == n:
+            yield tuple(labels)
+            return
+        for c in range(min(top + 1, max_labels - 1) + 1):
+            labels[i] = c
+            yield from rec(i + 1, max(top, c))
+
+    yield from rec(1, 0) if n > 1 else iter([(0,)])
+
+
+def lp_regularity_scan(A, p: float, eta: float, mode: str = "exhaustive",
+                       samples: int = 10_000, seed: int = 0) -> tuple:
+    """(ratio, parts) of the worst block-density L_p ratio, one partition at
+    a time: the per-partition scan that ``lp_upper_regularity_check`` must
+    reproduce bitwise.  Exhaustive mode walks ``restricted_growth_strings``;
+    sampled mode draws one ``rng.integers(0, q, size=n)`` labeling per
+    sample.  The first strict maximum is kept."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    q = int(math.floor(1.0 / eta))
+    mean_density = float(np.sum(A @ np.ones(n))) / n ** 2
+
+    def ratio_of(labels) -> tuple:
+        groups: dict = {}
+        for v, c in enumerate(labels):
+            groups.setdefault(c, []).append(v)
+        parts = sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
+        acc = 0.0
+        for P in parts:
+            row = A[list(P), :]
+            for Q in parts:
+                mass = float(row[:, list(Q)].sum())
+                size = len(P) * len(Q)
+                acc += (size / n ** 2) * (mass / size) ** p
+        return acc ** (1.0 / p) / mean_density, parts
+
+    if mode == "exhaustive":
+        labelings = restricted_growth_strings(n, q)
+    else:
+        rng = np.random.default_rng(seed)
+        labelings = (rng.integers(0, q, size=n).tolist() for _ in range(samples))
+    best, witness = -math.inf, None
+    for labels in labelings:
+        val, parts = ratio_of(labels)
+        if val > best:
+            best, witness = val, parts
+    return float(best), tuple(witness)

@@ -254,3 +254,13 @@ def test_option_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, argv
         cli.main([argv[0], "--input", _graph_file(tmp_path), *argv[1:]])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["tensor", "--t", "1e-3"], ["cutnorm", "--b", "3"],
+                                  ["cur", "--e", "0.5"]])
+def test_abbreviated_option_is_usage_error(tmp_path, capsys, argv):
+    """A prefix of an option is not resolved, whichever options the
+    subcommand has."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "--input", _graph_file(tmp_path), *argv[1:]])
+    assert exc.value.code == 2

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.linalg as la
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pvdkit import graphs
 from pvdkit.domains import CutDomain
 from pvdkit.graphs import (core_density, cut_pseudorandomness_profile, degree_weights,
                            lp_upper_regularity_check, row_sums,
@@ -157,3 +161,95 @@ def test_lp_regularity_validation():
         lp_upper_regularity_check(A, p=2.0, eta=0.1)  # 10 parts > 4 vertices
     with pytest.raises(ValueError):
         lp_upper_regularity_check(np.zeros((3, 3)), p=2.0, eta=0.5)
+
+
+@st.composite
+def _block_density_inputs(draw):
+    """A symmetric nonnegative matrix with 0/1, small-integer or real
+    entries, n <= 9, and a part budget q <= 4.  A circulant matrix of real
+    weights ties rotated partitions exactly, and the two summation orders
+    break those ties differently."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["binary", "int", "real", "uniform", "circulant"]))
+    size = n * (n + 1) // 2
+    if kind == "circulant":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        w = rng.random(n // 2 + 1) * draw(st.sampled_from([0.1, 1.0, 3.7]))
+        i = np.arange(n)
+        gap = np.abs(i[:, None] - i[None, :])
+        return w[np.minimum(gap, n - gap)], draw(st.integers(1, min(4, n)))
+    if kind == "binary":
+        vals = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=size, max_size=size))
+    elif kind == "int":
+        vals = draw(st.lists(st.integers(0, 5).map(float), min_size=size, max_size=size))
+    elif kind == "real":
+        reals = st.floats(0.0, 8.0, allow_subnormal=False)
+        vals = draw(st.lists(reals, min_size=size, max_size=size))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        vals = rng.random(size) * draw(st.sampled_from([1e-3, 1.0, 7.3]))
+    A = np.zeros((n, n))
+    A[np.triu_indices(n)] = vals
+    A = np.triu(A) + np.triu(A, 1).T
+    q = draw(st.integers(1, min(4, n)))
+    return A, q
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_block_density_inputs(), p=st.sampled_from([1.5, 2.0, 3.0]),
+       mode=st.sampled_from(["exhaustive", "sampled"]), samples=st.integers(1, 400),
+       seed=st.integers(0, 1000))
+def test_lp_regularity_is_bitwise_the_partition_scan(case, p, mode, samples, seed):
+    """The block scoring with its rescoring step returns the ratio and the
+    witness of the per-partition scan, bit for bit."""
+    A, q = case
+    if A.sum() <= 0:
+        return
+    eta = 1.0 / (q + 0.5)
+    ratio, part = lp_upper_regularity_check(A, p, eta, mode=mode, samples=samples, seed=seed)
+    ref_ratio, ref_parts = oracles.lp_regularity_scan(A, p, eta, mode, samples, seed)
+    assert ratio == ref_ratio
+    assert tuple(part.parts) == ref_parts
+
+
+@pytest.mark.parametrize("block", [graphs.PARTITION_BLOCK, 5])
+def test_growth_string_blocks_stream_the_recursive_order(monkeypatch, block):
+    monkeypatch.setattr(graphs, "PARTITION_BLOCK", block)
+    for n in range(1, 10):
+        for q in range(1, min(n, 4) + 1):
+            blocks = list(graphs._growth_string_blocks(n, q))
+            assert all(1 <= len(b) <= block for b in blocks)
+            streamed = [tuple(row) for b in blocks for row in b.tolist()]
+            assert streamed == list(oracles.restricted_growth_strings(n, q))
+
+
+@pytest.mark.parametrize("block", [graphs.PARTITION_BLOCK, 7])
+def test_sampled_blocks_are_the_per_sample_draws(monkeypatch, block):
+    monkeypatch.setattr(graphs, "PARTITION_BLOCK", block)
+    for seed, n, q, samples in [(0, 5, 2, 30), (7, 6, 3, 2100), (11, 9, 4, 15)]:
+        blocks = list(graphs._sampled_blocks(np.random.default_rng(seed), n, q, samples))
+        assert all(1 <= len(b) <= block for b in blocks)
+        rng = np.random.default_rng(seed)
+        draws = [rng.integers(0, q, size=n) for _ in range(samples)]
+        assert np.array_equal(np.concatenate(blocks), np.stack(draws))
+
+
+def test_exhaustive_scan_memory_does_not_grow_with_partitions():
+    """700,075 partitions of 12 vertices into at most 4 parts are scanned in
+    bounded blocks; materializing their labels alone would take 8.4 MB."""
+    rng = np.random.default_rng(106)
+    A = oracles.gnp_adjacency(rng, 12, 0.5)
+    assert sum(len(b) for b in graphs._growth_string_blocks(12, 4)) == 700_075
+    tracemalloc.start()
+    try:
+        ratio, part = lp_upper_regularity_check(A, 2.0, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert ratio >= lp_upper_regularity_check(A, 2.0, 0.5)[0]
+    assert 1 <= len(part) <= 4
+    small = A[:8, :8]
+    ref_ratio, ref_parts = oracles.lp_regularity_scan(small, 2.0, 0.25)
+    ratio, part = lp_upper_regularity_check(small, 2.0, 0.25)
+    assert ratio == ref_ratio and tuple(part.parts) == ref_parts
