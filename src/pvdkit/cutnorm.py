@@ -2,26 +2,20 @@
 
 Two routes to ``max |A(S, T)| / sqrt(d(S) e(T))`` over nonempty index sets:
 
-* an exact sweep over the row sets of one side, and
-* a linear-programming relaxation per candidate ratio ``c = d(S)/e(T)``,
-  rounded by a threshold scan over the LP levels and closed by the same
-  sweep run over the smaller side (``exact_completion``).
+* an exact sweep over the row sets of one side, the greedy cut step of
+  ``domains.CutDomain``: over ``A``'s rows within ``BRUTE_FORCE_CAP``
+  (``normalized_cut_bruteforce``), then over the smaller side while it is
+  within ``COMPLETION_CAP`` (``exact_completion``), and
+* the paper's linear-programming relaxation per candidate ratio
+  ``c = d(S)/e(T)``, solved as one warm chain per sign (``lp_candidates``),
+  rounded by a threshold scan over the LP levels and closed by
+  ``exact_completion``.
 
-The LP route alone is exact for entrywise-nonnegative matrices; with mixed
-signs, negative entries adjacent to a good rectangle force negative payments
-into the LP objective and the relaxation can undershoot, which is why the LP
-routes close their pool with the sweep, and refuse sign-mixed matrices whose
-smaller side is beyond ``COMPLETION_CAP``.
-
-Only the right-hand side of a relaxation depends on ``c``, so a ratio grid
-is solved as one warm chain per sign: the constraint matrix is built once,
-and ``simplex.Tableau.solve_chain`` solves the stacked right-hand sides by
-basis segments.  The kept optimal basis's inverse is copied once per
-segment, each ratio is priced against it, and the segment's points are
-written and checked at once; only the ratio where that basis stops being
-feasible is repaired, by pivots that are rank-one updates of the tableau.
-The chain's LPs are rounded together, from one batch of threshold masks,
-and each distinct rectangle among their best levels is evaluated once.
+The relaxation alone is exact for one-signed matrices, which makes it the
+cut step's route past ``COMPLETION_CAP``.  With mixed signs, entries of the
+minority sign next to a good rectangle enter the LP objective as forced
+payments and the relaxation can undershoot, so the LP routes refuse such
+matrices whose smaller side is beyond ``COMPLETION_CAP``.
 
 The row-set sweep rests on a prefix lemma.  Fix a row set ``S`` with row
 sums ``r`` and positive column weights ``e``.  On the box ``[0, 1]^n`` the
@@ -255,16 +249,12 @@ def normalized_cut_bruteforce(
 ) -> CutPair:
     """Exact ``max |A(S,T)| / sqrt(d(S) e(T))`` by a sorted-ratio sweep.
 
-    Enumerates the ``2^m - 1`` row sets ``S``.  For each, with ``r`` the
-    row sums of ``S``, the best column set is a prefix (positive sign) or a
-    suffix (negative sign) of the columns sorted by ``r_j / e_j`` (the
-    prefix lemma in the module docstring).  Only the row sets whose
-    Cauchy-Schwarz bound ``sqrt(sum_j r_j^2 / e_j) / sqrt(d(S))`` reaches the
-    exact value of the best-bounded one, less ``tol.atol``, are sorted, so
-    one call costs ``O(2^m n)`` plus ``O(k n log n + 2^n)`` for the ``k``
-    survivors, instead of the ``2^m 2^n`` rectangle table.  Covers both
-    signs; the stored value keeps its sign, and ties break to the smallest
-    (S mask, T mask), exactly as without the pruning.
+    Enumerates the ``2^m - 1`` row sets; the best column set of each is a
+    prefix or a suffix of its columns sorted by ``r_j / e_j``, and only the
+    row sets that survive the Cauchy-Schwarz pruning are sorted (both in the
+    module docstring).  Covers both signs; the stored value keeps its sign,
+    and ties break to the smallest (S mask, T mask), exactly as without the
+    pruning.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -478,13 +468,14 @@ def lp_candidates(A, d_left, d_right, cs):
 
 
 # ---------------------------------------------------------------------------
-# exact completion: the row-set sweep over the smaller side closes the LP pool
+# exact completion: the row-set sweep over the smaller side
 # ---------------------------------------------------------------------------
 
 
 def exact_completion(A, d_left, d_right, atol: float = 1e-9) -> list:
     """Exact normalized-rectangle candidates, for any signs and any positive
-    weights: the closer of the LP routes.
+    weights: the cut step past ``BRUTE_FORCE_CAP``, and the closer of the LP
+    routes.
 
     Runs the row-set sweep over the subsets of the smaller side (``A``'s
     rows when ``m <= n``, else its columns).  The rectangles within ``atol``
@@ -494,8 +485,9 @@ def exact_completion(A, d_left, d_right, atol: float = 1e-9) -> list:
     CutPairs of ``A`` valued by ``rectangle_value``: first the one with the
     largest sweep value, then the one with the smallest (S mask, T mask),
     the rectangle that the tie rule of ``normalized_cut_bruteforce`` picks
-    (one pair when they coincide).  Returns an empty list when the smaller
-    side exceeds ``COMPLETION_CAP``; the long side is never enumerated.
+    (one pair when they coincide).  Only the swept sets that can hold them
+    are expanded.  Returns an empty list when the smaller side exceeds
+    ``COMPLETION_CAP``; the long side is never enumerated.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -508,20 +500,39 @@ def exact_completion(A, d_left, d_right, atol: float = 1e-9) -> list:
     R, wS, rows, best_per_S = _row_set_sweep(B, dd, ee, atol)
     best = float(best_per_S.max())
     winners = rows[best_per_S >= best - atol]
-    order, low, high = _sorted_prefixes(R[winners], ee)
-    out = []  # (sweep value, S, T) of every rectangle within ``atol``
-    for s, w, o, lo, hi in zip(winners.tolist(), wS[winners], order, low, high):
-        swept = _mask_set(s + 1)
-        lo, hi = np.abs(lo) / w, np.abs(hi) / w
-        sides = [(lo[k], o[: k + 1]) for k in np.flatnonzero(lo >= best - atol)]
-        sides += [(hi[k], o[len(o) - 1 - k :]) for k in np.flatnonzero(hi >= best - atol)]
-        for value, side in sides:
-            other = tuple(sorted(side.tolist()))
-            out.append((value, other, swept) if flip else (value, swept, other))
-    top = max(out, key=lambda c: c[0])
-    first = min(out, key=lambda c: (_set_mask(c[1]), _set_mask(c[2])))
+    # scan order: swept sets ascending, each's prefixes then suffixes,
+    # shortest first.  ``top`` is in the first swept set with the best value,
+    # ``first`` in the first within ``atol`` unless ``S`` is the sorted side
+    top_row = int(rows[np.argmax(best_per_S)])
+    expand = winners if flip else np.array(sorted({int(winners[0]), top_row}))
+    order, low, high = _sorted_prefixes(R[expand], ee)
+    vals = np.abs(np.concatenate([low, high], axis=1)) / wS[expand, None]
+    k, rank = len(ee), np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(k), axis=1)
+
+    def sides(w, j):  # 0/1 rows of the column sets ``j`` of the rows ``w``
+        j = j[:, None]
+        return np.where(j < k, rank[w] <= j, rank[w] >= 2 * k - 1 - j)
+
+    ok = (vals >= best - atol).reshape(-1, 2, k)
+    if not flip:  # ``S`` is the swept set: only the first row's rectangles compete
+        ok[1:] = False
+    # of a row's prefixes (suffixes) within ``atol`` the shortest has the
+    # smallest mask.  Of those, the smallest: from the highest column down,
+    # drop the sets holding a column that another one lacks; the first of
+    # equal sets is the first in scan order
+    w, side = np.nonzero(ok.any(axis=2))
+    j = ok.argmax(axis=2)[w, side] + side * k
+    sets, c = sides(w, j), np.arange(len(w))
+    for col in range(k - 1, -1, -1):
+        c = c if sets[c, col].all() else c[~sets[c, col]]
+    a, b = np.transpose([np.unravel_index(np.argmax(vals), vals.shape), (w[c[0]], j[c[0]])])
+    pairs = []  # (sweep value, S, T) of ``top``, then of ``first``
+    for r, col, other in zip(a.tolist(), b.tolist(), sides(a, b)):
+        swept, other = _mask_set(int(expand[r]) + 1), tuple(np.flatnonzero(other).tolist())
+        pairs.append((vals[r, col], other, swept) if flip else (vals[r, col], swept, other))
     return [CutPair(S, T, _rect_value(A, d, e, np.array(S), np.array(T)))
-            for _, S, T in dict.fromkeys([top, first])]
+            for _, S, T in dict.fromkeys(pairs)]
 
 
 def _select_pair(pool, atol: float) -> CutPair:
@@ -552,11 +563,9 @@ def _lp_weights(A, d_left, d_right) -> tuple:
 
 def _closed_lp_route(A, d, e, cs, tol: Tolerance) -> CutPair:
     """The best rectangle of the LP relaxations of the ratios ``cs``, with
-    the pool closed by ``exact_completion``.  A matrix with both signs
-    whose smaller side is beyond the completion is refused before any LP is
-    solved: the relaxation alone can undershoot there, because entries of
-    the minority sign adjacent to the support enter it as forced
-    penalties."""
+    the pool closed by ``exact_completion``.  A matrix with both signs whose
+    smaller side is beyond the completion, where the relaxation alone can
+    undershoot (module docstring), is refused before any LP is solved."""
     m, n = A.shape
     if min(m, n) > COMPLETION_CAP and A.min() < 0 < A.max():
         raise ValueError(f"mixed-sign {m}x{n} matrix: the exact completion needs the "

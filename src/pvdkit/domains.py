@@ -19,20 +19,16 @@ from functools import reduce
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import (
-    BRUTE_FORCE_CAP,
-    _mask_set,
-    cut_lp_exact,
-    normalized_cut_bruteforce,
-)
+from .cutnorm import (BRUTE_FORCE_CAP, COMPLETION_CAP, _mask_set, _select_pair, cut_lp_exact,
+                      exact_completion, normalized_cut_bruteforce)
 from .linalg import (DEFAULT_TOL, Tolerance, as_matrix, as_weights, ip_norm,
                      tensor_whitener)
 
 
 class UnsupportedDomain(ValueError):
     """Raised when an operation needs more from a domain than it can give
-    (enumeration of an infinite domain, LP maximization without integer
-    weights, sizes past the configured caps)."""
+    (enumeration of an infinite domain or beyond its cap, an LP cut step
+    with non-integer weights or on a residual with both signs)."""
 
 
 class CutDomain:
@@ -42,25 +38,22 @@ class CutDomain:
     ----------
     d_left, d_right : array_like
         Strictly positive weight vectors; ``d_right`` defaults to ``d_left``.
-    maximizer : {"auto", "enumerate", "lp"}
-        Greedy-step strategy.  "auto" enumerates within ``bf_cap`` and falls
-        back to the LP route beyond it.  The LP route (``cutnorm.cut_lp_exact``)
-        raises ``UnsupportedDomain`` on non-integer weights and on a residual
-        with both signs whose smaller side exceeds ``cutnorm.COMPLETION_CAP``.
+    bf_cap : int
+        Largest side that ``atoms`` enumerates and that a greedy step sweeps
+        by ``normalized_cut_bruteforce``.  Past it a step sweeps the smaller
+        side (``cutnorm.exact_completion``) up to ``cutnorm.COMPLETION_CAP``,
+        and past that takes the LP route ``cutnorm.cut_lp_exact``, which
+        needs integer weights and a one-signed residual.
     """
 
     kind = "cut"
 
-    def __init__(self, d_left, d_right=None, maximizer: str = "auto",
-                 bf_cap: int = BRUTE_FORCE_CAP):
+    def __init__(self, d_left, d_right=None, bf_cap: int = BRUTE_FORCE_CAP):
         d = np.asarray(d_left, dtype=float)
         e = d if d_right is None else np.asarray(d_right, dtype=float)
         m, n = d.shape[0], e.shape[0]
         self.weights = (as_weights(d, m, "left weights"), as_weights(e, n, "right weights"))
         self.shape = (m, n)
-        if maximizer not in ("auto", "enumerate", "lp"):
-            raise ValueError(f"unknown maximizer {maximizer!r}")
-        self.maximizer = maximizer
         self.bf_cap = bf_cap
         self.whitener = np.sqrt(np.outer(*self.weights))
 
@@ -95,14 +88,10 @@ class CutDomain:
     def max_step(self, resid_white, tol: Tolerance = DEFAULT_TOL):
         d, e = self.weights
         R = resid_white * self.whitener
-        m, n = self.shape
-        strategy = self.maximizer
-        if strategy == "auto":
-            strategy = "enumerate" if max(m, n) <= self.bf_cap else "lp"
-        if strategy == "enumerate":
-            if max(m, n) > self.bf_cap:
-                raise UnsupportedDomain(f"cut domain on {self.shape} exceeds cap {self.bf_cap}")
+        if max(self.shape) <= self.bf_cap:
             pair = normalized_cut_bruteforce(R, d, e, cap=self.bf_cap, tol=tol)
+        elif min(self.shape) <= COMPLETION_CAP:
+            pair = _select_pair(exact_completion(R, d, e, tol.atol), tol.atol)
         else:
             try:
                 pair = cut_lp_exact(R, d, e, tol=tol)

@@ -210,6 +210,8 @@ def lp_upper_regularity_check(A, p: float, eta: float, mode: str = "exhaustive",
             raise ValueError(f"exhaustive mode capped at n={EXHAUSTIVE_PARTITION_CAP}")
         blocks = _growth_string_blocks(n, q)
     elif mode == "sampled":
+        if samples < 1:
+            raise ValueError("sampled mode needs at least one sample")
         blocks = _sampled_blocks(np.random.default_rng(seed), n, q, samples)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -227,12 +227,13 @@ def sweep_rows_unpruned(A, d, e, atol: float = 1e-9):
 
 
 def completion_pool(A, d, e, atol: float = 1e-9) -> list:
-    """(S, T, value) of every rectangle the row-set sweep over the smaller
-    side finds within ``atol`` of its best value: each prefix and suffix of
-    a swept set's sorted other side whose sweep value is within ``atol``, in
-    row-set order, prefixes first.  Unpruned, with the same float operations
-    as the package's sweep, and each rectangle valued as ``rectangle_value``
-    values it, so the values compare bitwise."""
+    """(S, T, value, sweep value) of every rectangle the row-set sweep over
+    the smaller side finds within ``atol`` of its best value: each prefix
+    and suffix of a swept set's sorted other side whose sweep value is
+    within ``atol``, in row-set order, prefixes first, shortest first.
+    Unpruned, with the same float operations as the package's sweep, and
+    each rectangle valued as ``rectangle_value`` values it, so the values
+    compare bitwise."""
     A = np.asarray(A, dtype=float)
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -251,14 +252,31 @@ def completion_pool(A, d, e, atol: float = 1e-9) -> list:
     for s, o in enumerate(order):
         swept = tuple(int(k) for k in np.nonzero(U[s])[0])
         k_all = range(len(o))
-        sides = [o[: k + 1] for k in k_all if low[s, k] / wS[s] >= best - atol]
-        sides += [o[len(o) - 1 - k :] for k in k_all if high[s, k] / wS[s] >= best - atol]
-        for side in sides:
+        sides = [(o[: k + 1], low[s, k] / wS[s]) for k in k_all]
+        sides += [(o[len(o) - 1 - k :], high[s, k] / wS[s]) for k in k_all]
+        for side, sweep in sides:
+            if sweep < best - atol:
+                continue
             other = tuple(sorted(int(j) for j in side))
             S, T = (other, swept) if flip else (swept, other)
             value = float(A[np.ix_(S, T)].sum()) / math.sqrt(d[list(S)].sum() * e[list(T)].sum())
-            out.append((S, T, value))
+            out.append((S, T, value, float(sweep)))
     return out
+
+
+def completion_pairs(A, d, e, atol: float = 1e-9) -> list:
+    """(S, T, value) of the rectangles ``exact_completion`` returns, picked
+    from the whole ``completion_pool``: the first with the largest sweep
+    value, then the first with the smallest (S mask, T mask), once each
+    when both the rectangle and the sweep value coincide."""
+    pool = completion_pool(A, d, e, atol)
+    top = max(pool, key=lambda c: c[3])
+    first = min(pool, key=lambda c: (mask(c[0]), mask(c[1])))
+    return [c[:3] for c in dict.fromkeys([top, first])]
+
+
+def mask(indices) -> int:
+    return sum(1 << int(i) for i in indices)
 
 
 def maxcut_value_fast(A) -> float:

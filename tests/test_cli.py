@@ -181,6 +181,29 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+def test_non_integer_weights_beyond_the_cap_exit_zero(tmp_path, capsys):
+    """Past ``--bf-cap`` a greedy step is the completion sweep, which takes
+    the non-integer ``degree-plus-avg`` weights the LP ratio grid refused."""
+    path, _ = _gnp_file(tmp_path, 13, 12)
+    texts = []
+    for _ in range(2):
+        code = cli.main(["pvd", "--input", path, "--r", "3", "--ip", "degree-plus-avg"])
+        texts.append(capsys.readouterr().out)
+        assert code == 0
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["all_certificates_pass"] is True
+
+
+def test_classes_without_samples_is_exit_two(tmp_path, capsys):
+    """Beyond the exhaustive cap ``classes`` samples partitions; with no
+    sample there is no witness, which is an input error."""
+    path, _ = _gnp_file(tmp_path, 13, 13)
+    code = cli.main(["classes", "--input", path, "--samples", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "at least one sample" in captured.err
+
+
 def test_weights_file_inner_product(tmp_path, capsys):
     wpath = tmp_path / "w.txt"
     wpath.write_text("1 1 2 2\n")

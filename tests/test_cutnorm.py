@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvdkit import cli, cutnorm
+from pvdkit import cli, cutnorm, domains
 from pvdkit.cutnorm import (CutPair, build_cut_lp, cut_lp_approx, cut_lp_exact,
                             cut_norm_bruteforce, cut_norm_lp_upper, exact_completion,
                             lp_candidates, lp_round, normalized_cut_bruteforce,
@@ -15,6 +15,8 @@ from pvdkit.cutnorm import (CutPair, build_cut_lp, cut_lp_approx, cut_lp_exact,
                             subset_indicators)
 from pvdkit.domains import CutDomain, UnsupportedDomain
 from pvdkit.linalg import DEFAULT_TOL, Tolerance
+from pvdkit.pvd import compute_pvd
+from pvdkit.regularity import weak_regularity_partition
 from pvdkit.simplex import simplex_solve
 
 import oracles
@@ -430,7 +432,40 @@ def test_cut_lp_exact_refuses_mixed_signs_beyond_completion(monkeypatch):
     with pytest.raises(ValueError, match="mixed-sign"):
         cut_lp_exact(A)
     with pytest.raises(UnsupportedDomain, match="mixed-sign"):
-        CutDomain(np.ones(18), maximizer="lp").max_step(A)
+        CutDomain(np.ones(18)).max_step(A)
+
+
+def test_cut_domain_exhausts_one_signed_residuals_beyond_completion():
+    """Past ``COMPLETION_CAP`` a greedy cut step has only the LP route, which
+    is exact on a one-signed residual: the all-ones and the two-block 18x18
+    matrices exhaust in one and two terms."""
+    ones = np.ones((18, 18))
+    blocks = np.kron(np.eye(2), np.ones((9, 9)))
+    for A, terms in ((ones, 1), (blocks, 2)):
+        result = compute_pvd(A, CutDomain(np.ones(18)))
+        assert result.exhausted and result.num_terms == terms
+        assert np.allclose(sum(result.increments), A, atol=1e-9)
+
+
+def test_greedy_steps_past_the_cap_solve_no_lp(monkeypatch):
+    """Within ``COMPLETION_CAP`` every greedy step past ``bf_cap`` is the
+    completion sweep: a weak regularity run on six vertices with the cap at
+    four solves no LP."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    swept = []
+
+    def counted(*args, **kwargs):
+        swept.append(args[0].shape)
+        return exact_completion(*args, **kwargs)
+
+    monkeypatch.setattr(cutnorm, "lp_candidates", no_lp)
+    monkeypatch.setattr(domains, "exact_completion", counted)
+    A = oracles.gnp_adjacency(np.random.default_rng(64), 6, 0.5)
+    report = weak_regularity_partition(A, 0.5, bf_cap=4)
+    assert report.all_pass and report.pvd.num_terms >= 1
+    assert len(swept) > report.pvd.num_terms and set(swept) == {(6, 6)}
 
 
 def test_cut_lp_approx_refuses_mixed_signs_outside_the_exact_regimes(monkeypatch, tmp_path,
@@ -565,12 +600,27 @@ def test_exact_completion_selects_as_the_full_pool(A, data):
                       .map(np.array)) for k in A.shape)
     cs = ratio_candidates(int(d.sum()), int(e.sum()))
     lp_pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
-    full = [CutPair(S, T, value) for S, T, value in oracles.completion_pool(A, d, e)]
+    full = [CutPair(S, T, value) for S, T, value, _ in oracles.completion_pool(A, d, e)]
     pairs = exact_completion(A, d, e)
     assert 1 <= len(pairs) <= 2 and set(pairs) <= set(full)
     assert abs(pairs[0].value) == pytest.approx(max(abs(p.value) for p in full), abs=1e-12)
     for pool in ([], lp_pool):
         assert cutnorm._select_pair(pool + pairs, 1e-9) == cutnorm._select_pair(pool + full, 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_completion_inputs())
+# swept over columns, the first column set within the tolerance does not hold
+# the smallest row set: every swept set within it must be expanded
+@example(inputs=(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, 0.0]]), np.ones(3), np.ones(2)))
+def test_exact_completion_pairs_bitwise_from_the_full_pool(inputs):
+    """Expanding only the swept sets that can hold them, the completion
+    returns, bit for bit, the pairs picked from every rectangle within the
+    tolerance: zero, tie-heavy and rank-one inputs, swept over rows or, on
+    tall inputs, over columns."""
+    A, d, e = inputs
+    got = [(p.S, p.T, p.value) for p in exact_completion(A, d, e)]
+    assert got == oracles.completion_pairs(A, d, e)
 
 
 @pytest.mark.parametrize("shape", [(3, 16), (16, 3)])

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.linalg as la
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvdkit.domains import (ColumnRowDomain, CutDomain, ExplicitDomain,
@@ -40,29 +40,45 @@ def test_cut_domain_max_step_matches_oracle():
         assert oracles.weighted_rect_value(A, d, e, S, T) == pytest.approx(value)
 
 
-def test_cut_domain_lp_strategy_agrees_with_enumeration():
-    rng = np.random.default_rng(62)
-    A = rng.integers(-3, 4, size=(4, 4)).astype(float)
-    d = rng.integers(1, 4, size=4).astype(float)
-    enum_dom = CutDomain(d, maximizer="enumerate")
-    lp_dom = CutDomain(d, maximizer="lp")
-    _, v1 = enum_dom.max_step(A / enum_dom.whitener)
-    _, v2 = lp_dom.max_step(A / lp_dom.whitener)
-    assert abs(v1) == pytest.approx(abs(v2), abs=1e-6)
+@st.composite
+def _residuals(draw):
+    """Mixed-sign residuals with sides 2-8 (rectangular ones included),
+    integer or dyadic entries, and integer or non-integer weights."""
+    m, n = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    entries = st.integers(-3, 3) if draw(st.booleans()) else st.integers(-64, 64).map(
+        lambda k: k / 16.0)
+    A = np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n)), dtype=float)
+    scale = 1.0 if draw(st.booleans()) else 8.0
+    d, e = (np.array(draw(st.lists(st.integers(1, 24), min_size=k, max_size=k))) / scale
+            for k in (m, n))
+    return A.reshape(m, n), d, e
 
 
-def test_cut_domain_lp_requires_integer_weights():
-    dom = CutDomain(np.array([1.5, 1.0]), maximizer="lp")
-    with pytest.raises(UnsupportedDomain):
-        dom.max_step(np.ones((2, 2)))
+@settings(max_examples=150, deadline=None)
+@given(inputs=_residuals())
+# non-integer weights, which the LP ratio enumeration refused past ``bf_cap``
+@example(inputs=(np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([1.5, 1.0]), np.array([1.5, 1.0])))
+def test_cut_domain_completion_route_agrees_with_enumeration(inputs):
+    """Past ``bf_cap`` the step is the completion sweep over the smaller side:
+    the same key as the enumeration within the cap, the same value up to the
+    order of summation, for any positive weights."""
+    A, d, e = inputs
+    enum_dom = CutDomain(d, e)
+    swept_dom = CutDomain(d, e, bf_cap=1)
+    key, value = enum_dom.max_step(A / enum_dom.whitener)
+    got_key, got_value = swept_dom.max_step(A / swept_dom.whitener)
+    assert got_key == key
+    assert got_value == pytest.approx(value, rel=1e-12, abs=1e-300)
 
 
 def test_cut_domain_enumeration_cap():
-    dom = CutDomain(np.ones(20), maximizer="enumerate", bf_cap=12)
+    dom = CutDomain(np.ones(20), bf_cap=12)
     with pytest.raises(UnsupportedDomain):
         list(dom.atoms())
-    with pytest.raises(UnsupportedDomain):
-        dom.max_step(np.ones((20, 20)))
+    # past the cap and the completion, only a one-signed residual has a route
+    mixed = np.random.default_rng(63).integers(-3, 4, size=(20, 20)).astype(float)
+    with pytest.raises(UnsupportedDomain, match="mixed-sign"):
+        dom.max_step(mixed)
 
 
 def test_column_row_domain_atoms():
