@@ -18,8 +18,9 @@ import sys
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import (BRUTE_FORCE_CAP, cut_lp_approx, cut_lp_exact, integer_weights,
-                      normalized_cut_bruteforce, rectangle_value, subset_indicators)
+from .cutnorm import (BRUTE_FORCE_CAP, COMPLETION_CAP, _select_pair, cut_lp_approx, cut_lp_exact,
+                      exact_completion, integer_weights, normalized_cut_bruteforce,
+                      rectangle_value, subset_indicators)
 from .domains import CutDomain, UnsupportedDomain
 from .graphs import (EXHAUSTIVE_PARTITION_CAP, core_density, cut_pseudorandomness_profile,
                      degree_weights, lp_upper_regularity_check, row_sums,
@@ -141,12 +142,16 @@ def cmd_cutnorm(args):
             other = cut_lp_exact(A, d, e, tol=_tol(args))
             certs.append(certificate("dual-route-agreement",
                                      abs(abs(pair.value) - abs(other.value)), 1e-6))
-    else:
-        if not (integer_weights(d) and integer_weights(e)):
-            raise ValueError(f"matrix side exceeds --bf-cap {args.bf_cap} and the "
-                             "LP route needs positive integer weights")
+    elif integer_weights(d) and integer_weights(e):
         method = "lp-exact"
         pair = cut_lp_exact(A, d, e, tol=_tol(args))
+    elif min(m, n) <= COMPLETION_CAP:
+        method = "completion"
+        pair = _select_pair(exact_completion(A, d, e, args.tol_abs), args.tol_abs)
+    else:
+        raise ValueError(f"matrix side exceeds --bf-cap {args.bf_cap}, the smaller side "
+                         f"exceeds the completion cap {COMPLETION_CAP}, and the LP route "
+                         "needs positive integer weights")
     witness = rectangle_value(A, d, e, pair.S, pair.T) if pair.S else 0.0
     certs.insert(0, certificate("witness-consistency", abs(pair.value - witness), 1e-9))
     results = {
@@ -159,20 +164,33 @@ def cmd_cutnorm(args):
     return info, {"eps": args.eps, "ip": args.ip}, results, certs
 
 
-def cmd_weakreg(args):
+def _partition_input(args):
+    """The input, its description and the left weights of a partition
+    subcommand, which needs ``--eps``."""
     A, info = _load(args)
     if args.eps is None:
-        raise ValueError("--eps is required for weakreg")
+        raise ValueError(f"--eps is required for {args.command}")
     d, _ = resolve_weights(args.ip, A)
-    rep = weak_regularity_partition(A, args.eps, weights=d, tol=_tol(args),
-                                    bf_cap=args.bf_cap)
-    results = {
+    return A, info, d
+
+
+def _partition_results(rep) -> dict:
+    """The result fields that ``weakreg`` and ``szemreg`` share."""
+    return {
         "parts": [list(p) for p in rep.partition],
         "num_parts": len(rep.partition),
         "terms_used": rep.terms_used,
         "weak_irregularity_ub": rep.weak_irregularity_ub,
         "szemeredi_irregularity_ub": rep.szemeredi_irregularity_ub,
         "bound_certificate": rep.bound_certificate,
+    }
+
+
+def cmd_weakreg(args):
+    A, info, d = _partition_input(args)
+    rep = weak_regularity_partition(A, args.eps, weights=d, tol=_tol(args),
+                                    bf_cap=args.bf_cap)
+    results = _partition_results(rep) | {
         "irregularity_exact": rep.exact,
         "block_deviation": rep.block_deviation,
         "selected": rep.details["selected"],
@@ -182,20 +200,11 @@ def cmd_weakreg(args):
 
 
 def cmd_szemreg(args):
-    A, info = _load(args)
-    if args.eps is None:
-        raise ValueError("--eps is required for szemreg")
-    d, _ = resolve_weights(args.ip, A)
+    A, info, d = _partition_input(args)
     rep = szemeredi_partition(A, args.eps, base=args.base, weights=d,
                               tol=_tol(args), bf_cap=args.bf_cap)
     det = rep.details
-    results = {
-        "parts": [list(p) for p in rep.partition],
-        "num_parts": len(rep.partition),
-        "terms_used": rep.terms_used,
-        "weak_irregularity_ub": rep.weak_irregularity_ub,
-        "szemeredi_irregularity_ub": rep.szemeredi_irregularity_ub,
-        "bound_certificate": rep.bound_certificate,
+    results = _partition_results(rep) | {
         "levels": det["levels"],
         "level_index": det["level_index"],
         "q": det["q"],
@@ -299,10 +308,7 @@ def cmd_tensor(args):
 
 
 def cmd_maxcut(args):
-    A, info = _load(args)
-    if args.eps is None:
-        raise ValueError("--eps is required for maxcut")
-    d, _ = resolve_weights(args.ip, A)
+    A, info, d = _partition_input(args)
     det = max_cut_details(A, args.eps, delta=args.delta, weights=d,
                           bf_cap=args.bf_cap)
     certs = list(det["report"].certificates)

@@ -31,7 +31,7 @@ from .cutnorm import (
     rectangle_sum,
 )
 from .domains import CutDomain
-from .linalg import DEFAULT_TOL, Tolerance, as_adjacency, as_matrix, as_weights
+from .linalg import Tolerance, as_adjacency, as_matrix, as_weights
 from .pvd import best_truncation, certificate, compute_pvd, tail_rms, truncate
 
 Array = np.ndarray
@@ -94,21 +94,40 @@ def refine(pairs, num_vertices: int) -> Partition:
     return Partition(parts=tuple(parts))
 
 
+def _blocks(partition: Partition):
+    """``(a, b, index)`` for every ordered pair of parts ``(P_a, P_b)``, with
+    ``index`` the ``np.ix_`` selector of the block ``P_a x P_b``."""
+    for a, P in enumerate(partition):
+        for b, Q in enumerate(partition):
+            yield a, b, np.ix_(P, Q)
+
+
 def block_average(A, partition: Partition) -> Array:
     """Matrix constant on every block, taking the block mean of ``A``."""
     A = as_matrix(A)
     out = np.zeros_like(A)
-    for P in partition:
-        for Q in partition:
-            sub = A[np.ix_(P, Q)]
-            out[np.ix_(P, Q)] = sub.mean()
+    for _, _, ix in _blocks(partition):
+        out[ix] = A[ix].mean()
     return out
 
 
-def _block_max_abs(M: Array, rows, cols, bf_cap: int) -> float:
-    """Upper bound on max over nonempty S in rows, T in cols of |M(S, T)|:
-    exact within ``bf_cap``, the LP relaxation value beyond it."""
-    return _cut_norm_ub(M[np.ix_(rows, cols)], bf_cap)[0]
+def _block_deviation(M: Array, partition: Partition) -> float:
+    """Largest spread (max minus min) of ``M`` within one block."""
+    return max(float(M[ix].max() - M[ix].min()) for _, _, ix in _blocks(partition))
+
+
+def _block_max_abs(M: Array, ix, bf_cap: int) -> float:
+    """Upper bound on max over nonempty S, T within the block ``ix`` of
+    |M(S, T)|: exact within ``bf_cap``, the LP relaxation value beyond it."""
+    return _cut_norm_ub(M[ix], bf_cap)[0]
+
+
+def _blockwise_ub(M: Array, partition: Partition, bf_cap: int) -> float:
+    """Sum over ordered block pairs of ``_block_max_abs``."""
+    total = 0.0
+    for _, _, ix in _blocks(partition):
+        total += _block_max_abs(M, ix, bf_cap)
+    return total
 
 
 def weak_irregularity_ub(A, partition: Partition, bf_cap: int = BRUTE_FORCE_CAP) -> float:
@@ -123,16 +142,15 @@ def szemeredi_irregularity_ub(A, partition: Partition, bf_cap: int = BRUTE_FORCE
     """Sum over ordered block pairs of the exact within-block cut norm of A
     minus its block averaging."""
     A = as_matrix(A)
-    R = A - block_average(A, partition)
-    total = 0.0
-    for P in partition:
-        for Q in partition:
-            total += _block_max_abs(R, P, Q, bf_cap)
-    return total
+    return _blockwise_ub(A - block_average(A, partition), partition, bf_cap)
 
 
-def _masks_to_pair(key) -> tuple:
-    return (_mask_set(key[0]), _mask_set(key[1]))
+def _szemeredi_within_cap(A: Array, partition: Partition, bf_cap: int):
+    """``szemeredi_irregularity_ub`` when every part is within ``bf_cap``,
+    else None."""
+    if max(len(p) for p in partition) <= bf_cap:
+        return szemeredi_irregularity_ub(A, partition, bf_cap)
+    return None
 
 
 def _cut_norm_ub(R: Array, bf_cap: int) -> tuple:
@@ -140,6 +158,56 @@ def _cut_norm_ub(R: Array, bf_cap: int) -> tuple:
     if max(R.shape) <= bf_cap:
         return abs(cut_norm_bruteforce(R, cap=bf_cap).value), True
     return cut_norm_lp_upper(R), False
+
+
+def _checked(A, eps: float, weights) -> tuple:
+    """The validated adjacency matrix and weights of a construction."""
+    A = as_adjacency(A)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return A, as_weights(weights, A.shape[0], "weights")
+
+
+def _partition_of(result, m: int, n: int) -> Partition:
+    """Common refinement of the first ``m`` selected pairs of ``result``."""
+    return refine([(_mask_set(S), _mask_set(T)) for S, T in result.keys[:m]], n)
+
+
+def _weak_core(A, eps: float, weights, tol: Tolerance | None, bf_cap: int) -> RegularityReport:
+    """``weak_regularity_partition`` without the Szemeredi sum."""
+    A, d = _checked(A, eps, weights)
+    r = math.ceil(eps ** -2)
+    if r > A.size:
+        raise ValueError(f"eps={eps} needs {r} terms; cap is {A.size}")
+    result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap), max_terms=r + 1, tol=tol)
+    approx, index = best_truncation(result, r)
+    m = min(index - 1, result.num_terms)
+    partition = _partition_of(result, m, A.shape[0])
+
+    wub, exact = _cut_norm_ub(A - approx, bf_cap)
+    bound = float(tail_rms(result.sigmas, r)) * float(d.sum())
+
+    deviation = _block_deviation(approx, partition)
+    certs = [
+        certificate("cut-norm-chain", wub, bound + 1e-9),
+        certificate("partition-size", len(partition), 2 ** (2 * m)),
+    ]
+    if np.all(d == d[0]):
+        certs.append(certificate("block-constance", deviation, 1e-9))
+    return RegularityReport(
+        partition=partition,
+        approx_matrix=approx,
+        weak_irregularity_ub=wub,
+        szemeredi_irregularity_ub=None,
+        bound_certificate=bound,
+        certificates=certs,
+        terms_used=m,
+        eps=eps,
+        exact=exact,
+        block_deviation=deviation,
+        pvd=result,
+        details={"r": r, "selected": result.selected_pairs()},
+    )
 
 
 def weak_regularity_partition(A, eps: float, weights=None, tol: Tolerance | None = None,
@@ -163,50 +231,10 @@ def weak_regularity_partition(A, eps: float, weights=None, tol: Tolerance | None
         ``A - approx_matrix`` and ``bound_certificate`` the tail bound
         ``(RMS of the first r+1 projection values) * sum(weights)``.
     """
-    A = as_adjacency(A)
-    n = A.shape[0]
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    d = as_weights(weights, n, "weights")
-    r = math.ceil(eps ** -2)
-    if r > A.size:
-        raise ValueError(f"eps={eps} needs {r} terms; cap is {A.size}")
-    if tol is None:
-        tol = DEFAULT_TOL
-    domain = CutDomain(d, bf_cap=bf_cap)
-    result = compute_pvd(A, domain, max_terms=r + 1, tol=tol)
-    approx, index = best_truncation(result, r)
-    m = min(index - 1, result.num_terms)
-    partition = refine([_masks_to_pair(k) for k in result.keys[:m]], n)
-
-    wub, exact = _cut_norm_ub(A - approx, bf_cap)
-    ones_mass = float(d.sum())
-    bound = float(tail_rms(result.sigmas, r)) * ones_mass
-
-    deviation = _block_deviation(approx, partition)
-    certs = [
-        certificate("cut-norm-chain", wub, bound + 1e-9),
-        certificate("partition-size", len(partition), 2 ** (2 * m)),
-    ]
-    if np.all(d == d[0]):
-        certs.append(certificate("block-constance", deviation, 1e-9))
-    sz = None
-    if max(len(p) for p in partition) <= bf_cap:
-        sz = szemeredi_irregularity_ub(A, partition, bf_cap)
-    return RegularityReport(
-        partition=partition,
-        approx_matrix=approx,
-        weak_irregularity_ub=wub,
-        szemeredi_irregularity_ub=sz,
-        bound_certificate=bound,
-        certificates=certs,
-        terms_used=m,
-        eps=eps,
-        exact=exact,
-        block_deviation=deviation,
-        pvd=result,
-        details={"r": r, "selected": result.selected_pairs()},
-    )
+    report = _weak_core(A, eps, weights, tol, bf_cap)
+    report.szemeredi_irregularity_ub = _szemeredi_within_cap(
+        report.pvd.source, report.partition, bf_cap)
+    return report
 
 
 def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
@@ -228,15 +256,9 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
     ("second term control"); and the gap's Frobenius norm against
     ``eps * sqrt(horizon mass)``.
     """
-    A = as_adjacency(A)
-    n = A.shape[0]
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    A, d = _checked(A, eps, weights)
     if base <= 1:
         raise ValueError("base must exceed 1")
-    d = as_weights(weights, n, "weights")
-    if tol is None:
-        tol = DEFAULT_TOL
     K = math.ceil(eps ** -2)
     levels = [0]
     for _ in range(K):
@@ -247,8 +269,8 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
                 "increase eps or lower the base")
         levels.append(int(math.ceil(base ** q)))
 
-    domain = CutDomain(d, bf_cap=bf_cap)
-    result = compute_pvd(A, domain, max_terms=min(levels[-1] + 1, A.size), tol=tol)
+    result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap),
+                         max_terms=min(levels[-1] + 1, A.size), tol=tol)
     cum = np.concatenate([[0.0], np.cumsum(result.sigmas ** 2)])
 
     def mass(q: int) -> float:
@@ -270,41 +292,33 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
     r_used = index - 1
     m = min(q, r_used)
     coarse = truncate(result, m)
-    partition = refine([_masks_to_pair(k) for k in result.keys[:m]], n)
+    partition = _partition_of(result, m, A.shape[0])
 
     window = windows[pick]
     gap = refined - coarse
-    wh = np.sqrt(np.outer(d, d))
-    gap_frob = float(la.norm(gap / wh))
+    gap_frob = float(la.norm(gap / result.domain.whitener))
     ones_mass = float(d.sum())
 
     tail = float(tail_rms(result.sigmas, fq))
     cutb, exact = _cut_norm_ub(A - refined, bf_cap)
-
-    block_gap_sum = 0.0
-    for P in partition:
-        for Q in partition:
-            block_gap_sum += _block_max_abs(gap, P, Q, bf_cap)
 
     atol = 1e-9
     certs = [
         certificate("pigeonhole-window", window, threshold + atol),
         certificate("window-captures-gap", gap_frob ** 2, window + atol),
         certificate("first-term-control", cutb, ones_mass * tail + atol),
-        certificate("second-term-control", block_gap_sum, ones_mass * gap_frob + atol),
+        certificate("second-term-control", _blockwise_ub(gap, partition, bf_cap),
+                    ones_mass * gap_frob + atol),
         certificate("gap-scale", gap_frob, eps * math.sqrt(horizon) + atol),
     ]
 
     wub, _ = _cut_norm_ub(A - coarse, bf_cap)
     refined_mass = mass(r_used)
-    sz = None
-    if max(len(p) for p in partition) <= bf_cap:
-        sz = szemeredi_irregularity_ub(A, partition, bf_cap)
     return RegularityReport(
         partition=partition,
         approx_matrix=coarse,
         weak_irregularity_ub=wub,
-        szemeredi_irregularity_ub=sz,
+        szemeredi_irregularity_ub=_szemeredi_within_cap(A, partition, bf_cap),
         bound_certificate=ones_mass * tail,
         certificates=certs,
         terms_used=m,
@@ -313,7 +327,6 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
         block_deviation=_block_deviation(coarse, partition),
         pvd=result,
         details={
-            "base": base,
             "levels": levels,
             "level_index": pick,
             "q": q,
@@ -341,39 +354,43 @@ def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
     fractional counts are floored and remainders assigned greedily by
     marginal gain, and ``grid_term = delta * sum(|approx|)`` reports the grid
     coarseness allowance.  A grid of more than ``GRID_CAP`` points raises
-    ``ValueError``.
+    ``ValueError``.  The first best split in scan order wins.  The report is
+    the weak partition's, without its ``szemeredi_irregularity_ub``.
     """
     if delta is None:
         delta = eps / 4.0
     if delta <= 0:
         raise ValueError("delta must be positive")
-    report = weak_regularity_partition(A, eps, weights=weights, bf_cap=bf_cap)
-    A = as_matrix(A)
+    report = _weak_core(A, eps, weights, None, bf_cap)
     approx = report.approx_matrix
-    parts = list(report.partition)
-    sizes = np.array([len(p) for p in parts])
+    parts = report.partition.parts
+    sizes = np.array([len(P) for P in parts])
     p = len(parts)
     means = np.zeros((p, p))
-    for a, P in enumerate(parts):
-        for b, Q in enumerate(parts):
-            means[a, b] = approx[np.ix_(P, Q)].mean()
+    for a, b, ix in _blocks(report.partition):
+        means[a, b] = approx[ix].mean()
 
     def split_value(counts: np.ndarray) -> float:
         return float(counts @ means @ (sizes - counts))
 
-    total_splits = 1
-    for sz in sizes:
-        total_splits *= int(sz) + 1
-    if total_splits <= SPLIT_CAP:
-        best_counts = None
-        best_val = -math.inf
-        for counts in itertools.product(*(range(sz + 1) for sz in sizes)):
-            v = split_value(np.array(counts))
-            if v > best_val:
-                best_val = v
-                best_counts = counts
+    def rounded(point) -> np.ndarray:
+        """Floored counts of a grid point, remainders added greedily by gain."""
+        counts = np.floor(np.array(point) * sizes).astype(int)
+        leftovers = [a for a in range(p)
+                     if counts[a] < sizes[a] and point[a] * sizes[a] - counts[a] > 1e-12]
+        while leftovers:
+            base_val = split_value(counts)
+            gains = [split_value(counts + (np.arange(p) == a)) - base_val for a in leftovers]
+            k = gains.index(max(gains))
+            if gains[k] <= 0:
+                break
+            counts[leftovers.pop(k)] += 1
+        return counts
+
+    exact_split = math.prod(int(size) + 1 for size in sizes) <= SPLIT_CAP
+    if exact_split:
+        candidates = map(np.array, itertools.product(*(range(size + 1) for size in sizes)))
         grid_term = 0.0
-        exact_split = True
     else:
         fracs = np.arange(0.0, 1.0 + delta / 2.0, delta)
         if fracs[-1] < 1.0:
@@ -381,41 +398,17 @@ def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
         if len(fracs) ** p > GRID_CAP:
             raise ValueError(
                 f"{len(fracs)}^{p} grid points exceed the cap {GRID_CAP}")
-        best_counts = None
-        best_val = -math.inf
-        for point in itertools.product(fracs, repeat=p):
-            counts = np.floor(np.array(point) * sizes).astype(int)
-            leftovers = [a for a in range(p)
-                         if counts[a] < sizes[a] and point[a] * sizes[a] - counts[a] > 1e-12]
-            while leftovers:
-                gains = []
-                base_val = split_value(counts)
-                for a in leftovers:
-                    trial = counts.copy()
-                    trial[a] += 1
-                    gains.append((split_value(trial) - base_val, a))
-                gains.sort(key=lambda g: (-g[0], g[1]))
-                if gains[0][0] <= 0:
-                    break
-                counts[gains[0][1]] += 1
-                leftovers.remove(gains[0][1])
-            v = split_value(counts)
-            if v > best_val:
-                best_val = v
-                best_counts = tuple(int(c) for c in counts)
+        candidates = map(rounded, itertools.product(fracs, repeat=p))
         grid_term = float(delta * np.sum(np.abs(approx)))
-        exact_split = False
+    counts = tuple(int(c) for c in max(candidates, key=split_value))
 
-    X = []
-    for a, P in enumerate(parts):
-        X.extend(P[: best_counts[a]])
-    X = tuple(sorted(X))
-    Xc = tuple(i for i in range(A.shape[0]) if i not in set(X))
+    X = tuple(sorted(i for P, c in zip(parts, counts) for i in P[:c]))
+    Xc = tuple(i for i in range(approx.shape[0]) if i not in X)
     estimate = float(rectangle_sum(approx, X, Xc)) if X and Xc else 0.0
     return {
         "estimate": estimate,
         "bipartition": X,
-        "counts": tuple(int(c) for c in best_counts),
+        "counts": counts,
         "grid_term": grid_term,
         "exact_split": exact_split,
         "delta": delta,
@@ -435,12 +428,3 @@ def max_cut_estimate(A, eps: float, delta: float | None = None, weights=None):
     """
     info = max_cut_details(A, eps, delta=delta, weights=weights)
     return info["estimate"], info["bipartition"]
-
-
-def _block_deviation(M: Array, partition: Partition) -> float:
-    worst = 0.0
-    for P in partition:
-        for Q in partition:
-            sub = M[np.ix_(P, Q)]
-            worst = max(worst, float(sub.max() - sub.min()))
-    return worst

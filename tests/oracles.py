@@ -546,6 +546,77 @@ def block_mean_matrix(A, parts) -> np.ndarray:
     return out
 
 
+def block_spread(M, parts) -> float:
+    """Largest max-minus-min of ``M`` within one block."""
+    worst = 0.0
+    for P in parts:
+        for Q in parts:
+            vals = [float(M[i, j]) for i in P for j in Q]
+            worst = max(worst, max(vals) - min(vals))
+    return worst
+
+
+def max_cut_split(approx, parts, delta: float, split_cap: int) -> tuple:
+    """(counts, bipartition, estimate) of the max-cut split search on the
+    block-constant ``approx``, as two best-so-far loops: every count vector
+    when the count space is within ``split_cap``, else the ``delta`` grid
+    of split fractions, floored and then rounded up greedily by gain.  The
+    first strictly better split wins."""
+    parts = [tuple(P) for P in parts]
+    sizes = np.array([len(P) for P in parts])
+    p = len(parts)
+    means = np.zeros((p, p))
+    for a, P in enumerate(parts):
+        for b, Q in enumerate(parts):
+            means[a, b] = approx[np.ix_(P, Q)].mean()
+
+    def split_value(counts) -> float:
+        return float(counts @ means @ (sizes - counts))
+
+    total_splits = 1
+    for sz in sizes:
+        total_splits *= int(sz) + 1
+    best_counts = None
+    best_val = -math.inf
+    if total_splits <= split_cap:
+        for counts in itertools.product(*(range(sz + 1) for sz in sizes)):
+            v = split_value(np.array(counts))
+            if v > best_val:
+                best_val = v
+                best_counts = counts
+    else:
+        fracs = np.arange(0.0, 1.0 + delta / 2.0, delta)
+        if fracs[-1] < 1.0:
+            fracs = np.append(fracs, 1.0)
+        for point in itertools.product(fracs, repeat=p):
+            counts = np.floor(np.array(point) * sizes).astype(int)
+            leftovers = [a for a in range(p)
+                         if counts[a] < sizes[a] and point[a] * sizes[a] - counts[a] > 1e-12]
+            while leftovers:
+                gains = []
+                base_val = split_value(counts)
+                for a in leftovers:
+                    trial = counts.copy()
+                    trial[a] += 1
+                    gains.append((split_value(trial) - base_val, a))
+                gains.sort(key=lambda g: (-g[0], g[1]))
+                if gains[0][0] <= 0:
+                    break
+                counts[gains[0][1]] += 1
+                leftovers.remove(gains[0][1])
+            v = split_value(counts)
+            if v > best_val:
+                best_val = v
+                best_counts = tuple(int(c) for c in counts)
+    X = []
+    for a, P in enumerate(parts):
+        X.extend(P[: best_counts[a]])
+    X = tuple(sorted(X))
+    Xc = tuple(i for i in range(approx.shape[0]) if i not in set(X))
+    estimate = float(approx[np.ix_(X, Xc)].sum()) if X and Xc else 0.0
+    return tuple(int(c) for c in best_counts), X, estimate
+
+
 def gnp_adjacency(rng, n: int, p: float) -> np.ndarray:
     """Simple undirected G(n, p) adjacency matrix, zero diagonal."""
     A = np.zeros((n, n))

@@ -3,12 +3,15 @@ functions by name, methods from each class's own ``__dict__``.  Installing
 and removing it here makes a refactor that moves a wrapped name fail the
 suite, not only the opt-in traced run."""
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
 
-from pvdkit import cutnorm, domains, simplex, tensor
+from pvdkit import cli, cutnorm, domains, regularity, simplex, tensor
 from pvdkit.cur import cur_pvd
+
+import oracles
 
 RECORDER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "recorder.py"
 
@@ -58,3 +61,24 @@ def test_recorder_wraps_the_lp_route():
         assert getattr(cutnorm, name) is original, name
     assert simplex.simplex_solve is solve and cutnorm.simplex_solve is solve
     assert cutnorm.cut_lp_exact(A, [1, 2, 1], [2, 1, 1]) == pair
+
+
+def test_recorder_records_the_regularity_layers(tmp_path):
+    """Each regularity layer the per-layer metrics read records calls on the
+    subcommands that run it, so a refactor that takes a wrapped name off
+    the call path fails here."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(oracles.gnp_adjacency(np.random.default_rng(5), 7, 0.5).tolist()))
+    out = str(tmp_path / "report.json")
+    rec = _load_recorder().Recorder()
+    try:
+        rec.install()
+        for argv in (["weakreg", "--eps", "0.5"], ["szemreg", "--eps", "0.8"],
+                     ["maxcut", "--eps", "0.5"]):
+            assert cli.main([argv[0], "--input", str(path), *argv[1:], "--output", out]) == 0
+    finally:
+        rec.uninstall()
+    for layer in ("regularity.weak", "regularity.szem", "regularity.maxcut",
+                  "regularity.irregularity"):
+        assert rec.calls[layer] > 0, layer
+    assert not hasattr(regularity.max_cut_details, "__wrapped__")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pvdkit import cli
+from pvdkit.cutnorm import normalized_cut_bruteforce
 from pvdkit.domains import UnsupportedDomain
 from pvdkit.regularity import szemeredi_partition
 
@@ -192,6 +193,27 @@ def test_non_integer_weights_beyond_the_cap_exit_zero(tmp_path, capsys):
         assert code == 0
     assert texts[0] == texts[1]
     assert json.loads(texts[0])["all_certificates_pass"] is True
+
+
+def test_cutnorm_non_integer_weights_beyond_the_cap_take_the_completion(tmp_path, capsys):
+    """Past ``--bf-cap`` with non-integer weights ``cutnorm`` sweeps the
+    smaller side (the exact completion) and reports the exact value."""
+    A = oracles.gnp_adjacency(np.random.default_rng(14), 13, 0.5)
+    path = tmp_path / "g13.json"
+    path.write_text(json.dumps(A.tolist()))
+    code, rep = _run(capsys, ["cutnorm", "--input", str(path), "--ip", "degree-plus-avg"])
+    assert code == 0
+    assert rep["results"]["method"] == "completion"
+    d, _ = cli.resolve_weights("degree-plus-avg", A)
+    want = normalized_cut_bruteforce(A, d, d, cap=13)
+    assert rep["results"]["value"] == pytest.approx(abs(want.value), rel=1e-12)
+    # integer weights keep the LP route; beyond the completion cap it refuses
+    _, rep = _run(capsys, ["cutnorm", "--input", str(path)])
+    assert rep["results"]["method"] == "lp-exact"
+    big = tmp_path / "g18.json"
+    big.write_text(json.dumps(oracles.gnp_adjacency(np.random.default_rng(15), 18, 0.5).tolist()))
+    assert cli.main(["cutnorm", "--input", str(big), "--ip", "degree-plus-avg"]) == 2
+    assert "completion cap 17" in capsys.readouterr().err
 
 
 def test_classes_without_samples_is_exit_two(tmp_path, capsys):

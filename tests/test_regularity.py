@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.linalg as la
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pvdkit import regularity
 from pvdkit.regularity import (Partition, block_average, max_cut_details,
@@ -46,15 +48,37 @@ def test_refine_part_count_bound():
         assert sorted(i for P in part for i in P) == list(range(n))
 
 
-def test_block_average_matches_loops():
-    rng = np.random.default_rng(91)
-    A = rng.normal(size=(5, 5))
-    part = Partition(parts=((0, 2), (1, 3, 4)))
+@st.composite
+def _partitions(draw):
+    """One part, all singletons, or parts from drawn labels, on 2-6 vertices."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["one", "singletons", "mixed"]))
+    if kind == "one":
+        labels = [0] * n
+    elif kind == "singletons":
+        labels = list(range(n))
+    else:
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    groups: dict = {}
+    for v, label in enumerate(labels):
+        groups.setdefault(label, []).append(v)
+    return Partition(parts=tuple(sorted(tuple(g) for g in groups.values())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), part=_partitions())
+@example(seed=91, part=Partition(parts=((0, 2), (1, 3, 4))))
+def test_block_average_matches_loops(seed, part):
+    n = part.num_vertices
+    A = np.random.default_rng(seed).normal(size=(n, n))
+    parts = [list(p) for p in part]
     got = block_average(A, part)
-    want = oracles.block_mean_matrix(A, [list(p) for p in part])
+    want = oracles.block_mean_matrix(A, parts)
     assert np.allclose(got, want)
     # averaging is idempotent
     assert np.allclose(block_average(got, part), got)
+    assert regularity._block_deviation(got, part) == 0.0
+    assert regularity._block_deviation(A, part) == oracles.block_spread(A, parts)
 
 
 def test_single_block_irregularity_of_identity_pair():
@@ -65,15 +89,19 @@ def test_single_block_irregularity_of_identity_pair():
     assert weak_irregularity_ub(A, part) == pytest.approx(0.5)
 
 
-def test_irregularity_upper_bounds_match_oracle():
-    rng = np.random.default_rng(92)
-    for trial in range(6):
-        n = int(rng.integers(3, 7))
-        A = oracles.gnp_adjacency(rng, n, 0.5)
-        part = refine([(tuple(range(n // 2)), tuple(range(n // 2, n)))], n)
-        R = A - oracles.block_mean_matrix(A, [list(p) for p in part])
-        assert weak_irregularity_ub(A, part) == pytest.approx(
-            oracles.plain_cutnorm(R), abs=1e-9)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), part=_partitions())
+@example(seed=92, part=Partition(parts=((0, 1), (2, 3))))
+@example(seed=92, part=Partition(parts=((0, 1, 2), (3, 4, 5))))
+def test_irregularity_upper_bounds_match_oracle(seed, part):
+    n = part.num_vertices
+    A = oracles.gnp_adjacency(np.random.default_rng(seed), n, 0.5)
+    parts = [list(p) for p in part]
+    R = A - oracles.block_mean_matrix(A, parts)
+    assert weak_irregularity_ub(A, part) == pytest.approx(oracles.plain_cutnorm(R), abs=1e-9)
+    blockwise = sum(oracles.plain_cutnorm(R[np.ix_(P, Q)]) for P in parts for Q in parts)
+    assert szemeredi_irregularity_ub(A, part) == pytest.approx(blockwise, abs=1e-9)
+    assert regularity._block_deviation(A, part) == oracles.block_spread(A, parts)
 
 
 def test_weak_regularity_certificates_pass():
@@ -183,6 +211,41 @@ def test_max_cut_grid_fallback_runs(monkeypatch):
     true = oracles.maxcut_value(A)
     assert abs(info["estimate"] - true) <= (info["weak_irregularity_ub"]
                                             + info["grid_term"] + 1e-6)
+
+
+@pytest.mark.parametrize("split_cap", [regularity.SPLIT_CAP, 1])
+def test_split_search_matches_the_reference_loops(monkeypatch, split_cap):
+    """Both branches of the split search, exhaustive and (with the cap
+    lowered) the rounded grid, give the reference loops' counts,
+    bipartition and estimate bit for bit; block-constant inputs have ties."""
+    monkeypatch.setattr(regularity, "SPLIT_CAP", split_cap)
+    rng = np.random.default_rng(100)
+    cases = [(np.ones((6, 6)) - np.eye(6), 0.5, None), (np.ones((7, 7)), 0.5, 0.25)]
+    cases += [(oracles.gnp_adjacency(rng, n, 0.5), 0.5, delta)
+              for n in (7, 8, 9) for delta in (None, 0.25)]
+    for A, eps, delta in cases:
+        info = max_cut_details(A, eps, delta=delta)
+        rep = info["report"]
+        want = oracles.max_cut_split(rep.approx_matrix, rep.partition, info["delta"], split_cap)
+        assert (info["counts"], info["bipartition"], info["estimate"]) == want
+        assert info["exact_split"] == (split_cap > 1)
+
+
+def test_max_cut_skips_the_szemeredi_sum(monkeypatch):
+    """The max-cut run reads only the weak partition: no blockwise cut norm
+    is computed, though every part is within the cap and the weak
+    construction on the same graph reports the Szemeredi sum."""
+    calls = []
+    block_max_abs = regularity._block_max_abs
+    monkeypatch.setattr(regularity, "_block_max_abs",
+                        lambda *args: calls.append(args) or block_max_abs(*args))
+    A = oracles.gnp_adjacency(np.random.default_rng(101), 8, 0.5)
+    info = max_cut_details(A, 0.5)
+    assert calls == []
+    assert info["report"].szemeredi_irregularity_ub is None
+    rep = weak_regularity_partition(A, 0.5)
+    assert calls and rep.szemeredi_irregularity_ub is not None
+    assert rep.partition == info["report"].partition
 
 
 def test_max_cut_rejects_bad_delta():
