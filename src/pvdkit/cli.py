@@ -26,8 +26,8 @@ from .graphs import (EXHAUSTIVE_PARTITION_CAP, core_density, cut_pseudorandomnes
                      degree_weights, lp_upper_regularity_check, row_sums,
                      spectral_projection_values, threshold_rank)
 from .io import InputError, guess_format, load_matrix, read_json_tensor, read_weights
-from .linalg import Tolerance, frob_norm
-from .pvd import certificate, compute_pvd, p_norm, verify_pvd
+from .linalg import ATOL, frob_norm
+from .pvd import certificate, compute_pvd, verify_pvd
 from .regularity import max_cut_details, szemeredi_partition, weak_regularity_partition
 from .simplex import SimplexError
 from .tensor import CutTuples, tensor_bound_check
@@ -95,17 +95,13 @@ def _load(args):
     return A, info
 
 
-def _tol(args) -> Tolerance:
-    return Tolerance(atol=args.tol_abs)
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_pvd(args):
     A, info = _load(args)
     d, e = resolve_weights(args.ip, A)
     domain = CutDomain(d, e, bf_cap=args.bf_cap)
-    result = compute_pvd(A, domain, max_terms=args.r, tol=_tol(args))
+    result = compute_pvd(A, domain, max_terms=args.r, atol=args.tol_abs)
     results = {
         "num_terms": result.num_terms,
         "sigmas": result.sigmas,
@@ -130,21 +126,21 @@ def cmd_cutnorm(args):
     certs = []
     if args.eps is not None:
         method = "lp-approx"
-        pair = cut_lp_approx(A, args.eps, d, e, tol=_tol(args))
+        pair = cut_lp_approx(A, args.eps, d, e, atol=args.tol_abs)
         if max(m, n) <= args.bf_cap:
-            exact = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, tol=_tol(args))
+            exact = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=args.tol_abs)
             certs.append(certificate("approx-guarantee",
                                      abs(exact.value) / (1.0 + args.eps) - abs(pair.value), 1e-9))
     elif max(m, n) <= args.bf_cap:
         method = "bruteforce"
-        pair = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, tol=_tol(args))
+        pair = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=args.tol_abs)
         if integer_weights(d) and integer_weights(e):
-            other = cut_lp_exact(A, d, e, tol=_tol(args))
+            other = cut_lp_exact(A, d, e, atol=args.tol_abs)
             certs.append(certificate("dual-route-agreement",
                                      abs(abs(pair.value) - abs(other.value)), 1e-6))
     elif integer_weights(d) and integer_weights(e):
         method = "lp-exact"
-        pair = cut_lp_exact(A, d, e, tol=_tol(args))
+        pair = cut_lp_exact(A, d, e, atol=args.tol_abs)
     elif min(m, n) <= COMPLETION_CAP:
         method = "completion"
         pair = _select_pair(exact_completion(A, d, e, args.tol_abs), args.tol_abs)
@@ -188,7 +184,7 @@ def _partition_results(rep) -> dict:
 
 def cmd_weakreg(args):
     A, info, d = _partition_input(args)
-    rep = weak_regularity_partition(A, args.eps, weights=d, tol=_tol(args),
+    rep = weak_regularity_partition(A, args.eps, weights=d, atol=args.tol_abs,
                                     bf_cap=args.bf_cap)
     results = _partition_results(rep) | {
         "irregularity_exact": rep.exact,
@@ -202,7 +198,7 @@ def cmd_weakreg(args):
 def cmd_szemreg(args):
     A, info, d = _partition_input(args)
     rep = szemeredi_partition(A, args.eps, base=args.base, weights=d,
-                              tol=_tol(args), bf_cap=args.bf_cap)
+                              atol=args.tol_abs, bf_cap=args.bf_cap)
     det = rep.details
     results = _partition_results(rep) | {
         "levels": det["levels"],
@@ -228,7 +224,7 @@ def cmd_classes(args):
     eps = 0.25 if args.eps is None else args.eps
     r = 3 if args.r is None else args.r
     r = min(r, A.size)
-    profile = cut_pseudorandomness_profile(A, weights=d, r=r, tol=_tol(args),
+    profile = cut_pseudorandomness_profile(A, weights=d, r=r, atol=args.tol_abs,
                                            bf_cap=args.bf_cap)
     spectral = spectral_projection_values(A, weights=d, r=r)
     mode = "exhaustive" if n <= EXHAUSTIVE_PARTITION_CAP else "sampled"
@@ -271,19 +267,16 @@ def cmd_cur(args):
     A, info = _load(args)
     if args.eps is None:
         raise ValueError("--eps is required for cur")
-    approx, result = cur_pvd(A, args.eps, tol=_tol(args))
-    resid = p_norm(A - approx, result.domain, result.tol)
-    src = float(la.norm(A))
+    _approx, result, cert = cur_pvd(A, args.eps, atol=args.tol_abs)
     results = {
         "num_terms": result.num_terms,
         "selected": result.selected_pairs(),
         "sigmas": result.sigmas,
-        "residual_pnorm_of_truncation": resid,
-        "source_frob_norm": src,
+        "residual_pnorm_of_truncation": cert["lhs"],
+        "source_frob_norm": float(la.norm(A)),
         "exhausted": result.exhausted,
     }
-    certs = [certificate("cur-chain", resid, args.eps * src + 1e-9)]
-    return info, {"eps": args.eps}, results, certs
+    return info, {"eps": args.eps}, results, [cert]
 
 
 def cmd_tensor(args):
@@ -302,7 +295,7 @@ def cmd_tensor(args):
         raise ValueError("tensors support --ip euclidean or file:<path>")
     domain = CutTuples(weights)
     r = 2 if args.r is None else args.r
-    check = tensor_bound_check(T, domain, r, tol=_tol(args))
+    check = tensor_bound_check(T, domain, r, atol=args.tol_abs)
     results = {"r": r, "sigmas": check["sigmas"], "domain_size": domain.size()}
     return info, {"r": r, "ip": args.ip}, results, list(check["certificates"])
 
@@ -346,7 +339,7 @@ OPTIONS = {
     "eta": dict(type=float, default=0.5),
     "base": dict(type=float, default=16.0),
     "delta": dict(type=float, default=None),
-    "tol-abs": dict(type=float, default=1e-9),
+    "tol-abs": dict(type=float, default=ATOL),
     "bf-cap": dict(type=int, default=BRUTE_FORCE_CAP),
     "samples": dict(type=int, default=10_000),
     "seed": dict(type=int, default=0),

@@ -9,45 +9,29 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import numpy.linalg as la
 
 from .domains import ColumnRowDomain
-from .linalg import Tolerance, as_matrix
-from .pvd import PvdResult, best_truncation, compute_pvd, p_norm
+from .linalg import ATOL, as_matrix
+from .pvd import best_truncation, certificate, compute_pvd, p_norm
 
 
-def column_row_domain(A) -> ColumnRowDomain:
-    """Domain of all (column/‖column‖, row/‖row‖) pairs of ``A``.
-
-    Zero columns and rows are skipped, duplicate normalized pairs are merged;
-    an all-zero matrix is rejected.
-    """
-    return ColumnRowDomain(as_matrix(A, "source"))
-
-
-def cur_pvd(A, eps: float, tol: Tolerance | None = None):
+def cur_pvd(A, eps: float, atol: float = ATOL):
     """Greedy column-row approximation with a restricted-norm guarantee.
 
-    Runs ``ceil(eps**-2) + 1`` greedy steps over ``column_row_domain(A)`` and
-    returns ``(approx, result)`` where ``approx`` is the best truncation at
-    ``r = ceil(eps**-2)``.  For every column c and row w of ``A``,
-    ``|c^T (A - approx) w| / (‖c‖‖w‖) <= eps * ‖A‖_F`` (up to roundoff).
+    Runs ``ceil(eps**-2) + 1`` greedy steps over ``ColumnRowDomain(A)`` and
+    returns ``(approx, result, cert)`` where ``approx`` is the best truncation
+    at ``r = ceil(eps**-2)`` and ``cert`` the ``cur-chain`` certificate of the
+    guarantee: for every column c and row w of ``A``, ``|c^T (A - approx) w|
+    / (‖c‖‖w‖) <= eps * ‖A‖_F`` (up to roundoff, an absolute ``1e-9``).
     """
     A = as_matrix(A, "source")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    domain = column_row_domain(A)
+    domain = ColumnRowDomain(A)
     r = math.ceil(eps ** -2)
-    result = compute_pvd(A, domain, max_terms=r + 1, tol=tol)
+    result = compute_pvd(A, domain, max_terms=r + 1, atol=atol)
     approx, _index = best_truncation(result, r)
-    resid = p_norm(A - approx, domain, result.tol)
-    target = eps * float(la.norm(A))
-    if not resid <= target + 1e-9:
-        raise RuntimeError(f"column-row residual {resid} exceeds the guarantee {target}")
-    return approx, result
-
-
-def selected_indices(result: PvdResult) -> list:
-    """(column, row) index pairs the greedy run picked, in order."""
-    return [tuple(int(x) for x in key) for key in result.keys]
+    resid = p_norm(A - approx, domain, result.atol)
+    cert = certificate("cur-chain", resid, eps * float(la.norm(A)) + 1e-9)
+    return approx, result, cert

@@ -27,10 +27,14 @@ threshold ``r_j/e_j = lam/2``: with the columns sorted by ``r_j/e_j`` in
 decreasing order it is a prefix for a positive sum and a suffix for a
 negative one.  This holds for any positive weights.  A column exactly at
 the threshold would gain by a flip, by convexity, so every best column set
-is such a prefix or suffix, whatever order the sort gives tied ratios; this
-is what lets ``exact_completion`` find the one the tie rule picks.  For the
-plain form ``|A(S,T)|`` the best column set is the positive or the negative
-support of ``r``.
+is such a prefix or suffix, whatever order the sort gives tied ratios.  The
+lemma speaks of best column sets only: a rectangle within the tolerance of
+the maximum but below it need not be a prefix or suffix, so the rectangle
+that ``exact_completion`` returns can differ, inside that band, from the one
+the tie rule of ``normalized_cut_bruteforce`` picks (``exact_completion``
+gives an example); its value is within the tolerance of the maximum all the
+same.  For the plain form ``|A(S,T)|`` the best column set is the positive
+or the negative support of ``r``.
 
 Most row sets need no sort.  By Cauchy-Schwarz, ``|r(T)| / sqrt(e(T)) <=
 sqrt(sum_j r_j^2 / e_j)`` for every column set ``T``, so ``ub(S) =
@@ -54,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_weights
+from .linalg import ATOL, as_matrix, as_weights
 from .simplex import Tableau, simplex_solve
 
 #: default cap on one side's length for brute-force rectangle enumeration
@@ -195,13 +199,12 @@ def _row_set_sweep(A, d, e, atol: float) -> tuple:
     return R, wS, rows, best_per_S
 
 
-def _sweep_rows(A, d, e, cap: int, tol: Tolerance | None) -> CutPair:
+def _sweep_rows(A, d, e, cap: int, atol: float) -> CutPair:
     """Normalized form (plain ``|A(S,T)|`` when ``d`` is None) maximized over
     row sets, each with its best column set read off its row sums.  Ties
-    within ``tol.atol`` break to the smallest (S mask, T mask): the first
+    within ``atol`` break to the smallest (S mask, T mask): the first
     qualifying row set, then the first column set in that row's ``2^n``
     values."""
-    tol = tol or DEFAULT_TOL
     m, n = A.shape
     if max(m, n) > cap:
         raise ValueError(f"matrix sides {A.shape} exceed brute-force cap {cap}")
@@ -211,9 +214,9 @@ def _sweep_rows(A, d, e, cap: int, tol: Tolerance | None) -> CutPair:
         best_per_S = np.maximum(np.where(R > 0, R, 0.0).sum(axis=1),
                                 -np.where(R < 0, R, 0.0).sum(axis=1))
     else:
-        R, wS, rows, best_per_S = _row_set_sweep(A, d, e, tol.atol)
+        R, wS, rows, best_per_S = _row_set_sweep(A, d, e, atol)
     best = float(best_per_S.max())
-    s = int(rows[np.argmax(best_per_S >= best - tol.atol)])
+    s = int(rows[np.argmax(best_per_S >= best - atol)])
     V = subset_indicators(n)
     row = V @ R[s]
     if d is not None:
@@ -221,11 +224,11 @@ def _sweep_rows(A, d, e, cap: int, tol: Tolerance | None) -> CutPair:
     mags = np.abs(row)
     # the row is summed in another order than the sweep, so its maximum may
     # sit an ulp below ``best``
-    t = int(np.argmax(mags >= min(best, float(mags.max())) - tol.atol))
+    t = int(np.argmax(mags >= min(best, float(mags.max())) - atol))
     return CutPair(_mask_set(s + 1), _mask_set(t + 1), float(row[t]))
 
 
-def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, tol: Tolerance | None = None) -> CutPair:
+def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL) -> CutPair:
     """Exact unnormalized cut norm ``max |A(S,T)|`` by a sweep over row sets.
 
     Parameters
@@ -241,11 +244,11 @@ def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, tol: Tolerance | None = N
         Witness sets with the signed rectangle sum attaining the maximum
         absolute value; ties break to the smallest (S mask, T mask).
     """
-    return _sweep_rows(as_matrix(A), None, None, cap, tol)
+    return _sweep_rows(as_matrix(A), None, None, cap, atol)
 
 
 def normalized_cut_bruteforce(
-    A, d_left=None, d_right=None, cap: int = BRUTE_FORCE_CAP, tol: Tolerance | None = None
+    A, d_left=None, d_right=None, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL
 ) -> CutPair:
     """Exact ``max |A(S,T)| / sqrt(d(S) e(T))`` by a sorted-ratio sweep.
 
@@ -260,7 +263,7 @@ def normalized_cut_bruteforce(
     m, n = A.shape
     d = as_weights(d_left, m, "left weights")
     e = as_weights(d_right, n, "right weights")
-    return _sweep_rows(A, d, e, cap, tol)
+    return _sweep_rows(A, d, e, cap, atol)
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +475,26 @@ def lp_candidates(A, d_left, d_right, cs):
 # ---------------------------------------------------------------------------
 
 
-def exact_completion(A, d_left, d_right, atol: float = 1e-9) -> list:
+def exact_completion(A, d_left, d_right, atol: float = ATOL) -> list:
     """Exact normalized-rectangle candidates, for any signs and any positive
     weights: the cut step past ``BRUTE_FORCE_CAP``, and the closer of the LP
     routes.
 
     Runs the row-set sweep over the subsets of the smaller side (``A``'s
-    rows when ``m <= n``, else its columns).  The rectangles within ``atol``
-    of the best sweep value are the swept sets within ``atol``, each with
-    the prefixes and suffixes of its sorted other side within ``atol``; by
-    the prefix lemma they are all of them.  Of these, two are returned as
-    CutPairs of ``A`` valued by ``rectangle_value``: first the one with the
-    largest sweep value, then the one with the smallest (S mask, T mask),
-    the rectangle that the tie rule of ``normalized_cut_bruteforce`` picks
-    (one pair when they coincide).  Only the swept sets that can hold them
-    are expanded.  Returns an empty list when the smaller side exceeds
+    rows when ``m <= n``, else its columns).  Its candidates are the swept
+    sets within ``atol`` of the best sweep value, each with the prefixes and
+    suffixes of its sorted other side within ``atol``; by the prefix lemma
+    they hold every rectangle of the largest value, but not every rectangle
+    within ``atol`` of it.  Of the candidates, two are returned as CutPairs
+    of ``A`` valued by ``rectangle_value``: first the one with the largest
+    sweep value, then the one with the smallest (S mask, T mask) (one pair
+    when they coincide).  The second is the rectangle that the tie rule of
+    ``normalized_cut_bruteforce`` picks unless a rectangle with smaller masks
+    lies within ``atol`` of the maximum without being a prefix or suffix:
+    for ``1e-17 * [[0, -1, 0], [-1, -1, -1], [-1, -1, -1]]`` with unit
+    weights the tie rule picks ``({0}, {0})`` of value 0, and the completion
+    ``({0}, {1})`` of value ``-1e-17``.  Only the swept sets that can hold
+    the two are expanded.  Returns an empty list when the smaller side exceeds
     ``COMPLETION_CAP``; the long side is never enumerated.
     """
     A = as_matrix(A)
@@ -561,7 +569,7 @@ def _lp_weights(A, d_left, d_right) -> tuple:
     return d, e
 
 
-def _closed_lp_route(A, d, e, cs, tol: Tolerance) -> CutPair:
+def _closed_lp_route(A, d, e, cs, atol: float) -> CutPair:
     """The best rectangle of the LP relaxations of the ratios ``cs``, with
     the pool closed by ``exact_completion``.  A matrix with both signs whose
     smaller side is beyond the completion, where the relaxation alone can
@@ -572,10 +580,10 @@ def _closed_lp_route(A, d, e, cs, tol: Tolerance) -> CutPair:
                          f"smaller side within {COMPLETION_CAP}, and the LP relaxation "
                          "alone can undershoot")
     pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
-    return _select_pair(pool + exact_completion(A, d, e, tol.atol), tol.atol)
+    return _select_pair(pool + exact_completion(A, d, e, atol), atol)
 
 
-def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None) -> CutPair:
+def cut_lp_exact(A, d_left=None, d_right=None, atol: float = ATOL) -> CutPair:
     """Maximize ``|A(S,T)| / sqrt(d(S) e(T))`` via the LP relaxation family.
 
     Solves one LP per reduced-fraction ratio candidate ``c = a/b`` (both
@@ -594,17 +602,15 @@ def cut_lp_exact(A, d_left=None, d_right=None, tol: Tolerance | None = None) -> 
         square matrices.
     """
     A = as_matrix(A)
-    tol = tol or DEFAULT_TOL
     d, e = _lp_weights(A, d_left, d_right)
     for w, name in ((d, "left weights"), (e, "right weights")):
         if not integer_weights(w):
             raise ValueError(f"{name} must be positive integers for the LP ratio enumeration")
     cs = ratio_candidates(int(d.sum()), int(e.sum()))
-    return _closed_lp_route(A, d, e, cs, tol)
+    return _closed_lp_route(A, d, e, cs, atol)
 
 
-def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
-                  tol: Tolerance | None = None) -> CutPair:
+def cut_lp_approx(A, eps: float, d_left=None, d_right=None, atol: float = ATOL) -> CutPair:
     """Same pipeline as ``cut_lp_exact``, but the ratio candidates come from
     a geometric ``(1+eps)`` grid spanning every achievable ``d(S)/e(T)``, so
     any positive weights are accepted.
@@ -616,7 +622,6 @@ def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
     ``COMPLETION_CAP`` raises ``ValueError`` before any LP is solved.
     """
     A = as_matrix(A)
-    tol = tol or DEFAULT_TOL
     if eps <= 0:
         raise ValueError("eps must be positive")
     d, e = _lp_weights(A, d_left, d_right)
@@ -626,7 +631,7 @@ def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
     cs = [c_lo * (1.0 + eps) ** k for k in range(count + 1)]
     if cs[-1] < c_hi:
         cs.append(c_hi)
-    return _closed_lp_route(A, d, e, cs, tol)
+    return _closed_lp_route(A, d, e, cs, atol)
 
 
 def cut_norm_lp_upper(A) -> float:

@@ -5,10 +5,12 @@ engine may project onto ("atoms"), plus an exact maximizer of
 ``|<residual, atom>|`` over the whole domain.  The engine itself never looks
 at weights: whitening happens here.
 
-Tie-breaking is uniform across domains: among candidates within the absolute
-tolerance of the best value, the lexicographically smallest canonical key
-wins (subset masks for cut pairs, (column, row) for column-row pairs, the
-index for explicit lists).
+Tie-breaking is uniform across domains: among candidates within ``atol``
+of the best value, the lexicographically smallest canonical key wins (subset
+masks for cut pairs, (column, row) for column-row pairs, the index for
+explicit lists).  Past ``bf_cap`` the cut step applies that rule to the
+rectangles ``cutnorm.exact_completion`` returns, which need not hold every
+rectangle within ``atol``.
 """
 from __future__ import annotations
 
@@ -21,8 +23,7 @@ import numpy.linalg as la
 
 from .cutnorm import (BRUTE_FORCE_CAP, COMPLETION_CAP, _mask_set, _select_pair, cut_lp_exact,
                       exact_completion, normalized_cut_bruteforce)
-from .linalg import (DEFAULT_TOL, Tolerance, as_matrix, as_weights, ip_norm,
-                     tensor_whitener)
+from .linalg import ATOL, as_matrix, as_weights, ip_norm, tensor_whitener
 
 
 class UnsupportedDomain(ValueError):
@@ -85,16 +86,16 @@ class CutDomain:
     def describe(self, key) -> dict:
         return {"kind": "cut", "S": list(_mask_set(key[0])), "T": list(_mask_set(key[1]))}
 
-    def max_step(self, resid_white, tol: Tolerance = DEFAULT_TOL):
+    def max_step(self, resid_white, atol: float = ATOL):
         d, e = self.weights
         R = resid_white * self.whitener
         if max(self.shape) <= self.bf_cap:
-            pair = normalized_cut_bruteforce(R, d, e, cap=self.bf_cap, tol=tol)
+            pair = normalized_cut_bruteforce(R, d, e, cap=self.bf_cap, atol=atol)
         elif min(self.shape) <= COMPLETION_CAP:
-            pair = _select_pair(exact_completion(R, d, e, tol.atol), tol.atol)
+            pair = _select_pair(exact_completion(R, d, e, atol), atol)
         else:
             try:
-                pair = cut_lp_exact(R, d, e, tol=tol)
+                pair = cut_lp_exact(R, d, e, atol=atol)
             except ValueError as exc:
                 raise UnsupportedDomain(str(exc)) from exc
         return pair.masks(), pair.value
@@ -129,11 +130,11 @@ class FactorDomain:
         for key in itertools.product(*self.labels):
             yield key, self.atom(key)
 
-    def max_step(self, resid_white, tol: Tolerance = DEFAULT_TOL):
+    def max_step(self, resid_white, atol: float = ATOL):
         vals = resid_white
         for F in self.factors:
             vals = np.tensordot(vals, F, axes=([0], [1]))
-        idx = np.unravel_index(_first_best(vals.ravel(), tol), vals.shape)
+        idx = np.unravel_index(_first_best(vals.ravel(), atol), vals.shape)
         return tuple(labs[i] for labs, i in zip(self.labels, idx)), float(vals[idx])
 
 
@@ -215,11 +216,11 @@ class ExplicitTuples:
         return {"kind": "explicit-tuple", "index": key,
                 "vectors": [v.tolist() for v in self._tuples[key]]}
 
-    def max_step(self, resid_white, tol: Tolerance = DEFAULT_TOL):
+    def max_step(self, resid_white, atol: float = ATOL):
         vals = np.tensordot(self.factors[0], resid_white, axes=([1], [0]))
         for F in self.factors[1:]:
             vals = np.einsum("ij...,ij->i...", vals, F)
-        idx = _first_best(vals, tol)
+        idx = _first_best(vals, atol)
         return idx, float(vals[idx])
 
 
@@ -276,7 +277,7 @@ class FullSphereDomain:
         z = np.asarray(key[1]) / np.sqrt(e)
         return {"kind": "unit-pair", "v": u.tolist(), "w": z.tolist()}
 
-    def max_step(self, resid_white, tol: Tolerance = DEFAULT_TOL):
+    def max_step(self, resid_white, atol: float = ATOL):
         U, s, Vt = la.svd(resid_white)
         u = U[:, 0]
         z = Vt[0]
@@ -287,10 +288,10 @@ class FullSphereDomain:
         return (tuple(float(x) for x in u), tuple(float(x) for x in z)), float(s[0])
 
 
-def _first_best(vals: np.ndarray, tol: Tolerance) -> int:
-    """Index of the first value within ``tol.atol`` of the largest magnitude."""
+def _first_best(vals: np.ndarray, atol: float) -> int:
+    """Index of the first value within ``atol`` of the largest magnitude."""
     mags = np.abs(vals)
-    return int(np.nonzero(mags >= float(np.max(mags)) - tol.atol)[0][0])
+    return int(np.nonzero(mags >= float(np.max(mags)) - atol)[0][0])
 
 
 def _rank_one(factors) -> np.ndarray:

@@ -4,7 +4,6 @@ under a chosen diagonal inner product.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,7 +12,7 @@ import numpy.linalg as la
 
 from .cutnorm import BRUTE_FORCE_CAP
 from .domains import CutDomain
-from .linalg import Tolerance, as_adjacency, as_weights, whitened
+from .linalg import ATOL, as_adjacency, as_weights, whitened
 from .pvd import compute_pvd
 from .regularity import Partition
 
@@ -102,7 +101,7 @@ class PseudorandomnessProfile:
 
 
 def cut_pseudorandomness_profile(A, weights=None, r: int = 1,
-                                 tol: Tolerance | None = None,
+                                 atol: float = ATOL,
                                  bf_cap: int = BRUTE_FORCE_CAP) -> PseudorandomnessProfile:
     """Profile the first r cut projection values against the graph's cut mass.
 
@@ -119,7 +118,7 @@ def cut_pseudorandomness_profile(A, weights=None, r: int = 1,
         raise ValueError("r must be at least 1")
     deg = A @ np.ones(n)
     d = as_weights(weights, n, "weights")
-    result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap), max_terms=r, tol=tol)
+    result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap), max_terms=r, atol=atol)
     prefix = float(la.norm(result.sigmas[:r]))
     cut_mass = float(np.sum(deg))
     ones_mass = float(np.sum(d))

@@ -6,23 +6,15 @@ bookkeeping once so the rest of the package can stay in whitened coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.linalg as la
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute tolerance of the greedy engine and the exact maximizers:
-    the stopping threshold and the width of the tie band."""
-
-    atol: float = 1e-9
-
-
-DEFAULT_TOL = Tolerance()
+#: absolute tolerance of the greedy engine and the exact maximizers: the
+#: stopping threshold and the width of the tie band
+ATOL = 1e-9
 
 #: a candidate increment is dropped as linearly dependent when its orthogonal
 #: component is below this fraction of the candidate's own norm

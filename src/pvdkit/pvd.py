@@ -22,7 +22,7 @@ import numpy as np
 import numpy.linalg as la
 
 from .domains import CutDomain, UnsupportedDomain
-from .linalg import DEFAULT_TOL, DEPENDENCE_RTOL, Tolerance
+from .linalg import ATOL, DEPENDENCE_RTOL
 
 Array = np.ndarray
 
@@ -41,9 +41,9 @@ class PvdResult:
     |coeffs|``).  ``increments`` are in original (unwhitened) coordinates;
     ``basis_white`` holds the flattened orthonormal rows the engine actually
     worked with. ``residual_pnorm`` is the domain-restricted
-    norm of the final residual; ``exhausted`` says whether it is below the
-    stopping tolerance (as opposed to the run hitting ``max_terms`` or a
-    numerically dependent atom).
+    norm of the final residual; ``exhausted`` says whether it is at most the
+    stopping threshold ``atol`` (as opposed to the run hitting ``max_terms``
+    or a numerically dependent atom).
     """
 
     domain: object
@@ -56,7 +56,7 @@ class PvdResult:
     basis_white: Array = field(repr=False)
     residual_pnorm: float
     exhausted: bool
-    tol: Tolerance
+    atol: float
 
     @property
     def shape(self):
@@ -122,7 +122,7 @@ def orthogonal_increment(candidate, basis, d_left=None, d_right=None):
     return q.reshape(C.shape) * wh
 
 
-def compute_pvd(source, domain, max_terms=None, tol: Tolerance | None = None) -> PvdResult:
+def compute_pvd(source, domain, max_terms=None, atol: float = ATOL) -> PvdResult:
     """Run the greedy projection decomposition of ``source`` over ``domain``.
 
     Parameters
@@ -133,9 +133,10 @@ def compute_pvd(source, domain, max_terms=None, tol: Tolerance | None = None) ->
         Atom domain; see the domain classes for the protocol.
     max_terms : int, optional
         Cap on the number of terms; default runs until the residual's
-        domain-restricted norm falls below ``tol.atol`` (never more than
+        domain-restricted norm falls below ``atol`` (never more than
         ``source.size`` steps).
-    tol : Tolerance, optional
+    atol : float, optional
+        Stopping threshold and tie-band width (default ``linalg.ATOL``).
 
     Returns
     -------
@@ -146,8 +147,6 @@ def compute_pvd(source, domain, max_terms=None, tol: Tolerance | None = None) ->
         raise ValueError(f"source shape {A.shape} does not match domain shape {tuple(domain.shape)}")
     if not np.all(np.isfinite(A)):
         raise ValueError("source must be finite")
-    if tol is None:
-        tol = DEFAULT_TOL
     N = A.size
     cap = N if max_terms is None else min(int(max_terms), N)
     if cap < 0:
@@ -164,8 +163,8 @@ def compute_pvd(source, domain, max_terms=None, tol: Tolerance | None = None) ->
     exhausted = False
 
     for _ in range(cap):
-        key, value = domain.max_step(Rw, tol)
-        if abs(value) <= tol.atol:
+        key, value = domain.max_step(Rw, atol)
+        if abs(value) <= atol:
             final_pnorm = abs(value)
             exhausted = True
             break
@@ -186,9 +185,9 @@ def compute_pvd(source, domain, max_terms=None, tol: Tolerance | None = None) ->
         coeffs.append(c)
 
     if final_pnorm is None:
-        _, value = domain.max_step(Rw, tol)
+        _, value = domain.max_step(Rw, atol)
         final_pnorm = abs(float(value))
-        exhausted = final_pnorm <= tol.atol
+        exhausted = final_pnorm <= atol
 
     basis = basis[:used]
     wh = domain.whitener
@@ -204,16 +203,14 @@ def compute_pvd(source, domain, max_terms=None, tol: Tolerance | None = None) ->
         basis_white=basis,
         residual_pnorm=float(final_pnorm),
         exhausted=exhausted,
-        tol=tol,
+        atol=atol,
     )
 
 
-def p_norm(A, domain, tol: Tolerance | None = None) -> float:
+def p_norm(A, domain, atol: float = ATOL) -> float:
     """Domain-restricted norm: the largest |<A, atom>| over the domain."""
     A = np.asarray(A, dtype=float)
-    if tol is None:
-        tol = DEFAULT_TOL
-    _, value = domain.max_step(A / domain.whitener, tol)
+    _, value = domain.max_step(A / domain.whitener, atol)
     return abs(float(value))
 
 
@@ -335,7 +332,7 @@ def verify_pvd(result: PvdResult) -> dict:
     worst = -math.inf
     Rw = (result.source / domain.whitener).copy()
     for j in range(result.num_terms):
-        _, value = domain.max_step(Rw, result.tol)
+        _, value = domain.max_step(Rw, result.atol)
         worst = max(worst, abs(value) - result.sigmas[j])
         Rw -= result.increments[j] / domain.whitener
     if result.num_terms:
@@ -349,7 +346,7 @@ def verify_pvd(result: PvdResult) -> dict:
     for r in range(0, r_max + 1):
         approx, idx = best_truncation(result, r)
         if idx not in resid_at:
-            resid_at[idx] = p_norm(result.source - approx, domain, result.tol)
+            resid_at[idx] = p_norm(result.source - approx, domain, result.atol)
         tail = float(tail_rms(result.sigmas, r))
         chain_resid = max(chain_resid, resid_at[idx] - tail)
         chain_source = max(chain_source, tail - src_norm / math.sqrt(r + 1))

@@ -31,7 +31,7 @@ from .cutnorm import (
     rectangle_sum,
 )
 from .domains import CutDomain
-from .linalg import Tolerance, as_adjacency, as_matrix, as_weights
+from .linalg import ATOL, as_adjacency, as_matrix, as_weights
 from .pvd import best_truncation, certificate, compute_pvd, tail_rms, truncate
 
 Array = np.ndarray
@@ -173,13 +173,13 @@ def _partition_of(result, m: int, n: int) -> Partition:
     return refine([(_mask_set(S), _mask_set(T)) for S, T in result.keys[:m]], n)
 
 
-def _weak_core(A, eps: float, weights, tol: Tolerance | None, bf_cap: int) -> RegularityReport:
+def _weak_core(A, eps: float, weights, atol: float, bf_cap: int) -> RegularityReport:
     """``weak_regularity_partition`` without the Szemeredi sum."""
     A, d = _checked(A, eps, weights)
     r = math.ceil(eps ** -2)
     if r > A.size:
         raise ValueError(f"eps={eps} needs {r} terms; cap is {A.size}")
-    result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap), max_terms=r + 1, tol=tol)
+    result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap), max_terms=r + 1, atol=atol)
     approx, index = best_truncation(result, r)
     m = min(index - 1, result.num_terms)
     partition = _partition_of(result, m, A.shape[0])
@@ -210,7 +210,7 @@ def _weak_core(A, eps: float, weights, tol: Tolerance | None, bf_cap: int) -> Re
     )
 
 
-def weak_regularity_partition(A, eps: float, weights=None, tol: Tolerance | None = None,
+def weak_regularity_partition(A, eps: float, weights=None, atol: float = ATOL,
                               bf_cap: int = BRUTE_FORCE_CAP) -> RegularityReport:
     """Partition with certified cut-norm irregularity from a truncated cut
     decomposition.
@@ -231,14 +231,13 @@ def weak_regularity_partition(A, eps: float, weights=None, tol: Tolerance | None
         ``A - approx_matrix`` and ``bound_certificate`` the tail bound
         ``(RMS of the first r+1 projection values) * sum(weights)``.
     """
-    report = _weak_core(A, eps, weights, tol, bf_cap)
+    report = _weak_core(A, eps, weights, atol, bf_cap)
     report.szemeredi_irregularity_ub = _szemeredi_within_cap(
         report.pvd.source, report.partition, bf_cap)
     return report
 
 
-def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
-                        tol: Tolerance | None = None,
+def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None, atol: float = ATOL,
                         bf_cap: int = BRUTE_FORCE_CAP) -> RegularityReport:
     """Partition from the exponential-ladder stopping rule, with certificates.
 
@@ -270,7 +269,7 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
         levels.append(int(math.ceil(base ** q)))
 
     result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap),
-                         max_terms=min(levels[-1] + 1, A.size), tol=tol)
+                         max_terms=min(levels[-1] + 1, A.size), atol=atol)
     cum = np.concatenate([[0.0], np.cumsum(result.sigmas ** 2)])
 
     def mass(q: int) -> float:
@@ -302,14 +301,14 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
     tail = float(tail_rms(result.sigmas, fq))
     cutb, exact = _cut_norm_ub(A - refined, bf_cap)
 
-    atol = 1e-9
+    slack = 1e-9
     certs = [
-        certificate("pigeonhole-window", window, threshold + atol),
-        certificate("window-captures-gap", gap_frob ** 2, window + atol),
-        certificate("first-term-control", cutb, ones_mass * tail + atol),
+        certificate("pigeonhole-window", window, threshold + slack),
+        certificate("window-captures-gap", gap_frob ** 2, window + slack),
+        certificate("first-term-control", cutb, ones_mass * tail + slack),
         certificate("second-term-control", _blockwise_ub(gap, partition, bf_cap),
-                    ones_mass * gap_frob + atol),
-        certificate("gap-scale", gap_frob, eps * math.sqrt(horizon) + atol),
+                    ones_mass * gap_frob + slack),
+        certificate("gap-scale", gap_frob, eps * math.sqrt(horizon) + slack),
     ]
 
     wub, _ = _cut_norm_ub(A - coarse, bf_cap)
@@ -337,7 +336,7 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
             "window": window,
             "refined_approx": refined,
             # the stopping comparison as literally printed; diagnostic only
-            "literal_window_ok": bool(window <= eps ** 2 * refined_mass + atol),
+            "literal_window_ok": bool(window <= eps ** 2 * refined_mass + slack),
             "parts_factor": float(2 ** (2 * q)) if 2 * q < 1000 else math.inf,
         },
     )
@@ -346,7 +345,8 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
 def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
                     bf_cap: int = BRUTE_FORCE_CAP) -> dict:
     """Max-cut estimate on the block-constant approximant, with the slack
-    terms needed to compare against the true maximum.
+    terms needed to compare against the true maximum: ``estimate`` is the
+    cut value of the vertex set ``bipartition`` on the approximant.
 
     When the per-part split-count space is at most ``SPLIT_CAP`` the exact
     optimum over all split counts is found and ``grid_term`` is 0; otherwise
@@ -361,7 +361,7 @@ def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
         delta = eps / 4.0
     if delta <= 0:
         raise ValueError("delta must be positive")
-    report = _weak_core(A, eps, weights, None, bf_cap)
+    report = _weak_core(A, eps, weights, ATOL, bf_cap)
     approx = report.approx_matrix
     parts = report.partition.parts
     sizes = np.array([len(P) for P in parts])
@@ -416,15 +416,3 @@ def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
         "irregularity_exact": report.exact,
         "report": report,
     }
-
-
-def max_cut_estimate(A, eps: float, delta: float | None = None, weights=None):
-    """(cut value, vertex set) estimating the maximum cut of ``A``.
-
-    The estimate is the cut value of the returned vertex set on the
-    block-constant approximant; it is within ``weak_irregularity_ub +
-    grid_term`` of the true maximum cut (see ``max_cut_details`` for those
-    terms).
-    """
-    info = max_cut_details(A, eps, delta=delta, weights=weights)
-    return info["estimate"], info["bipartition"]

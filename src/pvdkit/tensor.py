@@ -18,9 +18,9 @@ import numpy as np
 import numpy.linalg as la
 
 from .cutnorm import _mask_set
-from .domains import ExplicitTuples, FactorDomain  # noqa: F401  (re-export)
-from .linalg import Tolerance, as_tensor, as_weights
-from .pvd import PvdResult, best_truncation, certificate, compute_pvd, p_norm, tail_rms
+from .domains import FactorDomain
+from .linalg import ATOL, as_tensor, as_weights
+from .pvd import best_truncation, certificate, compute_pvd, p_norm, tail_rms
 
 Array = np.ndarray
 
@@ -47,11 +47,6 @@ def s_form(T, vectors) -> float:
             raise ValueError("vector length does not match mode size")
         out = np.tensordot(out, v, axes=([0], [0]))
     return float(out)
-
-
-def tensor_frob_norm(T) -> float:
-    """Root sum of squared entries."""
-    return float(la.norm(np.asarray(T, dtype=float).ravel()))
 
 
 class CutTuples(FactorDomain):
@@ -94,13 +89,7 @@ def _indicator(w: Array, mask: int) -> Array:
     return u
 
 
-def tensor_pvd(T, domain, max_terms=None, tol: Tolerance | None = None) -> PvdResult:
-    """Greedy decomposition of a tensor over a tuple domain."""
-    T = as_tensor(T, "tensor")
-    return compute_pvd(T, domain, max_terms=max_terms, tol=tol)
-
-
-def tensor_bound_check(T, domain, r: int, tol: Tolerance | None = None) -> dict:
+def tensor_bound_check(T, domain, r: int, atol: float = ATOL) -> dict:
     """Certify the truncation bound chain at rank ``r``.
 
     Runs the greedy decomposition, takes the best truncation at ``r``, and
@@ -113,17 +102,17 @@ def tensor_bound_check(T, domain, r: int, tol: Tolerance | None = None) -> dict:
     T = as_tensor(T, "tensor")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    result = compute_pvd(T, domain, max_terms=None, tol=tol)
+    result = compute_pvd(T, domain, max_terms=None, atol=atol)
     approx, _idx = best_truncation(result, r)
-    lhs = p_norm(T - approx, domain, result.tol)
+    lhs = p_norm(T - approx, domain, result.atol)
     tail = float(tail_rms(result.sigmas, r))
     src = float(la.norm((T / domain.whitener).ravel())) / math.sqrt(r + 1)
-    recomputed = p_norm(T - sum(result.increments, np.zeros(T.shape)), domain, result.tol)
-    atol = 1e-9
+    recomputed = p_norm(T - sum(result.increments, np.zeros(T.shape)), domain, result.atol)
+    slack = 1e-9
     certs = [
-        certificate("residual-vs-tail", lhs, tail + atol),
-        certificate("tail-vs-source", tail, src + atol),
-        certificate("residual-consistency", abs(recomputed - result.residual_pnorm), atol),
+        certificate("residual-vs-tail", lhs, tail + slack),
+        certificate("tail-vs-source", tail, src + slack),
+        certificate("residual-consistency", abs(recomputed - result.residual_pnorm), slack),
     ]
     return {"pass": all(c["pass"] for c in certs), "certificates": certs,
             "r": r, "sigmas": result.sigmas.tolist()}

@@ -4,7 +4,6 @@ Each test prints an explicit PASS/FAIL line (see conftest).  Tolerances are
 pinned in the assertions; the shared corpora are session fixtures so the
 greedy runs are computed once.
 """
-import itertools
 import json
 import math
 import time
@@ -23,7 +22,7 @@ from pvdkit.graphs import (core_density, cut_pseudorandomness_profile, degree_we
 from pvdkit.linalg import frob_norm
 from pvdkit.pvd import best_truncation, compute_pvd
 from pvdkit.regularity import max_cut_details, szemeredi_partition, weak_regularity_partition
-from pvdkit.tensor import CutTuples, tensor_pvd
+from pvdkit.tensor import CutTuples
 
 import oracles
 
@@ -216,7 +215,7 @@ def test_criterion_11_tensor_chain():
     for idx, shape in enumerate(shapes):
         T = rng.uniform(-1.0, 1.0, size=shape)
         dom = CutTuples([np.ones(k) for k in shape])
-        result = tensor_pvd(T, dom)
+        result = compute_pvd(T, dom)
         # identity at the matrix-criterion tolerance
         G = np.stack([atom.ravel() for _, atom in dom.atoms()])
         coef, *_ = la.lstsq(G.T, T.ravel(), rcond=None)
@@ -245,7 +244,7 @@ def test_criterion_12_skeleton_bound_all_pairs():
     for trial in range(20):
         A = (rng.normal(size=(6, 2)) @ rng.normal(size=(2, 6))
              + 0.1 * rng.normal(size=(6, 6)))
-        approx, result = cur_pvd(A, 0.4)
+        approx, result, _ = cur_pvd(A, 0.4)
         R = A - approx
         bound = 0.4 * la.norm(A) + 1e-9
         # every normalized column x row product, built directly from A

@@ -14,7 +14,7 @@ from pvdkit.cutnorm import (CutPair, build_cut_lp, cut_lp_approx, cut_lp_exact,
                             ratio_candidates, rectangle_sum, rectangle_value, solve_cut_lp,
                             subset_indicators)
 from pvdkit.domains import CutDomain, UnsupportedDomain
-from pvdkit.linalg import DEFAULT_TOL, Tolerance
+from pvdkit.linalg import ATOL
 from pvdkit.pvd import compute_pvd
 from pvdkit.regularity import weak_regularity_partition
 from pvdkit.simplex import simplex_solve
@@ -148,7 +148,7 @@ def test_sweep_matches_dense_table(data):
 
 @st.composite
 def _sweep_inputs(draw):
-    """(A, d, e, tol) for the pruned sweep: zero matrices and zero rows,
+    """(A, d, e, atol) for the pruned sweep: zero matrices and zero rows,
     rank-one ``u e^T`` (Cauchy-Schwarz tight on all columns) and ``u z^T``
     with mixed-sign ``z`` (many row sets near the bound), duplicate and
     negated rows, all-negative matrices, and two single-cell rectangles a
@@ -165,20 +165,20 @@ def _sweep_inputs(draw):
     d, e = (np.array(draw(st.lists(wgrid if w == "real" else st.integers(1, 4).map(float),
                                    min_size=k, max_size=k))) if w != "unit" else np.ones(k)
             for w, k in ((draw(weights), m), (draw(weights), n)))
-    tol = draw(st.sampled_from([DEFAULT_TOL, Tolerance(atol=0.0)]))
+    atol = draw(st.sampled_from([ATOL, 0.0]))
     kind = draw(st.sampled_from(["zero", "zero-rows", "rank-one", "rank-one-mixed",
                                  "dup-neg", "negative", "near-tie"]))
     vals = st.integers(-30, 30).map(lambda k: k / 3.0)
     A = np.array(draw(st.lists(vals, min_size=m * n, max_size=m * n))).reshape(m, n)
     if kind == "zero":
-        return np.zeros((m, n)), d, e, tol
+        return np.zeros((m, n)), d, e, atol
     if kind == "near-tie":
         # two cells of value 1 and 1 + gap: within atol the earlier row set wins
-        gap = draw(st.sampled_from([0.5, 0.999, 1.001, 2.0])) * DEFAULT_TOL.atol
+        gap = draw(st.sampled_from([0.5, 0.999, 1.001, 2.0])) * ATOL
         A = np.zeros((m, n))
         A[0, 0] = math.sqrt(d[0] * e[0])
         A[m - 1, n - 1] = (1.0 + gap) * math.sqrt(d[m - 1] * e[n - 1])
-        return A, d, e, DEFAULT_TOL
+        return A, d, e, ATOL
     if kind == "zero-rows":
         A[draw(st.lists(st.integers(0, m - 1), max_size=m))] = 0.0
     elif kind == "rank-one":
@@ -190,12 +190,12 @@ def _sweep_inputs(draw):
         A[-1] = -A[0]
     elif kind == "negative":
         A = -np.abs(A) - 1.0 / 3.0
-    return A * draw(st.sampled_from([1.0, 1e9])), d, e, tol
+    return A * draw(st.sampled_from([1.0, 1e9])), d, e, atol
 
 
-def _bitwise_reference(A, d, e, tol) -> None:
-    pair = normalized_cut_bruteforce(A, d, e, tol=tol)
-    S, T, value = oracles.sweep_rows_unpruned(A, d, e, atol=tol.atol)
+def _bitwise_reference(A, d, e, atol) -> None:
+    pair = normalized_cut_bruteforce(A, d, e, atol=atol)
+    S, T, value = oracles.sweep_rows_unpruned(A, d, e, atol=atol)
     assert (pair.S, pair.T, pair.value.hex()) == (S, T, value.hex())
 
 
@@ -214,12 +214,12 @@ def test_pruned_sweep_keeps_every_block():
     A = np.outer(np.ones(12), z)
     ones = np.ones(12)
     U = subset_indicators(12)
-    rows = cutnorm._pruned_rows(U @ A, ones, np.sqrt(U @ ones), DEFAULT_TOL.atol)
+    rows = cutnorm._pruned_rows(U @ A, ones, np.sqrt(U @ ones), ATOL)
     assert len(rows) == 2510 > 4 * cutnorm.SWEEP_BLOCK_ROWS
     assert rows[-1] == 2**12 - 2
     pair = normalized_cut_bruteforce(A, ones, ones)
     assert pair.S == tuple(range(12)) and pair.T == tuple(range(0, 12, 2))
-    _bitwise_reference(A, ones, ones, DEFAULT_TOL)
+    _bitwise_reference(A, ones, ones, ATOL)
 
 
 @pytest.mark.parametrize("scale, weight", [(1e-170, 1.0), (1e-160, 1e-300), (1e-150, 1e-100)])
@@ -231,7 +231,7 @@ def test_pruned_sweep_where_the_bound_underflows(scale, weight):
     d = np.full(6, weight)
     e = np.ones(5)
     e[2] = weight
-    _bitwise_reference(A, d, e, Tolerance(atol=0.0))
+    _bitwise_reference(A, d, e, 0.0)
 
 
 def test_weighted_step_memory_is_blocked():

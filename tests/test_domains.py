@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from pvdkit.domains import (ColumnRowDomain, CutDomain, ExplicitDomain,
                             FullSphereDomain, UnsupportedDomain)
-from pvdkit.linalg import Tolerance
+from pvdkit.linalg import ATOL
+from pvdkit.pvd import compute_pvd
 
 import oracles
 
@@ -69,6 +70,22 @@ def test_cut_domain_completion_route_agrees_with_enumeration(inputs):
     got_key, got_value = swept_dom.max_step(A / swept_dom.whitener)
     assert got_key == key
     assert got_value == pytest.approx(value, rel=1e-12, abs=1e-300)
+
+
+def test_routes_agree_on_exhaustion_inside_the_tie_band():
+    """Every rectangle of this residual is within ``ATOL`` of the maximum.
+    The enumeration's tie rule picks ({0}, {0}) of value 0, which is no
+    prefix or suffix of its sorted row, so the completion picks ({0}, {1})
+    (the ``exact_completion`` docstring); both routes still stop the run at
+    once with the residual exhausted."""
+    R = 1e-17 * np.array([[0.0, -1.0, 0.0], [-1.0, -1.0, -1.0], [-1.0, -1.0, -1.0]])
+    enum_dom, swept_dom = CutDomain(np.ones(3)), CutDomain(np.ones(3), bf_cap=1)
+    assert enum_dom.max_step(R) == ((1, 1), 0.0)
+    assert swept_dom.max_step(R) == ((1, 2), -1e-17)
+    for dom in (enum_dom, swept_dom):
+        res = compute_pvd(R, dom)
+        assert res.num_terms == 0 and res.exhausted
+        assert res.residual_pnorm <= ATOL
 
 
 def test_cut_domain_enumeration_cap():

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
-from pvdkit.linalg import (Tolerance, as_matrix, as_tensor, as_weights, frob_inner,
+from pvdkit.linalg import (ATOL, as_matrix, as_tensor, as_weights, frob_inner,
                            frob_norm, ip_dot, ip_norm, spectral_norm, tensor_whitener,
                            whitened)
 
@@ -10,8 +10,7 @@ import oracles
 
 
 def test_tolerance_defaults():
-    tol = Tolerance()
-    assert tol.atol == 1e-9
+    assert ATOL == 1e-9
 
 
 def test_as_matrix_rejects_bad_input():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvdkit.domains import CutDomain, FullSphereDomain, UnsupportedDomain
-from pvdkit.linalg import Tolerance
 from pvdkit.pvd import (best_truncation, combination_coefficients, compute_pvd,
                         orthogonal_increment, p_norm, truncate, verify_pvd)
 
@@ -188,7 +187,7 @@ def test_engine_rejects_bad_input():
 
 def test_tolerance_stops_early():
     A = np.eye(3) + 1e-13 * np.ones((3, 3))
-    res = compute_pvd(A, CutDomain(np.ones(3)), tol=Tolerance(atol=1e-6))
+    res = compute_pvd(A, CutDomain(np.ones(3)), atol=1e-6)
     assert res.exhausted
     assert res.num_terms <= 4
 
@@ -236,7 +235,7 @@ def test_engine_invariants_on_degenerate_inputs(inputs):
     table_norm = oracles.cut_pnorm_max_fast(residual, d, e)
     assert res.residual_pnorm == pytest.approx(table_norm, abs=1e-9)
     if res.exhausted:
-        assert table_norm <= res.tol.atol + 1e-12
+        assert table_norm <= res.atol + 1e-12
 
 
 def test_verify_pvd_replays_each_truncation_once():
@@ -250,7 +249,7 @@ def test_verify_pvd_replays_each_truncation_once():
         assert res.exhausted
         calls = []
         step = dom.max_step
-        dom.max_step = lambda R, tol: calls.append(1) or step(R, tol)
+        dom.max_step = lambda R, atol: calls.append(1) or step(R, atol)
         assert verify_pvd(res)["pass"]
         indices = {best_truncation(res, r)[1] for r in range(res.num_terms + 1)}
         assert len(indices) < res.num_terms + 1

@@ -1,14 +1,11 @@
-import math
-
 import numpy as np
-import numpy.linalg as la
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvdkit import regularity
 from pvdkit.regularity import (Partition, block_average, max_cut_details,
-                               max_cut_estimate, refine, szemeredi_irregularity_ub,
+                               refine, szemeredi_irregularity_ub,
                                szemeredi_partition, weak_irregularity_ub,
                                weak_regularity_partition)
 
@@ -176,9 +173,9 @@ def test_max_cut_complete_bipartite_exact():
     # block-constant input: the split enumeration finds the true split
     for n in (4, 6, 8, 10):
         J = np.ones((n, n)) - np.eye(n)
-        est, cut = max_cut_estimate(J, 0.5)
-        true = oracles.maxcut_value(J)
         info = max_cut_details(J, 0.5)
+        est = info["estimate"]
+        true = oracles.maxcut_value(J)
         assert info["exact_split"]
         assert abs(est - true) <= info["weak_irregularity_ub"] + 1e-6
 
@@ -186,7 +183,8 @@ def test_max_cut_complete_bipartite_exact():
 def test_max_cut_all_ones_matches_quarter_square():
     for n in (4, 6, 8, 10):
         J = np.ones((n, n))
-        est, cut = max_cut_estimate(J, 0.5)
+        info = max_cut_details(J, 0.5)
+        est, cut = info["estimate"], info["bipartition"]
         assert est == pytest.approx(n * n / 4.0, abs=1e-9)
         assert len(cut) == n // 2
 

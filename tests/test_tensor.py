@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvdkit.pvd import p_norm, verify_pvd
-from pvdkit.tensor import (CutTuples, ExplicitTuples, s_form, tensor_bound_check,
-                           tensor_frob_norm, tensor_pvd)
+from pvdkit.domains import ExplicitTuples
+from pvdkit.pvd import compute_pvd, verify_pvd
+from pvdkit.tensor import CutTuples, s_form, tensor_bound_check
 
 import oracles
 
@@ -28,11 +28,6 @@ def test_s_form_matches_loops():
 def test_s_form_checks_lengths():
     with pytest.raises(ValueError):
         s_form(np.ones((2, 2)), [np.ones(2), np.ones(3)])
-
-
-def test_tensor_frob_norm_is_plain():
-    T = np.arange(8.0).reshape(2, 2, 2)
-    assert tensor_frob_norm(T) == pytest.approx(la.norm(T.ravel()))
 
 
 def test_cut_tuples_atoms_unit_and_counted():
@@ -59,7 +54,7 @@ def test_tensor_pvd_values_equal_projection_norm():
     rng = np.random.default_rng(82)
     T = rng.normal(size=(2, 2, 2))
     dom = CutTuples([np.ones(2)] * 3)
-    res = tensor_pvd(T, dom)
+    res = compute_pvd(T, dom)
     G = np.stack([atom.ravel() for _, atom in dom.atoms()])
     coef, *_ = la.lstsq(G.T, T.ravel(), rcond=None)
     want = la.norm(G.T @ coef)
@@ -70,7 +65,7 @@ def test_tensor_pvd_step_dominance():
     rng = np.random.default_rng(83)
     T = rng.normal(size=(2, 2, 3))
     dom = CutTuples([np.ones(k) for k in T.shape])
-    res = tensor_pvd(T, dom)
+    res = compute_pvd(T, dom)
     R = T.copy()
     for j in range(res.num_terms):
         assert oracles.tensor_pnorm_max(R) <= res.sigmas[j] + 1e-9
@@ -90,7 +85,7 @@ def test_tensor_verify_pvd_works():
     rng = np.random.default_rng(85)
     T = rng.normal(size=(2, 2, 2))
     dom = CutTuples([np.ones(2)] * 3)
-    res = tensor_pvd(T, dom)
+    res = compute_pvd(T, dom)
     assert verify_pvd(res)["pass"]
 
 
@@ -117,7 +112,7 @@ def test_explicit_tuples_max_step_matches_gram():
         want_key, want = oracles.gram_max_step(keys, gram, resid)
         assert key == want_key
         assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
-    res = tensor_pvd(rng.normal(size=(2, 3, 2)), dom)
+    res = compute_pvd(rng.normal(size=(2, 3, 2)), dom)
     assert verify_pvd(res)["pass"]
 
 
