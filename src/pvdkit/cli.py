@@ -97,25 +97,31 @@ def _load(args):
 
 # ---------------------------------------------------------------- commands
 
+def _run_results(result) -> dict:
+    """The result fields that ``pvd`` and ``cur`` share."""
+    return {
+        "num_terms": result.num_terms,
+        "sigmas": result.sigmas,
+        "selected": result.selected_pairs(),
+        "exhausted": result.exhausted,
+        "source_frob_norm": result.source_frob_norm,
+    }
+
+
 def cmd_pvd(args):
     A, info = _load(args)
     d, e = resolve_weights(args.ip, A)
     domain = CutDomain(d, e, bf_cap=args.bf_cap)
     result = compute_pvd(A, domain, max_terms=args.r, atol=args.tol_abs)
-    results = {
-        "num_terms": result.num_terms,
-        "sigmas": result.sigmas,
-        "coefficients": result.coeffs,
-        "step_values": result.values,
-        "selected": result.selected_pairs(),
-        "residual_pnorm": result.residual_pnorm,
-        "exhausted": result.exhausted,
-        "source_frob_norm": result.source_frob_norm,
-    }
     # the cut domain is always verifiable; any refusal is an error (exit 2),
     # never an empty, passing certificate list
     certs = verify_pvd(result)["certificates"]
-    results["verified"] = True
+    results = _run_results(result) | {
+        "coefficients": result.coeffs,
+        "step_values": result.values,
+        "residual_pnorm": result.residual_pnorm,
+        "verified": True,
+    }
     return info, {"r": args.r, "ip": args.ip}, results, certs
 
 
@@ -186,11 +192,9 @@ def cmd_weakreg(args):
     A, info, d = _partition_input(args)
     rep = weak_regularity_partition(A, args.eps, weights=d, atol=args.tol_abs,
                                     bf_cap=args.bf_cap)
-    results = _partition_results(rep) | {
+    results = _partition_results(rep) | rep.details | {
         "irregularity_exact": rep.exact,
         "block_deviation": rep.block_deviation,
-        "selected": rep.details["selected"],
-        "truncation_rank": rep.details["r"],
     }
     return info, {"eps": args.eps, "ip": args.ip}, results, list(rep.certificates)
 
@@ -199,19 +203,7 @@ def cmd_szemreg(args):
     A, info, d = _partition_input(args)
     rep = szemeredi_partition(A, args.eps, base=args.base, weights=d,
                               atol=args.tol_abs, bf_cap=args.bf_cap)
-    det = rep.details
-    results = _partition_results(rep) | {
-        "levels": det["levels"],
-        "level_index": det["level_index"],
-        "q": det["q"],
-        "f_q": det["f_q"],
-        "refined_rank": det["r_used"],
-        "windows": det["windows"],
-        "mass_horizon": det["mass_horizon"],
-        "window": det["window"],
-        "literal_window_ok": det["literal_window_ok"],
-        "parts_factor": det["parts_factor"],
-    }
+    results = _partition_results(rep) | rep.details
     return info, {"eps": args.eps, "base": args.base, "ip": args.ip}, results, list(rep.certificates)
 
 
@@ -238,14 +230,7 @@ def cmd_classes(args):
         "threshold_rank": threshold_rank(A, eps),
         "core_density": core,
         "spectral_projection_values": spectral,
-        "profile": {
-            "r": profile.r,
-            "sigma_prefix_norm": profile.sigma_prefix_norm,
-            "cut_mass_ratio": profile.cut_mass_ratio,
-            "certificate_ratio": profile.certificate_ratio,
-            "sigmas": profile.sigmas,
-            "exhausted": profile.exhausted,
-        },
+        "profile": vars(profile),
         "lp_regularity": {"ratio": lp_ratio, "mode": mode,
                           "parts": [list(p) for p in lp_parts]},
     }
@@ -268,14 +253,7 @@ def cmd_cur(args):
     if args.eps is None:
         raise ValueError("--eps is required for cur")
     _approx, result, cert = cur_pvd(A, args.eps, atol=args.tol_abs)
-    results = {
-        "num_terms": result.num_terms,
-        "selected": result.selected_pairs(),
-        "sigmas": result.sigmas,
-        "residual_pnorm_of_truncation": cert["lhs"],
-        "source_frob_norm": float(la.norm(A)),
-        "exhausted": result.exhausted,
-    }
+    results = _run_results(result) | {"residual_pnorm_of_truncation": cert["lhs"]}
     return info, {"eps": args.eps}, results, [cert]
 
 
@@ -302,28 +280,36 @@ def cmd_tensor(args):
 
 def cmd_maxcut(args):
     A, info, d = _partition_input(args)
-    det = max_cut_details(A, args.eps, delta=args.delta, weights=d,
-                          bf_cap=args.bf_cap)
-    certs = list(det["report"].certificates)
+    results = max_cut_details(A, args.eps, delta=args.delta, weights=d,
+                              bf_cap=args.bf_cap)
+    certs = list(results.pop("report").certificates)
     n = A.shape[0]
     if n <= args.bf_cap:
         U = subset_indicators(n)
         best = float(((U @ A) * (1.0 - U)).sum(axis=1).max())
-        slack = det["weak_irregularity_ub"] + det["grid_term"]
+        slack = results["weak_irregularity_ub"] + results["grid_term"]
         certs.append(certificate("estimate-vs-bruteforce",
-                                 abs(det["estimate"] - best), slack + 1e-6))
-    results = {
-        "estimate": det["estimate"],
-        "bipartition": list(det["bipartition"]),
-        "counts": list(det["counts"]),
-        "grid_term": det["grid_term"],
-        "exact_split": det["exact_split"],
-        "delta": det["delta"],
-        "weak_irregularity_ub": det["weak_irregularity_ub"],
-        "irregularity_exact": det["irregularity_exact"],
-        "num_parts": len(det["report"].partition),
-    }
-    return info, {"eps": args.eps, "delta": det["delta"], "ip": args.ip}, results, certs
+                                 abs(results["estimate"] - best), slack + 1e-6))
+    return info, {"eps": args.eps, "delta": results["delta"], "ip": args.ip}, results, certs
+
+
+def _finite(text: str) -> float:
+    """A float option's value; a non-finite one is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    """A finite float option's value that is at least 0."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
 
 
 #: every option a subcommand may take, by flag, with its argparse settings
@@ -333,13 +319,13 @@ OPTIONS = {
     "ip": dict(default="euclidean",
                help="inner product weights: euclidean, degree, degree-plus-avg, "
                     "or file:<path>"),
-    "eps": dict(type=float, default=None),
+    "eps": dict(type=_finite, default=None),
     "r": dict(type=int, default=None),
-    "p": dict(type=float, default=2.0),
-    "eta": dict(type=float, default=0.5),
-    "base": dict(type=float, default=16.0),
-    "delta": dict(type=float, default=None),
-    "tol-abs": dict(type=float, default=ATOL),
+    "p": dict(type=_finite, default=2.0),
+    "eta": dict(type=_finite, default=0.5),
+    "base": dict(type=_finite, default=16.0),
+    "delta": dict(type=_finite, default=None),
+    "tol-abs": dict(type=_nonnegative, default=ATOL),
     "bf-cap": dict(type=int, default=BRUTE_FORCE_CAP),
     "samples": dict(type=int, default=10_000),
     "seed": dict(type=int, default=0),
@@ -394,6 +380,7 @@ def main(argv=None) -> int:
     except (InputError, UnsupportedDomain, SimplexError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    passed = all(c["pass"] for c in certs)
     report = _jsonable({
         "version": VERSION,
         "command": args.command,
@@ -401,7 +388,7 @@ def main(argv=None) -> int:
         "parameters": params,
         "results": results,
         "certificates": certs,
-        "all_certificates_pass": all(c["pass"] for c in certs),
+        "all_certificates_pass": passed,
     })
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.output:
@@ -409,7 +396,7 @@ def main(argv=None) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if all(c["pass"] for c in certs) else 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

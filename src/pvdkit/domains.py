@@ -47,8 +47,6 @@ class CutDomain:
         needs integer weights and a one-signed residual.
     """
 
-    kind = "cut"
-
     def __init__(self, d_left, d_right=None, bf_cap: int = BRUTE_FORCE_CAP):
         d = np.asarray(d_left, dtype=float)
         e = d if d_right is None else np.asarray(d_right, dtype=float)
@@ -149,8 +147,6 @@ class ColumnRowDomain(FactorDomain):
     and the kept rows.
     """
 
-    kind = "column-row"
-
     def __init__(self, source):
         A = as_matrix(source, "source")
         columns, U = _distinct_directions(A.T)
@@ -177,8 +173,6 @@ class ExplicitTuples:
     harmless (never selected while an independent direction remains) and
     exercising them is part of the engine's contract.
     """
-
-    kind = "explicit-tuples"
 
     def __init__(self, tuples, weights=None):
         tuples = [tuple(np.asarray(v, dtype=float) for v in t) for t in tuples]
@@ -228,8 +222,6 @@ class ExplicitDomain(ExplicitTuples):
     """The two-mode case: a caller-supplied list of (v, w) pairs, normalized
     on construction under the left and right weights."""
 
-    kind = "explicit"
-
     def __init__(self, pairs, d_left=None, d_right=None):
         pairs = list(pairs)
         if not pairs:
@@ -249,8 +241,6 @@ class FullSphereDomain:
     whitened residual, so the decomposition reproduces the singular values.
     Not enumerable; certificate routines that need the full atom list reject
     this domain."""
-
-    kind = "full-sphere"
 
     def __init__(self, d_left, d_right=None):
         d = np.asarray(d_left, dtype=float)

@@ -91,7 +91,6 @@ def spectral_projection_values(A, weights=None, r: int | None = None) -> Array:
 
 @dataclass
 class PseudorandomnessProfile:
-    weights: Array
     r: int
     sigma_prefix_norm: float
     cut_mass_ratio: float
@@ -125,7 +124,6 @@ def cut_pseudorandomness_profile(A, weights=None, r: int = 1,
     ratio = cut_mass / ones_mass
     cert = prefix / ratio if ratio > 0 else 0.0
     return PseudorandomnessProfile(
-        weights=d,
         r=r,
         sigma_prefix_norm=prefix,
         cut_mass_ratio=ratio,

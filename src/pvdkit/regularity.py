@@ -60,6 +60,9 @@ class Partition:
 
 @dataclass
 class RegularityReport:
+    """A partition with its bounds and certificates.  ``details`` holds the
+    construction's own fields, under the names the CLI reports them."""
+
     partition: Partition
     approx_matrix: Array
     weak_irregularity_ub: float
@@ -67,7 +70,6 @@ class RegularityReport:
     bound_certificate: float
     certificates: list
     terms_used: int
-    eps: float
     exact: bool
     block_deviation: float
     pvd: object = field(repr=False)
@@ -202,11 +204,10 @@ def _weak_core(A, eps: float, weights, atol: float, bf_cap: int) -> RegularityRe
         bound_certificate=bound,
         certificates=certs,
         terms_used=m,
-        eps=eps,
         exact=exact,
         block_deviation=deviation,
         pvd=result,
-        details={"r": r, "selected": result.selected_pairs()},
+        details={"selected": result.selected_pairs(), "truncation_rank": r},
     )
 
 
@@ -253,7 +254,8 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None, atol: f
     cut norm of ``A`` minus the refined approximant against the tail chain
     ("first term control"); the blockwise gap sum against Cauchy-Schwarz
     ("second term control"); and the gap's Frobenius norm against
-    ``eps * sqrt(horizon mass)``.
+    ``eps * sqrt(horizon mass)``.  The refined approximant is
+    ``best_truncation(report.pvd, report.details["f_q"])[0]``.
     """
     A, d = _checked(A, eps, weights)
     if base <= 1:
@@ -288,8 +290,8 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None, atol: f
 
     q, fq = levels[pick], levels[pick + 1]
     refined, index = best_truncation(result, fq)
-    r_used = index - 1
-    m = min(q, r_used)
+    refined_rank = index - 1
+    m = min(q, refined_rank)
     coarse = truncate(result, m)
     partition = _partition_of(result, m, A.shape[0])
 
@@ -312,7 +314,7 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None, atol: f
     ]
 
     wub, _ = _cut_norm_ub(A - coarse, bf_cap)
-    refined_mass = mass(r_used)
+    refined_mass = mass(refined_rank)
     return RegularityReport(
         partition=partition,
         approx_matrix=coarse,
@@ -321,7 +323,6 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None, atol: f
         bound_certificate=ones_mass * tail,
         certificates=certs,
         terms_used=m,
-        eps=eps,
         exact=exact,
         block_deviation=_block_deviation(coarse, partition),
         pvd=result,
@@ -330,11 +331,10 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None, atol: f
             "level_index": pick,
             "q": q,
             "f_q": fq,
-            "r_used": r_used,
+            "refined_rank": refined_rank,
             "windows": windows,
             "mass_horizon": horizon,
             "window": window,
-            "refined_approx": refined,
             # the stopping comparison as literally printed; diagnostic only
             "literal_window_ok": bool(window <= eps ** 2 * refined_mass + slack),
             "parts_factor": float(2 ** (2 * q)) if 2 * q < 1000 else math.inf,
@@ -414,5 +414,6 @@ def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
         "delta": delta,
         "weak_irregularity_ub": report.weak_irregularity_ub,
         "irregularity_exact": report.exact,
+        "num_parts": p,
         "report": report,
     }

@@ -57,8 +57,6 @@ class CutTuples(FactorDomain):
     the length of the value vector ``max_step`` builds.
     """
 
-    kind = "cut-tuples"
-
     def __init__(self, weights):
         ws = [np.asarray(w, dtype=float) for w in weights]
         if len(ws) < 2:

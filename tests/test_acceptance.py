@@ -145,7 +145,7 @@ def test_criterion_07_weak_regularity_bound():
     for trial in range(10):
         A = oracles.gnp_adjacency(rng, 10, 0.5)
         rep = weak_regularity_partition(A, 0.5)  # truncation rank 4
-        r = rep.details["r"]
+        r = rep.details["truncation_rank"]
         assert r == 4
         resid_cutnorm = oracles.plain_cutnorm_fast(A - rep.approx_matrix)
         padded = np.zeros(r + 1)
@@ -167,7 +167,7 @@ def test_criterion_08_ladder_partition_certificates():
         det = rep.details
         assert det["level_index"] < math.ceil(0.8 ** -2)
         assert rep.all_pass, f"instance {idx}: {rep.certificates}"
-        refined = det["refined_approx"]
+        refined = best_truncation(rep.pvd, det["f_q"])[0]
         fq = det["f_q"]
         padded = np.zeros(fq + 1)
         head = min(rep.pvd.num_terms, fq + 1)

@@ -10,6 +10,7 @@ import pytest
 from pvdkit import cli
 from pvdkit.cutnorm import normalized_cut_bruteforce
 from pvdkit.domains import UnsupportedDomain
+from pvdkit.pvd import best_truncation
 from pvdkit.regularity import szemeredi_partition
 
 import oracles
@@ -83,7 +84,7 @@ def test_szemreg_part_beyond_cap_uses_upper_bound(tmp_path, capsys):
     assert max(len(p) for p in rep["results"]["parts"]) > 4
     second = next(c for c in rep["certificates"] if c["name"] == "second-term-control")
     lib = szemeredi_partition(A, 0.8, bf_cap=4)
-    gap = lib.details["refined_approx"] - lib.approx_matrix
+    gap = best_truncation(lib.pvd, lib.details["f_q"])[0] - lib.approx_matrix
     # [DERIVED] blockwise plain-loop cut norms of the gap
     exact = sum(oracles.plain_cutnorm(gap[np.ix_(P, Q)])
                 for P in lib.partition for Q in lib.partition)
@@ -309,3 +310,68 @@ def test_abbreviated_option_is_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main([argv[0], "--input", _graph_file(tmp_path), *argv[1:]])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["pvd", "--tol-abs", "nan"], ["pvd", "--tol-abs", "inf"],
+                                  ["pvd", "--tol-abs", "-1"],
+                                  ["weakreg", "--eps", "0.5", "--tol-abs", "nan"],
+                                  ["cutnorm", "--tol-abs", "-1"], ["tensor", "--tol-abs", "nan"],
+                                  ["cur", "--eps", "0.5", "--tol-abs", "-1"],
+                                  ["classes", "--tol-abs", "inf"], ["classes", "--p", "nan"],
+                                  ["classes", "--eps", "nan"], ["classes", "--eta", "inf"],
+                                  ["maxcut", "--eps", "0.5", "--delta", "nan"],
+                                  ["szemreg", "--eps", "0.8", "--base", "inf"],
+                                  ["weakreg", "--eps", "inf"]])
+def test_non_finite_or_negative_float_option_is_usage_error(tmp_path, capsys, argv):
+    """Float options must be finite and ``--tol-abs`` at least 0; the parser
+    refuses anything else (exit 2) before the input is read."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "--input", _graph_file(tmp_path), *argv[1:]])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+
+def test_zero_tol_abs_is_accepted(tmp_path, capsys):
+    code, rep = _run(capsys, ["pvd", "--input", _graph_file(tmp_path), "--tol-abs", "0"])
+    assert code == 0
+    assert rep["results"]["verified"] is True
+
+
+#: each subcommand's ``results`` keys (and the ``classes`` profile's).  The
+#: handlers merge the library's result records into ``results``, so a field
+#: added to a record fails here before it reaches a report unnoticed
+RESULT_KEYS = {
+    "pvd": "coefficients exhausted num_terms residual_pnorm selected sigmas source_frob_norm "
+           "step_values verified",
+    "cutnorm": "S T method signed_value value",
+    "weakreg": "block_deviation bound_certificate irregularity_exact num_parts parts selected "
+               "szemeredi_irregularity_ub terms_used truncation_rank weak_irregularity_ub",
+    "szemreg": "bound_certificate f_q level_index levels literal_window_ok mass_horizon "
+               "num_parts parts parts_factor q refined_rank szemeredi_irregularity_ub "
+               "terms_used weak_irregularity_ub window windows",
+    "classes": "core_density lp_regularity profile spectral_projection_values threshold_rank",
+    "cur": "exhausted num_terms residual_pnorm_of_truncation selected sigmas source_frob_norm",
+    "tensor": "domain_size r sigmas",
+    "maxcut": "bipartition counts delta estimate exact_split grid_term irregularity_exact "
+              "num_parts weak_irregularity_ub",
+}
+PROFILE_KEYS = "certificate_ratio cut_mass_ratio exhausted r sigma_prefix_norm sigmas"
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_results_keys_are_pinned(tmp_path, capsys, name):
+    if name == "cur":
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]]))
+    elif name == "tensor":
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"dims": [2, 2, 2], "entries": [1, 0, 0, 1, 0, 1, 1, 0]}))
+    else:
+        path = _graph_file(tmp_path)
+    eps = {"weakreg": "0.6", "szemreg": "0.8", "cur": "0.5", "maxcut": "0.5"}
+    code, rep = _run(capsys, [name, "--input", str(path)]
+                     + (["--eps", eps[name]] if name in eps else []))
+    assert code == 0
+    assert sorted(rep["results"]) == RESULT_KEYS[name].split()
+    if name == "classes":
+        assert sorted(rep["results"]["profile"]) == PROFILE_KEYS.split()

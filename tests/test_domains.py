@@ -224,7 +224,7 @@ def test_explicit_domain_max_step_and_describe():
     pairs = [(rng.normal(size=3), rng.normal(size=4)) for _ in range(5)]
     pairs.append(pairs[2])                     # duplicates are kept
     dom = ExplicitDomain(pairs, d, e)
-    assert dom.kind == "explicit" and dom.size() == 6
+    assert dom.describe(0)["kind"] == "explicit" and dom.size() == 6
     keys = [k for k, _ in dom.atoms()]
     gram = np.stack([atom.ravel() for _, atom in dom.atoms()])
     for _ in range(5):
