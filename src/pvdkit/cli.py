@@ -18,9 +18,9 @@ import sys
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import (BRUTE_FORCE_CAP, COMPLETION_CAP, _select_pair, cut_lp_approx, cut_lp_exact,
-                      exact_completion, integer_weights, normalized_cut_bruteforce,
-                      rectangle_value, subset_indicators)
+from .cutnorm import (BRUTE_FORCE_CAP, COMPLETION_CAP, _sweep_pick, cut_lp_approx, cut_lp_exact,
+                      integer_weights, normalized_cut_bruteforce, rectangle_value,
+                      subset_indicators)
 from .domains import CutDomain, UnsupportedDomain
 from .graphs import (EXHAUSTIVE_PARTITION_CAP, core_density, cut_pseudorandomness_profile,
                      degree_weights, lp_upper_regularity_check, row_sums,
@@ -149,7 +149,7 @@ def cmd_cutnorm(args):
         pair = cut_lp_exact(A, d, e, atol=args.tol_abs)
     elif min(m, n) <= COMPLETION_CAP:
         method = "completion"
-        pair = _select_pair(exact_completion(A, d, e, args.tol_abs), args.tol_abs)
+        pair = _sweep_pick(A, d, e, args.tol_abs)[-1]
     else:
         raise ValueError(f"matrix side exceeds --bf-cap {args.bf_cap}, the smaller side "
                          f"exceeds the completion cap {COMPLETION_CAP}, and the LP route "

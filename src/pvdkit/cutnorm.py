@@ -2,10 +2,9 @@
 
 Two routes to ``max |A(S, T)| / sqrt(d(S) e(T))`` over nonempty index sets:
 
-* an exact sweep over the row sets of one side, the greedy cut step of
-  ``domains.CutDomain``: over ``A``'s rows within ``BRUTE_FORCE_CAP``
-  (``normalized_cut_bruteforce``), then over the smaller side while it is
-  within ``COMPLETION_CAP`` (``exact_completion``), and
+* the exact sweep over the row sets of the smaller side, the greedy cut step
+  of ``domains.CutDomain`` (``normalized_cut_bruteforce`` within
+  ``BRUTE_FORCE_CAP``, ``exact_completion`` within ``COMPLETION_CAP``), and
 * the paper's linear-programming relaxation per candidate ratio
   ``c = d(S)/e(T)``, solved as one warm chain per sign (``lp_candidates``),
   rounded by a threshold scan over the LP levels and closed by
@@ -17,24 +16,27 @@ minority sign next to a good rectangle enter the LP objective as forced
 payments and the relaxation can undershoot, so the LP routes refuse such
 matrices whose smaller side is beyond ``COMPLETION_CAP``.
 
-The row-set sweep rests on a prefix lemma.  Fix a row set ``S`` with row
-sums ``r`` and positive column weights ``e``.  On the box ``[0, 1]^n`` the
-function ``(r.x)^2 / (e.x)`` is convex, so its maximum over nonempty column
-sets is attained at a vertex where no single-column flip has a positive
-gradient.  The gradient in column ``j`` has the sign of ``(r.x) (2 r_j - lam
-e_j)`` with ``lam = (r.x)/(e.x)``, so the best column set is cut off by the
-threshold ``r_j/e_j = lam/2``: with the columns sorted by ``r_j/e_j`` in
-decreasing order it is a prefix for a positive sum and a suffix for a
-negative one.  This holds for any positive weights.  A column exactly at
-the threshold would gain by a flip, by convexity, so every best column set
-is such a prefix or suffix, whatever order the sort gives tied ratios.  The
-lemma speaks of best column sets only: a rectangle within the tolerance of
-the maximum but below it need not be a prefix or suffix, so the rectangle
-that ``exact_completion`` returns can differ, inside that band, from the one
-the tie rule of ``normalized_cut_bruteforce`` picks (``exact_completion``
-gives an example); its value is within the tolerance of the maximum all the
-same.  For the plain form ``|A(S,T)|`` the best column set is the positive
-or the negative support of ``r``.
+The sweep rests on a prefix lemma.  Fix a row set ``S`` with row sums ``r``
+and positive column weights ``e``.  On the box ``[0, 1]^n`` the function
+``(r.x)^2 / (e.x)`` is convex, so its maximum over nonempty column sets is
+attained at a vertex where no single-column flip has a positive gradient.
+The gradient in column ``j`` has the sign of ``(r.x) (2 r_j - lam e_j)`` with
+``lam = (r.x)/(e.x)``, so the best column set is cut off by the threshold
+``r_j/e_j = lam/2``: with the columns sorted by ``r_j/e_j`` in decreasing
+order it is a prefix for a positive sum and a suffix for a negative one.
+This holds for any positive weights.  A column exactly at the threshold
+would gain by a flip, by convexity, so every best column set is such a
+prefix or suffix, whatever order the sort gives tied ratios.  For the plain
+form ``|A(S,T)|`` the best column set is the positive or the negative
+support of ``r``.
+
+The tie rule of every exact normalized maximization: the candidates are
+the prefixes and suffixes of each swept set's sorted other side whose sweep
+value lies within the tolerance of the maximum, and the pick is the
+candidate with the smallest (S mask, T mask), valued by its own sweep.  By
+the lemma the candidates hold every rectangle of the largest value; a
+rectangle within the tolerance of it that is no prefix or suffix is never
+picked.
 
 Most row sets need no sort.  By Cauchy-Schwarz, ``|r(T)| / sqrt(e(T)) <=
 sqrt(sum_j r_j^2 / e_j)`` for every column set ``T``, so ``ub(S) =
@@ -43,11 +45,10 @@ cost of one matrix-vector product over all row sets.  The exact value of the
 row set with the largest bound, a real rectangle's value, is a lower bound
 ``lb`` on the maximum; only the row sets with ``ub(S)`` within the tolerance
 of ``lb`` are sorted, in fixed blocks.  A dropped row set is below the
-maximum less the tolerance, so the maximum, the tie rule and every reported
-value are the same as without pruning.  An exact maximization
-therefore costs ``O(2^m n)`` for the bound plus ``O(k n log n + 2^n)`` for
-the ``k`` surviving row sets (a median of 7% of them over the steps of
-greedy runs on G(n, 1/2)), instead of the ``2^m 2^n`` rectangle table.
+maximum less the tolerance, so it holds no candidate.  An exact maximization
+therefore costs ``O(2^m n)`` for the bound plus ``O(k n log n)`` for the
+``k`` surviving row sets (a median of 7% of them over the steps of greedy
+runs on G(n, 1/2)), instead of the ``2^m 2^n`` rectangle table.
 """
 from __future__ import annotations
 
@@ -152,10 +153,11 @@ def _sorted_prefixes(R, e) -> tuple:
     positive one).  Each row is evaluated on its own, so a row's values do
     not depend on its block."""
     order = np.argsort(R / e, axis=1)
-    Rs = np.take_along_axis(R, order, axis=1)
+    Rs = R[np.arange(len(R))[:, None], order]
     Es = e[order]
-    low = np.cumsum(Rs, axis=1) / np.sqrt(np.cumsum(Es, axis=1))
-    high = np.cumsum(Rs[:, ::-1], axis=1) / np.sqrt(np.cumsum(Es[:, ::-1], axis=1))
+    cumsum = np.add.accumulate  # ``np.cumsum`` less its call overhead, which a one-row call feels
+    low = cumsum(Rs, axis=1) / np.sqrt(cumsum(Es, axis=1))
+    high = cumsum(Rs[:, ::-1], axis=1) / np.sqrt(cumsum(Es[:, ::-1], axis=1))
     return order, low, high
 
 
@@ -172,7 +174,9 @@ def _pruned_rows(R, e, wS, atol: float) -> np.ndarray:
     ``atol``, the exact value of the row set with the largest bound.  Every
     other row set's value is below ``best - atol``, so dropping it changes
     neither the maximum nor the first row set within ``atol`` of it."""
-    squares = ((R / e) * R) @ np.ones(len(e))
+    squares = R / e
+    squares *= R  # in place: one temporary of the size of ``R``, not two
+    squares = squares @ np.ones(len(e))
     upper = np.sqrt(squares) / wS
     top = np.argmax(upper, keepdims=True)
     lower = float(_prefix_best(R[top], e, wS[top])[0])
@@ -184,7 +188,7 @@ def _pruned_rows(R, e, wS, atol: float) -> np.ndarray:
 
 
 def _row_set_sweep(A, d, e, atol: float) -> tuple:
-    """The sweep core shared by the exact maximizers: the row sums ``R`` of
+    """The sweep core of ``_sweep_pick``: the row sums ``R`` of
     every row set in mask order, the square roots ``wS`` of their weights,
     the ascending indices of the row sets that survive the pruning, and the
     best normalized value of each survivor (the prefix lemma of the module
@@ -199,37 +203,67 @@ def _row_set_sweep(A, d, e, atol: float) -> tuple:
     return R, wS, rows, best_per_S
 
 
-def _sweep_rows(A, d, e, cap: int, atol: float) -> CutPair:
-    """Normalized form (plain ``|A(S,T)|`` when ``d`` is None) maximized over
-    row sets, each with its best column set read off its row sums.  Ties
-    within ``atol`` break to the smallest (S mask, T mask): the first
-    qualifying row set, then the first column set in that row's ``2^n``
-    values."""
-    m, n = A.shape
-    if max(m, n) > cap:
-        raise ValueError(f"matrix sides {A.shape} exceed brute-force cap {cap}")
-    if d is None:
-        R = subset_indicators(m) @ A  # row sums of every row subset, mask order
-        rows = np.arange(len(R))
-        best_per_S = np.maximum(np.where(R > 0, R, 0.0).sum(axis=1),
-                                -np.where(R < 0, R, 0.0).sum(axis=1))
-    else:
-        R, wS, rows, best_per_S = _row_set_sweep(A, d, e, atol)
+def _sweep_pick(A, d, e, atol: float, top: bool = False) -> list:
+    """The row-set sweep over the smaller side of ``A`` (its rows when
+    ``m <= n``, else its columns) and the pick of the module docstring's tie
+    rule, as a ``CutPair`` of ``A`` with its signed sweep value; with ``top``
+    it is preceded by the first candidate of the largest sweep value.  Takes
+    validated arrays and does not check the size of the swept side."""
+    flip = A.shape[0] > A.shape[1]
+    B, dd, ee = (A.T, e, d) if flip else (A, d, e)
+    R, wS, rows, best_per_S = _row_set_sweep(B, dd, ee, atol)
     best = float(best_per_S.max())
-    s = int(rows[np.argmax(best_per_S >= best - atol)])
-    V = subset_indicators(n)
-    row = V @ R[s]
-    if d is not None:
-        row /= wS[s] * np.sqrt(V @ e)
-    mags = np.abs(row)
-    # the row is summed in another order than the sweep, so its maximum may
-    # sit an ulp below ``best``
-    t = int(np.argmax(mags >= min(best, float(mags.max())) - atol))
-    return CutPair(_mask_set(s + 1), _mask_set(t + 1), float(row[t]))
+    winners = rows[best_per_S >= best - atol]
+    # scan order: swept sets ascending, each's prefixes then suffixes,
+    # shortest first.  Unless ``S`` is the sorted side, the pick lies in the
+    # first qualifying swept set
+    expand = winners if flip else winners[:1]
+    if top and not flip:
+        expand = np.array(sorted({int(winners[0]), int(rows[np.argmax(best_per_S)])}))
+    order, low, high = _sorted_prefixes(R[expand], ee)
+    vals = np.concatenate([low, high], axis=1) / wS[expand, None]
+    k = len(ee)
+    ok = (np.abs(vals) >= best - atol).reshape(-1, 2, k)
+    if not flip:
+        ok[1:] = False
+    # a longer prefix (suffix) holds a shorter one, so of a swept set's
+    # prefixes (suffixes) within ``atol`` the shortest, of sorted positions
+    # ``lo..lo+j``, has the smallest mask.  Of those, the smallest mask is
+    # found 52 columns at a time, highest first, each chunk's mask exact in
+    # a float; ``c[0]`` is the first in scan order among equal ones
+    w, side = np.nonzero(ok.any(axis=2))
+    j = ok.argmax(axis=2)[w, side]
+    lo = side * (k - 1.0 - j)
+    pos = np.arange(k, dtype=float)
+    c = np.arange(len(w))
+    sets = np.empty((len(w), k), dtype=bool)
+    sets[c[:, None], order[w]] = (pos >= lo[:, None]) & (pos <= (lo + j)[:, None])
+    for hi in range(k, 0, -52):
+        mask = sets[c, max(hi - 52, 0) : hi] @ 2.0 ** pos[: min(hi, 52)]
+        c = c[mask == mask.min()]
+    c = c[0]
+    picks = [(w[c], side[c], j[c])]
+    if top:
+        r, col = np.unravel_index(np.argmax(np.abs(vals)), vals.shape)
+        picks.insert(0, (r, *divmod(col, k)))
+    pairs = []
+    for r, s, i in picks:
+        start = s * (k - 1 - i)
+        other = tuple(sorted(order[r, start : start + i + 1].tolist()))
+        swept = _mask_set(int(expand[r]) + 1)
+        S, T = (other, swept) if flip else (swept, other)
+        pairs.append(CutPair(S, T, float(vals[r, s * k + i])))
+    return pairs
+
+
+def _check_cap(A, cap: int) -> None:
+    if max(A.shape) > cap:
+        raise ValueError(f"matrix sides {A.shape} exceed brute-force cap {cap}")
 
 
 def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL) -> CutPair:
-    """Exact unnormalized cut norm ``max |A(S,T)|`` by a sweep over row sets.
+    """Exact unnormalized cut norm ``max |A(S,T)|`` by a sweep over row sets,
+    each with the positive or negative support of its row sums.
 
     Parameters
     ----------
@@ -242,28 +276,41 @@ def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL) -> Cu
     -------
     CutPair
         Witness sets with the signed rectangle sum attaining the maximum
-        absolute value; ties break to the smallest (S mask, T mask).
+        absolute value; ties within ``atol`` break to the smallest (S mask,
+        T mask): the first qualifying row set, then the first column set in
+        that row's ``2^n`` sums.
     """
-    return _sweep_rows(as_matrix(A), None, None, cap, atol)
+    A = as_matrix(A)
+    _check_cap(A, cap)
+    m, n = A.shape
+    R = subset_indicators(m) @ A  # row sums of every row subset, mask order
+    best_per_S = np.maximum(np.where(R > 0, R, 0.0).sum(axis=1),
+                            -np.where(R < 0, R, 0.0).sum(axis=1))
+    best = float(best_per_S.max())
+    s = int(np.argmax(best_per_S >= best - atol))
+    row = subset_indicators(n) @ R[s]
+    mags = np.abs(row)
+    # the row is summed in another order than the sweep, so its maximum may
+    # sit an ulp below ``best``
+    t = int(np.argmax(mags >= min(best, float(mags.max())) - atol))
+    return CutPair(_mask_set(s + 1), _mask_set(t + 1), float(row[t]))
 
 
 def normalized_cut_bruteforce(
     A, d_left=None, d_right=None, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL
 ) -> CutPair:
-    """Exact ``max |A(S,T)| / sqrt(d(S) e(T))`` by a sorted-ratio sweep.
+    """Exact ``max |A(S,T)| / sqrt(d(S) e(T))`` by the sorted-ratio sweep
+    over the smaller side, for inputs whose longer side is within ``cap``.
 
-    Enumerates the ``2^m - 1`` row sets; the best column set of each is a
-    prefix or a suffix of its columns sorted by ``r_j / e_j``, and only the
-    row sets that survive the Cauchy-Schwarz pruning are sorted (both in the
-    module docstring).  Covers both signs; the stored value keeps its sign,
-    and ties break to the smallest (S mask, T mask), exactly as without the
-    pruning.
+    Covers both signs; the stored value keeps its sign, and ties within
+    ``atol`` break by the rule of the module docstring.
     """
     A = as_matrix(A)
     m, n = A.shape
     d = as_weights(d_left, m, "left weights")
     e = as_weights(d_right, n, "right weights")
-    return _sweep_rows(A, d, e, cap, atol)
+    _check_cap(A, cap)
+    return _sweep_pick(A, d, e, atol)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -477,70 +524,22 @@ def lp_candidates(A, d_left, d_right, cs):
 
 def exact_completion(A, d_left, d_right, atol: float = ATOL) -> list:
     """Exact normalized-rectangle candidates, for any signs and any positive
-    weights: the cut step past ``BRUTE_FORCE_CAP``, and the closer of the LP
-    routes.
+    weights: the closer of the LP routes.
 
-    Runs the row-set sweep over the subsets of the smaller side (``A``'s
-    rows when ``m <= n``, else its columns).  Its candidates are the swept
-    sets within ``atol`` of the best sweep value, each with the prefixes and
-    suffixes of its sorted other side within ``atol``; by the prefix lemma
-    they hold every rectangle of the largest value, but not every rectangle
-    within ``atol`` of it.  Of the candidates, two are returned as CutPairs
-    of ``A`` valued by ``rectangle_value``: first the one with the largest
-    sweep value, then the one with the smallest (S mask, T mask) (one pair
-    when they coincide).  The second is the rectangle that the tie rule of
-    ``normalized_cut_bruteforce`` picks unless a rectangle with smaller masks
-    lies within ``atol`` of the maximum without being a prefix or suffix:
-    for ``1e-17 * [[0, -1, 0], [-1, -1, -1], [-1, -1, -1]]`` with unit
-    weights the tie rule picks ``({0}, {0})`` of value 0, and the completion
-    ``({0}, {1})`` of value ``-1e-17``.  Only the swept sets that can hold
-    the two are expanded.  Returns an empty list when the smaller side exceeds
+    Runs the sweep over the smaller side and returns, as CutPairs of ``A``
+    valued by ``rectangle_value``, first the candidate with the largest sweep
+    value, then the pick of the tie rule (module docstring), once when they
+    coincide.  Returns an empty list when the smaller side exceeds
     ``COMPLETION_CAP``; the long side is never enumerated.
     """
     A = as_matrix(A)
     m, n = A.shape
     d = as_weights(d_left, m)
     e = as_weights(d_right, n)
-    flip = m > n
-    B, dd, ee = (A.T, e, d) if flip else (A, d, e)
-    if B.shape[0] > COMPLETION_CAP:
+    if min(m, n) > COMPLETION_CAP:
         return []
-    R, wS, rows, best_per_S = _row_set_sweep(B, dd, ee, atol)
-    best = float(best_per_S.max())
-    winners = rows[best_per_S >= best - atol]
-    # scan order: swept sets ascending, each's prefixes then suffixes,
-    # shortest first.  ``top`` is in the first swept set with the best value,
-    # ``first`` in the first within ``atol`` unless ``S`` is the sorted side
-    top_row = int(rows[np.argmax(best_per_S)])
-    expand = winners if flip else np.array(sorted({int(winners[0]), top_row}))
-    order, low, high = _sorted_prefixes(R[expand], ee)
-    vals = np.abs(np.concatenate([low, high], axis=1)) / wS[expand, None]
-    k, rank = len(ee), np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(k), axis=1)
-
-    def sides(w, j):  # 0/1 rows of the column sets ``j`` of the rows ``w``
-        j = j[:, None]
-        return np.where(j < k, rank[w] <= j, rank[w] >= 2 * k - 1 - j)
-
-    ok = (vals >= best - atol).reshape(-1, 2, k)
-    if not flip:  # ``S`` is the swept set: only the first row's rectangles compete
-        ok[1:] = False
-    # of a row's prefixes (suffixes) within ``atol`` the shortest has the
-    # smallest mask.  Of those, the smallest: from the highest column down,
-    # drop the sets holding a column that another one lacks; the first of
-    # equal sets is the first in scan order
-    w, side = np.nonzero(ok.any(axis=2))
-    j = ok.argmax(axis=2)[w, side] + side * k
-    sets, c = sides(w, j), np.arange(len(w))
-    for col in range(k - 1, -1, -1):
-        c = c if sets[c, col].all() else c[~sets[c, col]]
-    a, b = np.transpose([np.unravel_index(np.argmax(vals), vals.shape), (w[c[0]], j[c[0]])])
-    pairs = []  # (sweep value, S, T) of ``top``, then of ``first``
-    for r, col, other in zip(a.tolist(), b.tolist(), sides(a, b)):
-        swept, other = _mask_set(int(expand[r]) + 1), tuple(np.flatnonzero(other).tolist())
-        pairs.append((vals[r, col], other, swept) if flip else (vals[r, col], swept, other))
-    return [CutPair(S, T, _rect_value(A, d, e, np.array(S), np.array(T)))
-            for _, S, T in dict.fromkeys(pairs)]
+    return [CutPair(p.S, p.T, _rect_value(A, d, e, np.array(p.S), np.array(p.T)))
+            for p in dict.fromkeys(_sweep_pick(A, d, e, atol, top=True))]
 
 
 def _select_pair(pool, atol: float) -> CutPair:

@@ -7,10 +7,9 @@ at weights: whitening happens here.
 
 Tie-breaking is uniform across domains: among candidates within ``atol``
 of the best value, the lexicographically smallest canonical key wins (subset
-masks for cut pairs, (column, row) for column-row pairs, the index for
-explicit lists).  Past ``bf_cap`` the cut step applies that rule to the
-rectangles ``cutnorm.exact_completion`` returns, which need not hold every
-rectangle within ``atol``.
+masks for cut pairs, whose candidates are the prefix-and-suffix rectangles
+of the ``cutnorm`` sweep, (column, row) for column-row pairs, the index for
+explicit lists).
 """
 from __future__ import annotations
 
@@ -21,8 +20,7 @@ from functools import reduce
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import (BRUTE_FORCE_CAP, COMPLETION_CAP, _mask_set, _select_pair, cut_lp_exact,
-                      exact_completion, normalized_cut_bruteforce)
+from .cutnorm import BRUTE_FORCE_CAP, COMPLETION_CAP, _mask_set, _sweep_pick, cut_lp_exact
 from .linalg import ATOL, as_matrix, as_weights, ip_norm, tensor_whitener
 
 
@@ -40,11 +38,12 @@ class CutDomain:
     d_left, d_right : array_like
         Strictly positive weight vectors; ``d_right`` defaults to ``d_left``.
     bf_cap : int
-        Largest side that ``atoms`` enumerates and that a greedy step sweeps
-        by ``normalized_cut_bruteforce``.  Past it a step sweeps the smaller
-        side (``cutnorm.exact_completion``) up to ``cutnorm.COMPLETION_CAP``,
-        and past that takes the LP route ``cutnorm.cut_lp_exact``, which
-        needs integer weights and a one-signed residual.
+        Largest side that ``atoms`` enumerates.  A greedy step is the exact
+        sweep over the smaller side (``cutnorm``) when the longer side is
+        within ``bf_cap`` or the smaller side within
+        ``cutnorm.COMPLETION_CAP``; past both it takes the LP route
+        ``cutnorm.cut_lp_exact``, which needs integer weights and a
+        one-signed residual.
     """
 
     def __init__(self, d_left, d_right=None, bf_cap: int = BRUTE_FORCE_CAP):
@@ -87,10 +86,8 @@ class CutDomain:
     def max_step(self, resid_white, atol: float = ATOL):
         d, e = self.weights
         R = resid_white * self.whitener
-        if max(self.shape) <= self.bf_cap:
-            pair = normalized_cut_bruteforce(R, d, e, cap=self.bf_cap, atol=atol)
-        elif min(self.shape) <= COMPLETION_CAP:
-            pair = _select_pair(exact_completion(R, d, e, atol), atol)
+        if max(self.shape) <= self.bf_cap or min(self.shape) <= COMPLETION_CAP:
+            pair = _sweep_pick(R, d, e, atol)[-1]
         else:
             try:
                 pair = cut_lp_exact(R, d, e, atol=atol)

@@ -47,6 +47,8 @@ def threshold_rank(A, eps: float) -> float:
     diagonal; only eigenvalues strictly greater than ``eps`` contribute.
     Monotone nonincreasing in eps; zero for eps >= 1.
     """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     A = as_adjacency(A)
     d = degree_weights(A)
     lam = la.eigvalsh(_symmetrized_whitened(A, d))

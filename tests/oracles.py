@@ -195,45 +195,15 @@ def table_witness(A, d=None, e=None, atol: float = 1e-9):
     return S, T, float(table[i, j])
 
 
-def sweep_rows_unpruned(A, d, e, atol: float = 1e-9):
-    """(S, T, value) of the weighted row-set sweep without any pruning: every
-    row set's columns sorted by ``r_j / e_j`` and its best prefix or suffix
-    read off in one pass over all ``2^m`` row sets, then the first row set
-    and first column set within ``atol`` of the maximum.  The same float
-    operations as the package's sweep, so its values compare bitwise."""
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    U = subset_matrix(m)
-    V = subset_matrix(n)
-    R = U @ A
-    order = np.argsort(R / e, axis=1)
-    Rs = np.take_along_axis(R, order, axis=1)
-    Es = e[order]
-    low = np.cumsum(Rs, axis=1) / np.sqrt(np.cumsum(Es, axis=1))
-    high = np.cumsum(Rs[:, ::-1], axis=1) / np.sqrt(np.cumsum(Es[:, ::-1], axis=1))
-    wS = np.sqrt(U @ d)
-    best_per_S = np.maximum(np.abs(low).max(axis=1), np.abs(high).max(axis=1)) / wS
-    best = float(best_per_S.max())
-    s = int(np.argmax(best_per_S >= best - atol))
-    row = V @ R[s]
-    row /= wS[s] * np.sqrt(V @ e)
-    mags = np.abs(row)
-    t = int(np.argmax(mags >= min(best, float(mags.max())) - atol))
-    S = tuple(int(k) for k in np.nonzero(U[s])[0])
-    T = tuple(int(k) for k in np.nonzero(V[t])[0])
-    return S, T, float(row[t])
-
-
 def completion_pool(A, d, e, atol: float = 1e-9) -> list:
     """(S, T, value, sweep value) of every rectangle the row-set sweep over
     the smaller side finds within ``atol`` of its best value: each prefix
     and suffix of a swept set's sorted other side whose sweep value is
-    within ``atol``, in row-set order, prefixes first, shortest first.
-    Unpruned, with the same float operations as the package's sweep, and
-    each rectangle valued as ``rectangle_value`` values it, so the values
-    compare bitwise."""
+    within ``atol`` in magnitude, in row-set order, prefixes first, shortest
+    first.  Unpruned, with the same float operations as the package's sweep
+    (the sweep value keeps its sign), and each rectangle valued as
+    ``rectangle_value`` values it, so the values compare bitwise (NaN where
+    the product of the weight sums underflows to 0)."""
     A = np.asarray(A, dtype=float)
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -244,10 +214,10 @@ def completion_pool(A, d, e, atol: float = 1e-9) -> list:
     order = np.argsort(R / ee, axis=1)
     Rs = np.take_along_axis(R, order, axis=1)
     Es = ee[order]
-    low = np.abs(np.cumsum(Rs, axis=1) / np.sqrt(np.cumsum(Es, axis=1)))
-    high = np.abs(np.cumsum(Rs[:, ::-1], axis=1) / np.sqrt(np.cumsum(Es[:, ::-1], axis=1)))
+    low = np.cumsum(Rs, axis=1) / np.sqrt(np.cumsum(Es, axis=1))
+    high = np.cumsum(Rs[:, ::-1], axis=1) / np.sqrt(np.cumsum(Es[:, ::-1], axis=1))
     wS = np.sqrt(U @ dd)
-    best = float((np.maximum(low.max(axis=1), high.max(axis=1)) / wS).max())
+    best = float((np.maximum(np.abs(low).max(axis=1), np.abs(high).max(axis=1)) / wS).max())
     out = []
     for s, o in enumerate(order):
         swept = tuple(int(k) for k in np.nonzero(U[s])[0])
@@ -255,11 +225,12 @@ def completion_pool(A, d, e, atol: float = 1e-9) -> list:
         sides = [(o[: k + 1], low[s, k] / wS[s]) for k in k_all]
         sides += [(o[len(o) - 1 - k :], high[s, k] / wS[s]) for k in k_all]
         for side, sweep in sides:
-            if sweep < best - atol:
+            if abs(sweep) < best - atol:
                 continue
             other = tuple(sorted(int(j) for j in side))
             S, T = (other, swept) if flip else (swept, other)
-            value = float(A[np.ix_(S, T)].sum()) / math.sqrt(d[list(S)].sum() * e[list(T)].sum())
+            denom = math.sqrt(d[list(S)].sum() * e[list(T)].sum())
+            value = float(A[np.ix_(S, T)].sum()) / denom if denom else math.nan
             out.append((S, T, value, float(sweep)))
     return out
 
@@ -267,12 +238,17 @@ def completion_pool(A, d, e, atol: float = 1e-9) -> list:
 def completion_pairs(A, d, e, atol: float = 1e-9) -> list:
     """(S, T, value) of the rectangles ``exact_completion`` returns, picked
     from the whole ``completion_pool``: the first with the largest sweep
-    value, then the first with the smallest (S mask, T mask), once each
-    when both the rectangle and the sweep value coincide."""
+    value in magnitude, then ``completion_pick``, once each when both the
+    rectangle and the sweep value coincide."""
     pool = completion_pool(A, d, e, atol)
-    top = max(pool, key=lambda c: c[3])
-    first = min(pool, key=lambda c: (mask(c[0]), mask(c[1])))
-    return [c[:3] for c in dict.fromkeys([top, first])]
+    top = max(pool, key=lambda c: abs(c[3]))
+    return [c[:3] for c in dict.fromkeys([top, completion_pick(pool)])]
+
+
+def completion_pick(pool) -> tuple:
+    """The first entry of a ``completion_pool`` with the smallest (S mask,
+    T mask): the exact cut step's tie rule."""
+    return min(pool, key=lambda c: (mask(c[0]), mask(c[1])))
 
 
 def mask(indices) -> int:

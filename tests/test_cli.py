@@ -331,6 +331,30 @@ def test_non_finite_or_negative_float_option_is_usage_error(tmp_path, capsys, ar
     assert f"argument {argv[-2]}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["-1", "0"])
+def test_classes_non_positive_eps_is_exit_two(tmp_path, capsys, eps):
+    """``classes --eps`` is the threshold-rank cut, which must be positive,
+    as every other ``--eps`` is."""
+    code = cli.main(["classes", "--input", _graph_file(tmp_path), "--eps", eps])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "eps must be positive" in captured.err
+
+
+def test_bf_cap_does_not_change_a_greedy_report(tmp_path, capsys):
+    """Every rectangle of this residual is within ``--tol-abs`` of the
+    maximum; within ``--bf-cap`` and past it the step takes the same pick,
+    so the reports are byte-identical."""
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps((1e-17 * np.array([[0, -1, 0], [-1, -1, -1], [-1, -1, -1]]))
+                               .tolist()))
+    texts = []
+    for extra in ([], ["--bf-cap", "1"]):
+        assert cli.main(["pvd", "--input", str(path), *extra]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+
+
 def test_zero_tol_abs_is_accepted(tmp_path, capsys):
     code, rep = _run(capsys, ["pvd", "--input", _graph_file(tmp_path), "--tol-abs", "0"])
     assert code == 0

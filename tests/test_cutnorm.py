@@ -194,15 +194,16 @@ def _sweep_inputs(draw):
 
 
 def _bitwise_reference(A, d, e, atol) -> None:
+    """The pick of the unpruned pool, with its sweep value bit for bit."""
     pair = normalized_cut_bruteforce(A, d, e, atol=atol)
-    S, T, value = oracles.sweep_rows_unpruned(A, d, e, atol=atol)
-    assert (pair.S, pair.T, pair.value.hex()) == (S, T, value.hex())
+    S, T, _, sweep = oracles.completion_pick(oracles.completion_pool(A, d, e, atol))
+    assert (pair.S, pair.T, pair.value.hex()) == (S, T, sweep.hex())
 
 
 @settings(max_examples=200, deadline=None)
 @given(inputs=_sweep_inputs())
 def test_pruned_sweep_matches_unpruned_reference(inputs):
-    """Same witness and bitwise-equal value as the sweep over every row set."""
+    """Same pick and bitwise-equal value as the sweep over every row set."""
     _bitwise_reference(*inputs)
 
 
@@ -449,19 +450,20 @@ def test_cut_domain_exhausts_one_signed_residuals_beyond_completion():
 
 def test_greedy_steps_past_the_cap_solve_no_lp(monkeypatch):
     """Within ``COMPLETION_CAP`` every greedy step past ``bf_cap`` is the
-    completion sweep: a weak regularity run on six vertices with the cap at
-    four solves no LP."""
+    exact sweep: a weak regularity run on six vertices with the cap at four
+    solves no LP."""
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
     swept = []
+    real = cutnorm._sweep_pick
 
     def counted(*args, **kwargs):
         swept.append(args[0].shape)
-        return exact_completion(*args, **kwargs)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(cutnorm, "lp_candidates", no_lp)
-    monkeypatch.setattr(domains, "exact_completion", counted)
+    monkeypatch.setattr(domains, "_sweep_pick", counted)
     A = oracles.gnp_adjacency(np.random.default_rng(64), 6, 0.5)
     report = weak_regularity_partition(A, 0.5, bf_cap=4)
     assert report.all_pass and report.pvd.num_terms >= 1
@@ -613,6 +615,10 @@ def test_exact_completion_selects_as_the_full_pool(A, data):
 # swept over columns, the first column set within the tolerance does not hold
 # the smallest row set: every swept set within it must be expanded
 @example(inputs=(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, 0.0]]), np.ones(3), np.ones(2)))
+# a sorted side past 52 columns, whose masks are compared in several chunks
+@example(inputs=(np.zeros((60, 3)), np.ones(60), np.ones(3)))
+@example(inputs=(np.outer([1.0, -1.0, 1.0], np.tile([1.0, -1.0, 0.0], 20)), np.ones(3),
+                 np.ones(60)))
 def test_exact_completion_pairs_bitwise_from_the_full_pool(inputs):
     """Expanding only the swept sets that can hold them, the completion
     returns, bit for bit, the pairs picked from every rectangle within the
@@ -621,6 +627,27 @@ def test_exact_completion_pairs_bitwise_from_the_full_pool(inputs):
     A, d, e = inputs
     got = [(p.S, p.T, p.value) for p in exact_completion(A, d, e)]
     assert got == oracles.completion_pairs(A, d, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=_matrices(), data=st.data())
+def test_every_exact_step_is_the_pick_of_the_pool(A, data):
+    """``normalized_cut_bruteforce`` and the cut step, within ``bf_cap`` and
+    past it, return the tie rule's pick (the last pair the completion
+    returns) with the exact maximum: wide, tall and square inputs with unit,
+    integer and non-integer weights."""
+    if data.draw(st.booleans()):
+        A = A.T.copy()
+    d, e = data.draw(_weights(A.shape[0])), data.draw(_weights(A.shape[1]))
+    S, T, _ = oracles.completion_pairs(A, d, e)[-1]
+    best = oracles.cut_pnorm_max_fast(A, d, e)
+    pair = normalized_cut_bruteforce(A, d, e)
+    assert (pair.S, pair.T) == (S, T)
+    assert abs(pair.value) == pytest.approx(best, abs=1e-12)
+    for dom in (CutDomain(d, e), CutDomain(d, e, bf_cap=1)):
+        key, value = dom.max_step(A / dom.whitener)
+        assert key == (oracles.mask(S), oracles.mask(T))
+        assert abs(value) == pytest.approx(best, abs=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(3, 16), (16, 3)])

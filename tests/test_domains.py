@@ -74,15 +74,13 @@ def test_cut_domain_completion_route_agrees_with_enumeration(inputs):
 
 def test_routes_agree_on_exhaustion_inside_the_tie_band():
     """Every rectangle of this residual is within ``ATOL`` of the maximum.
-    The enumeration's tie rule picks ({0}, {0}) of value 0, which is no
-    prefix or suffix of its sorted row, so the completion picks ({0}, {1})
-    (the ``exact_completion`` docstring); both routes still stop the run at
-    once with the residual exhausted."""
+    ({0}, {0}) of value 0 has the smallest masks but is no prefix or suffix
+    of its sorted row, so it is no candidate: within ``bf_cap`` and past it
+    the step picks ({0}, {1}), and both runs stop at once with the residual
+    exhausted."""
     R = 1e-17 * np.array([[0.0, -1.0, 0.0], [-1.0, -1.0, -1.0], [-1.0, -1.0, -1.0]])
-    enum_dom, swept_dom = CutDomain(np.ones(3)), CutDomain(np.ones(3), bf_cap=1)
-    assert enum_dom.max_step(R) == ((1, 1), 0.0)
-    assert swept_dom.max_step(R) == ((1, 2), -1e-17)
-    for dom in (enum_dom, swept_dom):
+    for dom in (CutDomain(np.ones(3)), CutDomain(np.ones(3), bf_cap=1)):
+        assert dom.max_step(R) == ((1, 2), -1e-17)
         res = compute_pvd(R, dom)
         assert res.num_terms == 0 and res.exhausted
         assert res.residual_pnorm <= ATOL

@@ -47,6 +47,14 @@ def test_threshold_rank_disconnected_components():
     assert threshold_rank(A, 0.5) == pytest.approx(2.0)
 
 
+def test_threshold_rank_needs_a_positive_eps():
+    """At eps <= 0 the negative eigenvalues would count; every eps reader
+    refuses them."""
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            threshold_rank(_complete_graph(4), eps)
+
+
 def test_core_density_single_edge():
     # one edge: degrees (1,1), average 1, so each endpoint weight is 2
     A = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -64,3 +64,46 @@ def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 5
     assert [hit for p in modules for hit in _unused_imports(p)] == []
+
+
+def _definitions(tree) -> list:
+    """Module-level functions, classes and assigned names, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
+
+
+def _references(tree) -> set:
+    """Every name a module reads, imports or looks up as an attribute, and
+    every string literal (``monkeypatch.setattr`` and patch tables name
+    their targets by string)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_no_dead_code():
+    """Every module-level function, class and constant of the package is
+    referenced somewhere in ``src/``, ``tests/`` or ``bench/`` beyond its
+    definition."""
+    root = SRC.parents[1]
+    files = [p for d in ("src", "tests", "bench") for p in sorted((root / d).rglob("*.py"))]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    defined = [f"{p.name}:{name}" for p, tree in trees.items() if p.parent == SRC
+               for name in _definitions(tree)]
+    assert len(defined) > 100
+    assert [d for d in defined if d.split(":")[1] not in used] == []
