@@ -18,9 +18,8 @@ import sys
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import (BRUTE_FORCE_CAP, COMPLETION_CAP, _sweep_pick, cut_lp_approx, cut_lp_exact,
-                      integer_weights, normalized_cut_bruteforce, rectangle_value,
-                      subset_indicators)
+from .cutnorm import (BRUTE_FORCE_CAP, COMPLETION_CAP, CutPair, cut_lp_approx, cut_lp_exact,
+                      integer_weights, normalized_cut_bruteforce, rectangle_value)
 from .domains import CutDomain, UnsupportedDomain
 from .graphs import (EXHAUSTIVE_PARTITION_CAP, core_density, cut_pseudorandomness_profile,
                      degree_weights, lp_upper_regularity_check, row_sums,
@@ -30,6 +29,7 @@ from .linalg import ATOL, frob_norm
 from .pvd import certificate, compute_pvd, verify_pvd
 from .regularity import max_cut_details, szemeredi_partition, weak_regularity_partition
 from .simplex import SimplexError
+from .sweep import _max_cut, _sweep_pick
 from .tensor import CutTuples, tensor_bound_check
 from .cur import cur_pvd
 
@@ -59,6 +59,16 @@ def _jsonable(obj):
 
 def resolve_weights(ip: str, A: np.ndarray):
     """(left, right) weight vectors for the chosen inner product."""
+    d, e = _weights(ip, A)
+    smallest = float(d.min()) * float(e.min())
+    if smallest < sys.float_info.min:
+        raise ValueError(f"--ip {ip}: the smallest left and right weights multiply to "
+                         f"{smallest:.3g}, below the normal float range, so the weight "
+                         "masses of the rectangles underflow")
+    return d, e
+
+
+def _weights(ip: str, A: np.ndarray):
     m, n = A.shape
     if ip == "euclidean":
         return np.ones(m), np.ones(n)
@@ -149,7 +159,7 @@ def cmd_cutnorm(args):
         pair = cut_lp_exact(A, d, e, atol=args.tol_abs)
     elif min(m, n) <= COMPLETION_CAP:
         method = "completion"
-        pair = _sweep_pick(A, d, e, args.tol_abs)[-1]
+        pair = CutPair(*_sweep_pick(A, d, e, args.tol_abs)[-1])
     else:
         raise ValueError(f"matrix side exceeds --bf-cap {args.bf_cap}, the smaller side "
                          f"exceeds the completion cap {COMPLETION_CAP}, and the LP route "
@@ -285,8 +295,7 @@ def cmd_maxcut(args):
     certs = list(results.pop("report").certificates)
     n = A.shape[0]
     if n <= args.bf_cap:
-        U = subset_indicators(n)
-        best = float(((U @ A) * (1.0 - U)).sum(axis=1).max())
+        best = _max_cut(A)
         slack = results["weak_irregularity_ub"] + results["grid_term"]
         certs.append(certificate("estimate-vs-bruteforce",
                                  abs(results["estimate"] - best), slack + 1e-6))

@@ -2,9 +2,11 @@
 
 Two routes to ``max |A(S, T)| / sqrt(d(S) e(T))`` over nonempty index sets:
 
-* the exact sweep over the row sets of the smaller side, the greedy cut step
-  of ``domains.CutDomain`` (``normalized_cut_bruteforce`` within
-  ``BRUTE_FORCE_CAP``, ``exact_completion`` within ``COMPLETION_CAP``), and
+* the exact sweep over the row sets of the smaller side (``sweep``, which
+  states its tie rule, its pruning and its cost), the greedy cut step of
+  ``domains.CutDomain`` (``normalized_cut_bruteforce`` within
+  ``BRUTE_FORCE_CAP``, ``exact_completion`` while the smaller side is within
+  ``COMPLETION_CAP``), and
 * the paper's linear-programming relaxation per candidate ratio
   ``c = d(S)/e(T)``, solved as one warm chain per sign (``lp_candidates``),
   rounded by a threshold scan over the LP levels and closed by
@@ -15,40 +17,6 @@ cut step's route past ``COMPLETION_CAP``.  With mixed signs, entries of the
 minority sign next to a good rectangle enter the LP objective as forced
 payments and the relaxation can undershoot, so the LP routes refuse such
 matrices whose smaller side is beyond ``COMPLETION_CAP``.
-
-The sweep rests on a prefix lemma.  Fix a row set ``S`` with row sums ``r``
-and positive column weights ``e``.  On the box ``[0, 1]^n`` the function
-``(r.x)^2 / (e.x)`` is convex, so its maximum over nonempty column sets is
-attained at a vertex where no single-column flip has a positive gradient.
-The gradient in column ``j`` has the sign of ``(r.x) (2 r_j - lam e_j)`` with
-``lam = (r.x)/(e.x)``, so the best column set is cut off by the threshold
-``r_j/e_j = lam/2``: with the columns sorted by ``r_j/e_j`` in decreasing
-order it is a prefix for a positive sum and a suffix for a negative one.
-This holds for any positive weights.  A column exactly at the threshold
-would gain by a flip, by convexity, so every best column set is such a
-prefix or suffix, whatever order the sort gives tied ratios.  For the plain
-form ``|A(S,T)|`` the best column set is the positive or the negative
-support of ``r``.
-
-The tie rule of every exact normalized maximization: the candidates are
-the prefixes and suffixes of each swept set's sorted other side whose sweep
-value lies within the tolerance of the maximum, and the pick is the
-candidate with the smallest (S mask, T mask), valued by its own sweep.  By
-the lemma the candidates hold every rectangle of the largest value; a
-rectangle within the tolerance of it that is no prefix or suffix is never
-picked.
-
-Most row sets need no sort.  By Cauchy-Schwarz, ``|r(T)| / sqrt(e(T)) <=
-sqrt(sum_j r_j^2 / e_j)`` for every column set ``T``, so ``ub(S) =
-sqrt(sum_j r_j^2 / e_j) / sqrt(d(S))`` bounds the best value of ``S``, at the
-cost of one matrix-vector product over all row sets.  The exact value of the
-row set with the largest bound, a real rectangle's value, is a lower bound
-``lb`` on the maximum; only the row sets with ``ub(S)`` within the tolerance
-of ``lb`` are sorted, in fixed blocks.  A dropped row set is below the
-maximum less the tolerance, so it holds no candidate.  An exact maximization
-therefore costs ``O(2^m n)`` for the bound plus ``O(k n log n)`` for the
-``k`` surviving row sets (a median of 7% of them over the steps of greedy
-runs on G(n, 1/2)), instead of the ``2^m 2^n`` rectangle table.
 """
 from __future__ import annotations
 
@@ -61,20 +29,17 @@ import numpy as np
 
 from .linalg import ATOL, as_matrix, as_weights
 from .simplex import Tableau, simplex_solve
+from .sweep import _mask_set, _plain_pick, _set_mask, _sweep_pick
 
 #: default cap on one side's length for brute-force rectangle enumeration
 BRUTE_FORCE_CAP = 12
 
-#: cap on the enumerated side of the exact completion sweep
-COMPLETION_CAP = 17
+#: cap on the swept (smaller) side of the exact sweep past ``BRUTE_FORCE_CAP``
+COMPLETION_CAP = 22
 
 #: cap on the entries of one batch of level masks in the LP rounding; a
 #: ratio grid is solved and rounded in batches of this many mask entries
 ROUND_BATCH_ENTRIES = 1 << 18
-
-#: row sets per block of the sorted-prefix sweep, so the sort never holds a
-#: temporary of all ``2^m`` row sets
-SWEEP_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -91,33 +56,6 @@ class CutPair:
 
     def masks(self) -> tuple:
         return (_set_mask(self.S), _set_mask(self.T))
-
-
-def _set_mask(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << int(i)
-    return mask
-
-
-def _mask_set(mask: int) -> tuple:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def subset_indicators(n: int) -> np.ndarray:
-    """0/1 rows for every nonempty subset of range(n), mask order 1..2^n-1."""
-    assert n >= 1
-    masks = np.arange(1, 2**n, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    return bits.astype(float)
 
 
 def rectangle_sum(A, S, T) -> float:
@@ -146,116 +84,6 @@ def _rect_value(A, d, e, S, T) -> float:
     return rectangle_sum(A, S, T) / math.sqrt(d[S].sum() * e[T].sum())
 
 
-def _sorted_prefixes(R, e) -> tuple:
-    """Each row's column order by ``r_j / e_j``, increasing, and the values
-    ``r(T) / sqrt(e(T))`` of its prefixes (``low``, which hold the negative
-    optimum) and of its suffixes (``high``, longest last, which hold the
-    positive one).  Each row is evaluated on its own, so a row's values do
-    not depend on its block."""
-    order = np.argsort(R / e, axis=1)
-    Rs = R[np.arange(len(R))[:, None], order]
-    Es = e[order]
-    cumsum = np.add.accumulate  # ``np.cumsum`` less its call overhead, which a one-row call feels
-    low = cumsum(Rs, axis=1) / np.sqrt(cumsum(Es, axis=1))
-    high = cumsum(Rs[:, ::-1], axis=1) / np.sqrt(cumsum(Es[:, ::-1], axis=1))
-    return order, low, high
-
-
-def _prefix_best(R, e, wS) -> np.ndarray:
-    """Best normalized value of each row set (rows of ``R``, their row sums;
-    ``wS`` the square roots of their weights) over all column sets: the best
-    prefix or suffix of its columns sorted by ``r_j / e_j``."""
-    _, low, high = _sorted_prefixes(R, e)
-    return np.maximum(np.abs(low).max(axis=1), np.abs(high).max(axis=1)) / wS
-
-
-def _pruned_rows(R, e, wS, atol: float) -> np.ndarray:
-    """Indices of the row sets whose Cauchy-Schwarz bound reaches, less
-    ``atol``, the exact value of the row set with the largest bound.  Every
-    other row set's value is below ``best - atol``, so dropping it changes
-    neither the maximum nor the first row set within ``atol`` of it."""
-    squares = R / e
-    squares *= R  # in place: one temporary of the size of ``R``, not two
-    squares = squares @ np.ones(len(e))
-    upper = np.sqrt(squares) / wS
-    top = np.argmax(upper, keepdims=True)
-    lower = float(_prefix_best(R[top], e, wS[top])[0])
-    # the relative margin covers the rounding of the bound against the
-    # sweep, which sums in another order; a bound that came near the
-    # subnormal range may have lost terms to underflow, so its row set stays
-    return np.flatnonzero(((upper + atol) * (1.0 + 1e-9) >= lower)
-                          | (np.minimum(squares, upper) < 2.0**-900))
-
-
-def _row_set_sweep(A, d, e, atol: float) -> tuple:
-    """The sweep core of ``_sweep_pick``: the row sums ``R`` of
-    every row set in mask order, the square roots ``wS`` of their weights,
-    the ascending indices of the row sets that survive the pruning, and the
-    best normalized value of each survivor (the prefix lemma of the module
-    docstring), sorted in blocks of ``SWEEP_BLOCK_ROWS``."""
-    U = subset_indicators(A.shape[0])
-    R = U @ A
-    wS = np.sqrt(U @ d)
-    rows = _pruned_rows(R, e, wS, atol)
-    best_per_S = np.concatenate([
-        _prefix_best(R[block], e, wS[block])
-        for block in np.split(rows, range(SWEEP_BLOCK_ROWS, len(rows), SWEEP_BLOCK_ROWS))])
-    return R, wS, rows, best_per_S
-
-
-def _sweep_pick(A, d, e, atol: float, top: bool = False) -> list:
-    """The row-set sweep over the smaller side of ``A`` (its rows when
-    ``m <= n``, else its columns) and the pick of the module docstring's tie
-    rule, as a ``CutPair`` of ``A`` with its signed sweep value; with ``top``
-    it is preceded by the first candidate of the largest sweep value.  Takes
-    validated arrays and does not check the size of the swept side."""
-    flip = A.shape[0] > A.shape[1]
-    B, dd, ee = (A.T, e, d) if flip else (A, d, e)
-    R, wS, rows, best_per_S = _row_set_sweep(B, dd, ee, atol)
-    best = float(best_per_S.max())
-    winners = rows[best_per_S >= best - atol]
-    # scan order: swept sets ascending, each's prefixes then suffixes,
-    # shortest first.  Unless ``S`` is the sorted side, the pick lies in the
-    # first qualifying swept set
-    expand = winners if flip else winners[:1]
-    if top and not flip:
-        expand = np.array(sorted({int(winners[0]), int(rows[np.argmax(best_per_S)])}))
-    order, low, high = _sorted_prefixes(R[expand], ee)
-    vals = np.concatenate([low, high], axis=1) / wS[expand, None]
-    k = len(ee)
-    ok = (np.abs(vals) >= best - atol).reshape(-1, 2, k)
-    if not flip:
-        ok[1:] = False
-    # a longer prefix (suffix) holds a shorter one, so of a swept set's
-    # prefixes (suffixes) within ``atol`` the shortest, of sorted positions
-    # ``lo..lo+j``, has the smallest mask.  Of those, the smallest mask is
-    # found 52 columns at a time, highest first, each chunk's mask exact in
-    # a float; ``c[0]`` is the first in scan order among equal ones
-    w, side = np.nonzero(ok.any(axis=2))
-    j = ok.argmax(axis=2)[w, side]
-    lo = side * (k - 1.0 - j)
-    pos = np.arange(k, dtype=float)
-    c = np.arange(len(w))
-    sets = np.empty((len(w), k), dtype=bool)
-    sets[c[:, None], order[w]] = (pos >= lo[:, None]) & (pos <= (lo + j)[:, None])
-    for hi in range(k, 0, -52):
-        mask = sets[c, max(hi - 52, 0) : hi] @ 2.0 ** pos[: min(hi, 52)]
-        c = c[mask == mask.min()]
-    c = c[0]
-    picks = [(w[c], side[c], j[c])]
-    if top:
-        r, col = np.unravel_index(np.argmax(np.abs(vals)), vals.shape)
-        picks.insert(0, (r, *divmod(col, k)))
-    pairs = []
-    for r, s, i in picks:
-        start = s * (k - 1 - i)
-        other = tuple(sorted(order[r, start : start + i + 1].tolist()))
-        swept = _mask_set(int(expand[r]) + 1)
-        S, T = (other, swept) if flip else (swept, other)
-        pairs.append(CutPair(S, T, float(vals[r, s * k + i])))
-    return pairs
-
-
 def _check_cap(A, cap: int) -> None:
     if max(A.shape) > cap:
         raise ValueError(f"matrix sides {A.shape} exceed brute-force cap {cap}")
@@ -282,18 +110,12 @@ def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL) -> Cu
     """
     A = as_matrix(A)
     _check_cap(A, cap)
-    m, n = A.shape
-    R = subset_indicators(m) @ A  # row sums of every row subset, mask order
-    best_per_S = np.maximum(np.where(R > 0, R, 0.0).sum(axis=1),
-                            -np.where(R < 0, R, 0.0).sum(axis=1))
-    best = float(best_per_S.max())
-    s = int(np.argmax(best_per_S >= best - atol))
-    row = subset_indicators(n) @ R[s]
+    best, s, row = _plain_pick(A, atol)
     mags = np.abs(row)
     # the row is summed in another order than the sweep, so its maximum may
     # sit an ulp below ``best``
     t = int(np.argmax(mags >= min(best, float(mags.max())) - atol))
-    return CutPair(_mask_set(s + 1), _mask_set(t + 1), float(row[t]))
+    return CutPair(_mask_set(s), _mask_set(t + 1), float(row[t]))
 
 
 def normalized_cut_bruteforce(
@@ -303,14 +125,14 @@ def normalized_cut_bruteforce(
     over the smaller side, for inputs whose longer side is within ``cap``.
 
     Covers both signs; the stored value keeps its sign, and ties within
-    ``atol`` break by the rule of the module docstring.
+    ``atol`` break by the tie rule of ``sweep``.
     """
     A = as_matrix(A)
     m, n = A.shape
     d = as_weights(d_left, m, "left weights")
     e = as_weights(d_right, n, "right weights")
     _check_cap(A, cap)
-    return _sweep_pick(A, d, e, atol)[-1]
+    return CutPair(*_sweep_pick(A, d, e, atol)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +350,7 @@ def exact_completion(A, d_left, d_right, atol: float = ATOL) -> list:
 
     Runs the sweep over the smaller side and returns, as CutPairs of ``A``
     valued by ``rectangle_value``, first the candidate with the largest sweep
-    value, then the pick of the tie rule (module docstring), once when they
+    value, then the pick of the tie rule (``sweep``), once when they
     coincide.  Returns an empty list when the smaller side exceeds
     ``COMPLETION_CAP``; the long side is never enumerated.
     """
@@ -538,8 +360,8 @@ def exact_completion(A, d_left, d_right, atol: float = ATOL) -> list:
     e = as_weights(d_right, n)
     if min(m, n) > COMPLETION_CAP:
         return []
-    return [CutPair(p.S, p.T, _rect_value(A, d, e, np.array(p.S), np.array(p.T)))
-            for p in dict.fromkeys(_sweep_pick(A, d, e, atol, top=True))]
+    return [CutPair(S, T, _rect_value(A, d, e, np.array(S), np.array(T)))
+            for S, T, _ in dict.fromkeys(_sweep_pick(A, d, e, atol, top=True))]
 
 
 def _select_pair(pool, atol: float) -> CutPair:

@@ -8,7 +8,7 @@ at weights: whitening happens here.
 Tie-breaking is uniform across domains: among candidates within ``atol``
 of the best value, the lexicographically smallest canonical key wins (subset
 masks for cut pairs, whose candidates are the prefix-and-suffix rectangles
-of the ``cutnorm`` sweep, (column, row) for column-row pairs, the index for
+of the ``sweep``, (column, row) for column-row pairs, the index for
 explicit lists).
 """
 from __future__ import annotations
@@ -20,8 +20,9 @@ from functools import reduce
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import BRUTE_FORCE_CAP, COMPLETION_CAP, _mask_set, _sweep_pick, cut_lp_exact
+from .cutnorm import BRUTE_FORCE_CAP, COMPLETION_CAP, cut_lp_exact
 from .linalg import ATOL, as_matrix, as_weights, ip_norm, tensor_whitener
+from .sweep import _SweepTables, _mask_set, _set_mask, _sweep_pick
 
 
 class UnsupportedDomain(ValueError):
@@ -39,7 +40,7 @@ class CutDomain:
         Strictly positive weight vectors; ``d_right`` defaults to ``d_left``.
     bf_cap : int
         Largest side that ``atoms`` enumerates.  A greedy step is the exact
-        sweep over the smaller side (``cutnorm``) when the longer side is
+        sweep over the smaller side (``sweep``) when the longer side is
         within ``bf_cap`` or the smaller side within
         ``cutnorm.COMPLETION_CAP``; past both it takes the LP route
         ``cutnorm.cut_lp_exact``, which needs integer weights and a
@@ -54,6 +55,7 @@ class CutDomain:
         self.shape = (m, n)
         self.bf_cap = bf_cap
         self.whitener = np.sqrt(np.outer(*self.weights))
+        self._tables = None  # the swept side's ``_SweepTables``, from the first sweep on
 
     def size(self):
         m, n = self.shape
@@ -87,12 +89,15 @@ class CutDomain:
         d, e = self.weights
         R = resid_white * self.whitener
         if max(self.shape) <= self.bf_cap or min(self.shape) <= COMPLETION_CAP:
-            pair = _sweep_pick(R, d, e, atol)[-1]
-        else:
-            try:
-                pair = cut_lp_exact(R, d, e, atol=atol)
-            except ValueError as exc:
-                raise UnsupportedDomain(str(exc)) from exc
+            if self._tables is None:
+                self._tables = _SweepTables(d if self.shape[0] <= self.shape[1] else e,
+                                            max(self.shape))
+            S, T, value = _sweep_pick(R, d, e, atol, tables=self._tables)[-1]
+            return (_set_mask(S), _set_mask(T)), value
+        try:
+            pair = cut_lp_exact(R, d, e, atol=atol)
+        except ValueError as exc:
+            raise UnsupportedDomain(str(exc)) from exc
         return pair.masks(), pair.value
 
 

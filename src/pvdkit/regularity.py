@@ -25,6 +25,7 @@ import numpy.linalg as la
 
 from .cutnorm import (
     BRUTE_FORCE_CAP,
+    COMPLETION_CAP,
     _mask_set,
     cut_norm_bruteforce,
     cut_norm_lp_upper,
@@ -33,6 +34,7 @@ from .cutnorm import (
 from .domains import CutDomain
 from .linalg import ATOL, as_adjacency, as_matrix, as_weights
 from .pvd import best_truncation, certificate, compute_pvd, tail_rms, truncate
+from .sweep import _plain_cut_norm
 
 Array = np.ndarray
 
@@ -120,7 +122,7 @@ def _block_deviation(M: Array, partition: Partition) -> float:
 
 def _block_max_abs(M: Array, ix, bf_cap: int) -> float:
     """Upper bound on max over nonempty S, T within the block ``ix`` of
-    |M(S, T)|: exact within ``bf_cap``, the LP relaxation value beyond it."""
+    |M(S, T)|: ``_cut_norm_ub`` of the block."""
     return _cut_norm_ub(M[ix], bf_cap)[0]
 
 
@@ -134,8 +136,9 @@ def _blockwise_ub(M: Array, partition: Partition, bf_cap: int) -> float:
 
 def weak_irregularity_ub(A, partition: Partition, bf_cap: int = BRUTE_FORCE_CAP) -> float:
     """Cut norm of A minus its block averaging: an upper bound on the best
-    block-constant approximation's cut-norm distance.  Exact by enumeration
-    within the cap; beyond it the LP relaxation value (also an upper bound)."""
+    block-constant approximation's cut-norm distance.  Exact while the
+    smaller side is within ``COMPLETION_CAP`` (``_cut_norm_ub``); beyond it
+    the LP relaxation value (also an upper bound)."""
     A = as_matrix(A)
     return _cut_norm_ub(A - block_average(A, partition), bf_cap)[0]
 
@@ -156,9 +159,14 @@ def _szemeredi_within_cap(A: Array, partition: Partition, bf_cap: int):
 
 
 def _cut_norm_ub(R: Array, bf_cap: int) -> tuple:
-    """(value, exact_flag) upper bound on max |R(S,T)|."""
+    """(value, exact_flag) upper bound on max |R(S,T)|: the value of the
+    ``cut_norm_bruteforce`` witness within ``bf_cap``, else the sweep over
+    the smaller side while it is within ``COMPLETION_CAP``, else the LP
+    relaxation value."""
     if max(R.shape) <= bf_cap:
         return abs(cut_norm_bruteforce(R, cap=bf_cap).value), True
+    if min(R.shape) <= COMPLETION_CAP:
+        return _plain_cut_norm(R, ATOL), True
     return cut_norm_lp_upper(R), False
 
 
@@ -228,7 +236,7 @@ def weak_regularity_partition(A, eps: float, weights=None, atol: float = ATOL,
     Returns
     -------
     RegularityReport
-        With ``weak_irregularity_ub`` the (brute-force or LP) cut norm of
+        With ``weak_irregularity_ub`` the (exact or LP) cut norm of
         ``A - approx_matrix`` and ``bound_certificate`` the tail bound
         ``(RMS of the first r+1 projection values) * sum(weights)``.
     """

@@ -195,6 +195,26 @@ def table_witness(A, d=None, e=None, atol: float = 1e-9):
     return S, T, float(table[i, j])
 
 
+def plain_pick(A, atol: float = 1e-9) -> tuple:
+    """(S, T, value, best) of the plain form by the sweep over every row set
+    at once: a row set's best is the larger of its positive and negative
+    supports' sums, each summed entry by entry; ``best`` is their maximum,
+    ``S`` the first row set within ``atol`` of it, and ``T`` the first
+    column set within ``atol`` of the largest of that row's ``2^n``
+    column-set sums, which gives ``value``."""
+    A = np.asarray(A, dtype=float)
+    U, V = subset_matrix(A.shape[0]), subset_matrix(A.shape[1])
+    R = U @ A
+    v = np.maximum(np.where(R > 0, R, 0.0).sum(axis=1), -np.where(R < 0, R, 0.0).sum(axis=1))
+    best = float(v.max())
+    s = int(np.argmax(v >= best - atol))
+    row = V @ R[s]
+    mags = np.abs(row)
+    t = int(np.argmax(mags >= min(best, float(mags.max())) - atol))
+    return (tuple(int(k) for k in np.nonzero(U[s])[0]),
+            tuple(int(k) for k in np.nonzero(V[t])[0]), float(row[t]), best)
+
+
 def completion_pool(A, d, e, atol: float = 1e-9) -> list:
     """(S, T, value, sweep value) of every rectangle the row-set sweep over
     the smaller side finds within ``atol`` of its best value: each prefix

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pvdkit import cli
-from pvdkit.cutnorm import normalized_cut_bruteforce
+from pvdkit.cutnorm import COMPLETION_CAP, normalized_cut_bruteforce
 from pvdkit.domains import UnsupportedDomain
 from pvdkit.pvd import best_truncation
 from pvdkit.regularity import szemeredi_partition
@@ -211,10 +211,11 @@ def test_cutnorm_non_integer_weights_beyond_the_cap_take_the_completion(tmp_path
     # integer weights keep the LP route; beyond the completion cap it refuses
     _, rep = _run(capsys, ["cutnorm", "--input", str(path)])
     assert rep["results"]["method"] == "lp-exact"
-    big = tmp_path / "g18.json"
-    big.write_text(json.dumps(oracles.gnp_adjacency(np.random.default_rng(15), 18, 0.5).tolist()))
+    side = COMPLETION_CAP + 1
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(oracles.gnp_adjacency(np.random.default_rng(15), side, 0.5).tolist()))
     assert cli.main(["cutnorm", "--input", str(big), "--ip", "degree-plus-avg"]) == 2
-    assert "completion cap 17" in capsys.readouterr().err
+    assert f"completion cap {COMPLETION_CAP}" in capsys.readouterr().err
 
 
 def test_classes_without_samples_is_exit_two(tmp_path, capsys):
@@ -233,6 +234,21 @@ def test_weights_file_inner_product(tmp_path, capsys):
     code, rep = _run(capsys, ["pvd", "--input", _graph_file(tmp_path),
                               "--ip", f"file:{wpath}", "--r", "2"])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["cutnorm", "pvd"])
+def test_underflowing_weights_are_exit_two(command, tmp_path, capsys):
+    """Weights of 1e-300 make every weight mass d(S) e(T) underflow to 0: a
+    usage error naming the weights, not a division by zero or an empty
+    reduction deep in the sweep."""
+    graph = tmp_path / "g.edges"
+    graph.write_text("1 2\n2 3\n1 3\n3 4\n")
+    weights = tmp_path / "w.txt"
+    weights.write_text("1e-300 1e-300 1e-300 1e-300\n")
+    code = cli.main([command, "--input", str(graph), "--ip", f"file:{weights}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "weights" in captured.err and "underflow" in captured.err
 
 
 def test_unknown_ip_rejected(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -7,12 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvdkit import cli, cutnorm, domains
+from pvdkit import cli, cutnorm, domains, sweep
 from pvdkit.cutnorm import (CutPair, build_cut_lp, cut_lp_approx, cut_lp_exact,
                             cut_norm_bruteforce, cut_norm_lp_upper, exact_completion,
                             lp_candidates, lp_round, normalized_cut_bruteforce,
-                            ratio_candidates, rectangle_sum, rectangle_value, solve_cut_lp,
-                            subset_indicators)
+                            ratio_candidates, rectangle_sum, rectangle_value, solve_cut_lp)
 from pvdkit.domains import CutDomain, UnsupportedDomain
 from pvdkit.linalg import ATOL
 from pvdkit.pvd import compute_pvd
@@ -33,11 +33,23 @@ def test_rectangle_sums_match_loops():
             oracles.weighted_rect_value(A, d, e, S, T))
 
 
-def test_subset_indicators_cover_all_subsets():
-    M = subset_indicators(3)
-    assert M.shape == (7, 3)
-    as_sets = {tuple(np.nonzero(row)[0]) for row in M}
-    assert as_sets == set(oracles.nonempty_subsets(3))
+def test_row_sums_cover_all_subsets(monkeypatch):
+    """The chunks of ``_row_sums`` run over every nonempty row set once, in
+    mask order, and both they and ``_subset_sums`` equal the product with
+    the whole 0/1 indicator table bit for bit, in chunks of any size."""
+    rng = np.random.default_rng(31)
+    for chunk in (4, 8, sweep.SWEEP_CHUNK_ROWS):
+        monkeypatch.setattr(sweep, "SWEEP_CHUNK_ROWS", chunk)
+        for m, n in ((1, 1), (3, 5), (7, 4), (10, 3), (9, 1)):
+            A = rng.normal(size=(m, n)) * 1e3 / 7.0
+            w = rng.integers(3, 40, size=m) / 7.0
+            U = oracles.subset_matrix(m)
+            low = sweep._low_indicators(m)
+            starts, sums = zip(*sweep._row_sums(A, low))
+            assert starts[0] == 1 and all(len(R) <= chunk for R in sums)
+            assert [lo + len(R) for lo, R in zip(starts, sums)] == [*starts[1:], 2**m]
+            assert _bits(np.concatenate(sums)) == _bits(U @ A)
+            assert _bits(sweep._subset_sums(w, low)) == _bits(U @ w)
 
 
 def test_bruteforce_plain_cut_norm():
@@ -147,7 +159,7 @@ def test_sweep_matches_dense_table(data):
 
 
 @st.composite
-def _sweep_inputs(draw):
+def _sweep_inputs(draw, sides=None):
     """(A, d, e, atol) for the pruned sweep: zero matrices and zero rows,
     rank-one ``u e^T`` (Cauchy-Schwarz tight on all columns) and ``u z^T``
     with mixed-sign ``z`` (many row sets near the bound), duplicate and
@@ -156,10 +168,13 @@ def _sweep_inputs(draw):
     off the dyadic grid and may be scaled to 1e9, and ``atol`` may be 0, so
     that bound and sweep round differently near the pruning threshold.
     Sides run to 7, and to 10-12 so that the survivors fill several
-    blocks."""
+    blocks, or both within ``sides``."""
     big = draw(st.booleans())
-    m, n = (draw(st.integers(10, 12)), draw(st.integers(1, 12))) if big else \
-        (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    if sides:
+        m, n = draw(st.integers(*sides)), draw(st.integers(*sides))
+    else:
+        m, n = (draw(st.integers(10, 12)), draw(st.integers(1, 12))) if big else \
+            (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
     wgrid = st.integers(3, 40).map(lambda k: k / 7.0)
     weights = st.sampled_from(["unit", "integer", "real"])
     d, e = (np.array(draw(st.lists(wgrid if w == "real" else st.integers(1, 4).map(float),
@@ -194,10 +209,33 @@ def _sweep_inputs(draw):
 
 
 def _bitwise_reference(A, d, e, atol) -> None:
-    """The pick of the unpruned pool, with its sweep value bit for bit."""
-    pair = normalized_cut_bruteforce(A, d, e, atol=atol)
-    S, T, _, sweep = oracles.completion_pick(oracles.completion_pool(A, d, e, atol))
-    assert (pair.S, pair.T, pair.value.hex()) == (S, T, sweep.hex())
+    """The pick of the unpruned pool, with its sweep value bit for bit, and
+    before it, with ``top``, the pool's first rectangle of the largest sweep
+    value."""
+    pair = normalized_cut_bruteforce(A, d, e, cap=max(A.shape), atol=atol)
+    pool = oracles.completion_pool(A, d, e, atol)
+    S, T, _, value = oracles.completion_pick(pool)
+    assert (pair.S, pair.T, pair.value.hex()) == (S, T, value.hex())
+    top = max(pool, key=lambda c: abs(c[3]))
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    # with the tables a CutDomain keeps, whose work arrays the second call reuses
+    tables = sweep._SweepTables(e if A.shape[0] > A.shape[1] else d, max(A.shape))
+    for _ in range(2):
+        pairs = sweep._sweep_pick(A, d, e, atol, top=True, tables=tables)
+        assert [(P, Q, v.hex()) for P, Q, v in pairs] == [(top[0], top[1], top[3].hex()),
+                                                          (S, T, value.hex())]
+
+
+def _plain_reference(A, atol) -> None:
+    """The plain form's witness and value, and the sweep's maximum over the
+    smaller side, as the sweep over every row set at once gives them, bit
+    for bit."""
+    S, T, value, _ = oracles.plain_pick(A, atol)
+    pair = cut_norm_bruteforce(A, atol=atol)
+    assert (pair.S, pair.T, pair.value.hex()) == (S, T, value.hex())
+    B = A if A.shape[0] <= A.shape[1] else A.T
+    best = sweep._plain_cut_norm(A, atol)
+    assert best.hex() == oracles.plain_pick(B, atol)[3].hex()
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,20 +245,57 @@ def test_pruned_sweep_matches_unpruned_reference(inputs):
     _bitwise_reference(*inputs)
 
 
-def test_pruned_sweep_keeps_every_block():
-    """All rows equal to a mixed-sign ``z``: a row set of k rows has bound
-    sqrt(12 k) and value sqrt(6 k), so the 2510 row sets with k >= 6 survive
-    and the winner, all rows, is the last of them."""
-    z = np.tile([1.0, -1.0], 6)
-    A = np.outer(np.ones(12), z)
-    ones = np.ones(12)
-    U = subset_indicators(12)
-    rows = cutnorm._pruned_rows(U @ A, ones, np.sqrt(U @ ones), ATOL)
-    assert len(rows) == 2510 > 4 * cutnorm.SWEEP_BLOCK_ROWS
-    assert rows[-1] == 2**12 - 2
-    pair = normalized_cut_bruteforce(A, ones, ones)
-    assert pair.S == tuple(range(12)) and pair.T == tuple(range(0, 12, 2))
-    _bitwise_reference(A, ones, ones, ATOL)
+@settings(max_examples=200, deadline=None)
+@given(inputs=_sweep_inputs(sides=(4, 10)), chunk=st.sampled_from([4, 8, 16]),
+       block=st.sampled_from([1, 3, sweep.SWEEP_BLOCK_ROWS]))
+def test_chunked_sweep_matches_unpruned_reference(inputs, chunk, block):
+    """Sides 4-10 in chunks of 4-16 row sets, so that most inputs span many
+    chunks, and sorted in blocks of 1 or 3 row sets, so that the held row
+    sets are thinned between blocks: wide and tall inputs (the columns
+    swept) give the same pick and first top candidate, bit for bit, as the
+    unpruned pool, and the plain form the same witness and maximum as the
+    sweep over every row set at once."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "SWEEP_CHUNK_ROWS", chunk)
+        patch.setattr(sweep, "SWEEP_BLOCK_ROWS", block)
+        _bitwise_reference(*inputs)
+        A, _, _, atol = inputs
+        _plain_reference(A, atol)
+
+
+def test_pruned_sweep_keeps_every_block(monkeypatch):
+    """Twelve rows of ones over 60 columns of weights 1, 2, ..., 60: a row set
+    of k rows has bound sqrt(k H_60) and value sqrt(k 120/61), at all
+    columns.  A chunk's running bound is the value of the fullest row set so
+    far, of p rows, so its row sets with k H_60 >= p 120/61 survive: in one
+    chunk the 2510 with k >= 6, in more than four sort blocks, and in chunks
+    of 256 more of them.  Each survivor is sorted once, and the winner, all
+    rows, is the last of them."""
+    sorted_rows = []
+    real = sweep._prefix_values
+
+    def counted(R, e, w):
+        sorted_rows.append(len(R))
+        return real(R, e, w)
+
+    monkeypatch.setattr(sweep, "_prefix_values", counted)
+    A = np.ones((12, 60))
+    d, e = np.ones(12), np.arange(1.0, 61.0)
+    ratio = (120 / 61) / sum(1 / e)
+    for chunk in (sweep.SWEEP_CHUNK_ROWS, 256):
+        monkeypatch.setattr(sweep, "SWEEP_CHUNK_ROWS", chunk)
+        sorted_rows.clear()
+        pair = normalized_cut_bruteforce(A, d, e, cap=60)
+        assert pair.S == tuple(range(12)) and pair.T == tuple(range(60))
+        fullest, survivors = 0, 0
+        for lo in range(0, 2**12, chunk):
+            sizes = [bin(mask).count("1") for mask in range(max(lo, 1), min(lo + chunk, 2**12))]
+            fullest = max(fullest, *sizes)
+            survivors += sum(k >= ratio * fullest for k in sizes)
+        assert sum(sorted_rows) == survivors
+        if chunk >= 2**12:  # one chunk
+            assert survivors == 2510 and len(sorted_rows) > 5
+        _bitwise_reference(A, d, e, ATOL)
 
 
 @pytest.mark.parametrize("scale, weight", [(1e-170, 1.0), (1e-160, 1e-300), (1e-150, 1e-100)])
@@ -235,6 +310,21 @@ def test_pruned_sweep_where_the_bound_underflows(scale, weight):
     _bitwise_reference(A, d, e, 0.0)
 
 
+@pytest.mark.parametrize("shape", [(6, 5), (5, 6)])
+@pytest.mark.parametrize("signs", ["ones", "mixed"])
+def test_pruned_sweep_where_the_bound_overflows(shape, signs):
+    """Entries this large make the squared row sums of the bound overflow to
+    inf, within one sign (``inf - inf`` parts) and across both (an inf
+    square of the other sign); the row sets must still be swept, not
+    dropped."""
+    rng = np.random.default_rng(0)
+    A = (np.ones(shape) if signs == "ones" else rng.normal(size=shape)) * 1e160
+    d, e = np.ones(shape[0]), np.ones(shape[1])
+    _bitwise_reference(A, d, e, ATOL)
+    pair = normalized_cut_bruteforce(A, d, e)
+    assert abs(pair.value) == pytest.approx(oracles.cut_pnorm_max_fast(A, d, e), rel=1e-12)
+
+
 def test_weighted_step_memory_is_blocked():
     """One side-12 weighted step, on a graph residual (few survivors) and on
     the zero matrix (every row set survives), allocates under 2 MB; the
@@ -243,7 +333,7 @@ def test_weighted_step_memory_is_blocked():
     G = oracles.gnp_adjacency(rng, 12, 0.5)
     deg = np.maximum(G.sum(axis=1), 1.0)
     for A in (G - G.mean(), np.zeros((12, 12))):
-        normalized_cut_bruteforce(A, deg, deg)  # warm the subset-indicator cache
+        normalized_cut_bruteforce(A, deg, deg)  # warm NumPy's lazily set-up state
         tracemalloc.start()
         try:
             normalized_cut_bruteforce(A, deg, deg)
@@ -251,6 +341,60 @@ def test_weighted_step_memory_is_blocked():
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+def _traced(run) -> tuple:
+    """Peak and retained bytes that NumPy and Python allocate while ``run()``
+    runs: what is retained after it returns is held by caches at module
+    level."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, retained
+
+
+def test_step_at_the_cap_memory_is_chunked():
+    """One weighted step with the smaller side at ``COMPLETION_CAP`` (22),
+    on a degree-weighted graph residual, allocates under 100 MB: the 2^22
+    row-set masses (34 MB), one chunk's row sums and a few sort blocks.  The
+    unchunked sweep's indicator table and row sums took 1.5 GB.  Nothing of
+    it stays in a module-level cache."""
+    side = cutnorm.COMPLETION_CAP
+    A = oracles.gnp_adjacency(np.random.default_rng(22), side, 0.5)
+    deg = A.sum(axis=1)
+    R = A - np.outer(deg, deg) / deg.sum()
+
+    def step():
+        dom = CutDomain(deg)
+        key, value = dom.max_step(R / dom.whitener)
+        assert abs(value) > 0.1
+
+    peak, retained = _traced(step)
+    assert peak < 100_000_000 and retained < 2_000_000
+
+
+def test_maxcut_bruteforce_memory_is_chunked(tmp_path):
+    """``maxcut --eps 0.5 --bf-cap 20`` on a G(20) (greedy steps, the exact
+    cut norm of the weak partition and the brute-force max cut, all over
+    2^20 vertex sets) allocates under 100 MB; the indicator tables it built
+    took about 500 MB.  Nothing of it stays in a module-level cache."""
+    path = tmp_path / "g20.json"
+    path.write_text(json.dumps(oracles.gnp_adjacency(np.random.default_rng(20), 20, 0.5).tolist()))
+    out = str(tmp_path / "report.json")
+    argv = ["maxcut", "--input", str(path), "--eps", "0.5", "--bf-cap", "20", "--output", out]
+
+    def run():
+        assert cli.main(argv) == 0
+
+    peak, retained = _traced(run)
+    assert peak < 100_000_000 and retained < 2_000_000
+    certs = {c["name"]: c for c in json.loads(open(out).read())["certificates"]}
+    assert certs["estimate-vs-bruteforce"]["pass"]
 
 
 def test_ratio_candidates_are_reduced_and_complete():
@@ -424,7 +568,8 @@ def test_lp_candidates_batches_keep_records(monkeypatch, batch_lps):
 def test_cut_lp_exact_refuses_mixed_signs_beyond_completion(monkeypatch):
     """Past the completion cap the LP-only pool can undershoot on a mixed-sign
     matrix, so the exact route refuses before solving any LP."""
-    A = np.random.default_rng(30).integers(-3, 4, size=(18, 18)).astype(float)
+    side = cutnorm.COMPLETION_CAP + 1
+    A = np.random.default_rng(30).integers(-3, 4, size=(side, side)).astype(float)
 
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
@@ -433,17 +578,20 @@ def test_cut_lp_exact_refuses_mixed_signs_beyond_completion(monkeypatch):
     with pytest.raises(ValueError, match="mixed-sign"):
         cut_lp_exact(A)
     with pytest.raises(UnsupportedDomain, match="mixed-sign"):
-        CutDomain(np.ones(18)).max_step(A)
+        CutDomain(np.ones(side)).max_step(A)
 
 
 def test_cut_domain_exhausts_one_signed_residuals_beyond_completion():
     """Past ``COMPLETION_CAP`` a greedy cut step has only the LP route, which
-    is exact on a one-signed residual: the all-ones and the two-block 18x18
-    matrices exhaust in one and two terms."""
-    ones = np.ones((18, 18))
-    blocks = np.kron(np.eye(2), np.ones((9, 9)))
-    for A, terms in ((ones, 1), (blocks, 2)):
-        result = compute_pvd(A, CutDomain(np.ones(18)))
+    is exact on a one-signed residual: a 23x23 matrix with one block of
+    ones, and one with two disjoint blocks, exhaust in one and two terms."""
+    side = cutnorm.COMPLETION_CAP + 1
+    one = np.zeros((side, side))
+    one[:4, :4] = 1.0
+    two = one.copy()
+    two[10:13, 10:13] = 1.0
+    for A, terms in ((one, 1), (two, 2)):
+        result = compute_pvd(A, CutDomain(np.ones(side)))
         assert result.exhausted and result.num_terms == terms
         assert np.allclose(sum(result.increments), A, atol=1e-9)
 
@@ -456,7 +604,7 @@ def test_greedy_steps_past_the_cap_solve_no_lp(monkeypatch):
         raise AssertionError("an LP was solved")
 
     swept = []
-    real = cutnorm._sweep_pick
+    real = sweep._sweep_pick
 
     def counted(*args, **kwargs):
         swept.append(args[0].shape)
@@ -490,7 +638,8 @@ def test_cut_lp_approx_refuses_mixed_signs_outside_the_exact_regimes(monkeypatch
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(cutnorm, "lp_candidates", no_lp)
-    big = np.random.default_rng(30).integers(-3, 4, size=(18, 18)).astype(float)
+    side = cutnorm.COMPLETION_CAP + 1
+    big = np.random.default_rng(30).integers(-3, 4, size=(side, side)).astype(float)
     with pytest.raises(ValueError, match="mixed-sign"):
         cut_lp_approx(big, 0.5)
     path = tmp_path / "big.json"
@@ -659,15 +808,20 @@ def test_exact_completion_sweeps_only_the_short_side(shape, monkeypatch):
     d = rng.integers(1, 4, size=shape[0]).astype(float)
     e = rng.uniform(0.5, 2.0, size=shape[1])
     built = []
-    real = cutnorm.subset_indicators
+    sums, masses = sweep._row_sums, sweep._subset_sums
 
-    def counted(k):
-        built.append(k)
-        return real(k)
+    def counted_sums(B, *args):
+        built.append(B.shape[0])
+        return sums(B, *args)
 
-    monkeypatch.setattr(cutnorm, "subset_indicators", counted)
+    def counted_masses(w, *args):
+        built.append(len(w))
+        return masses(w, *args)
+
+    monkeypatch.setattr(sweep, "_row_sums", counted_sums)
+    monkeypatch.setattr(sweep, "_subset_sums", counted_masses)
     pool = exact_completion(A, d, e)
-    assert max(shape) > cutnorm.BRUTE_FORCE_CAP and built == [min(shape)]
+    assert max(shape) > cutnorm.BRUTE_FORCE_CAP and built == [min(shape)] * 2
     best = max(abs(p.value) for p in pool)
     assert best == pytest.approx(oracles.cut_pnorm_max_fast(A, d, e), abs=1e-9)
     for p in pool:

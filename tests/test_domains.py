@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pvdkit.domains import (ColumnRowDomain, CutDomain, ExplicitDomain,
                             FullSphereDomain, UnsupportedDomain)
+from pvdkit.cutnorm import COMPLETION_CAP
 from pvdkit.linalg import ATOL
 from pvdkit.pvd import compute_pvd
 
@@ -87,11 +88,12 @@ def test_routes_agree_on_exhaustion_inside_the_tie_band():
 
 
 def test_cut_domain_enumeration_cap():
-    dom = CutDomain(np.ones(20), bf_cap=12)
+    side = COMPLETION_CAP + 1
+    dom = CutDomain(np.ones(side), bf_cap=12)
     with pytest.raises(UnsupportedDomain):
         list(dom.atoms())
     # past the cap and the completion, only a one-signed residual has a route
-    mixed = np.random.default_rng(63).integers(-3, 4, size=(20, 20)).astype(float)
+    mixed = np.random.default_rng(63).integers(-3, 4, size=(side, side)).astype(float)
     with pytest.raises(UnsupportedDomain, match="mixed-sign"):
         dom.max_step(mixed)
 
