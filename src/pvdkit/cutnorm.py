@@ -3,10 +3,9 @@
 Two routes to ``max |A(S, T)| / sqrt(d(S) e(T))`` over nonempty index sets:
 
 * the exact sweep over the row sets of the smaller side (``sweep``, which
-  states its tie rule, its pruning and its cost), the greedy cut step of
-  ``domains.CutDomain`` (``normalized_cut_bruteforce`` within
-  ``BRUTE_FORCE_CAP``, ``exact_completion`` while the smaller side is within
-  ``COMPLETION_CAP``), and
+  states its tie rule, its pruning and its cost), behind the exact routes
+  and, wherever ``_sweep_exact`` holds, the greedy cut step of
+  ``domains.CutDomain`` and the cut-norm bounds of ``regularity``; and
 * the paper's linear-programming relaxation per candidate ratio
   ``c = d(S)/e(T)``, solved as one warm chain per sign (``lp_candidates``),
   rounded by a threshold scan over the LP levels and closed by
@@ -40,6 +39,13 @@ COMPLETION_CAP = 22
 #: cap on the entries of one batch of level masks in the LP rounding; a
 #: ratio grid is solved and rounded in batches of this many mask entries
 ROUND_BATCH_ENTRIES = 1 << 18
+
+
+def _sweep_exact(shape, bf_cap: int) -> bool:
+    """The one rule for where a cut-norm quantity of a ``shape`` matrix is
+    the exact sweep: its longer side is within ``bf_cap`` or its smaller
+    side within ``COMPLETION_CAP``."""
+    return max(shape) <= bf_cap or min(shape) <= COMPLETION_CAP
 
 
 @dataclass(frozen=True)

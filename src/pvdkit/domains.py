@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import BRUTE_FORCE_CAP, COMPLETION_CAP, cut_lp_exact
+from .cutnorm import BRUTE_FORCE_CAP, _sweep_exact, cut_lp_exact
 from .linalg import ATOL, as_matrix, as_weights, ip_norm, tensor_whitener
 from .sweep import _SweepTables, _mask_set, _set_mask, _sweep_pick
 
@@ -40,11 +40,11 @@ class CutDomain:
         Strictly positive weight vectors; ``d_right`` defaults to ``d_left``.
     bf_cap : int
         Largest side that ``atoms`` enumerates.  A greedy step is the exact
-        sweep over the smaller side (``sweep``) when the longer side is
-        within ``bf_cap`` or the smaller side within
-        ``cutnorm.COMPLETION_CAP``; past both it takes the LP route
-        ``cutnorm.cut_lp_exact``, which needs integer weights and a
-        one-signed residual.
+        sweep over the smaller side (``sweep``) where ``cutnorm._sweep_exact``
+        holds (the longer side within ``bf_cap`` or the smaller side within
+        ``cutnorm.COMPLETION_CAP``), whatever ``bf_cap`` is there; past it,
+        the LP route ``cutnorm.cut_lp_exact``, which needs integer weights
+        and a one-signed residual.
     """
 
     def __init__(self, d_left, d_right=None, bf_cap: int = BRUTE_FORCE_CAP):
@@ -88,7 +88,7 @@ class CutDomain:
     def max_step(self, resid_white, atol: float = ATOL):
         d, e = self.weights
         R = resid_white * self.whitener
-        if max(self.shape) <= self.bf_cap or min(self.shape) <= COMPLETION_CAP:
+        if _sweep_exact(self.shape, self.bf_cap):
             if self._tables is None:
                 self._tables = _SweepTables(d if self.shape[0] <= self.shape[1] else e,
                                             max(self.shape))

@@ -121,14 +121,8 @@ def read_matrix_market(path: str) -> Array:
         _fail(path, lineno, "bad dimensions")
     if symmetry == "symmetric" and m != n:
         _fail(path, lineno, "symmetric array must be square")
-    vals = []
-    for lno, ln in data[1:]:
-        for tok in ln.split():
-            vals.append((lno, tok))
-    if symmetry == "general":
-        want = m * n
-    else:
-        want = m * (m + 1) // 2
+    vals = [(lno, tok) for lno, ln in data[1:] for tok in ln.split()]
+    want = m * n if symmetry == "general" else m * (m + 1) // 2
     if len(vals) != want:
         _fail(path, lineno, f"expected {want} values, found {len(vals)}")
     A = np.zeros((m, n))
@@ -183,49 +177,37 @@ def read_edge_list(path: str):
 
 
 def read_json_matrix(path: str) -> Array:
-    doc = _read_json(path)
-    if isinstance(doc, dict):
-        doc = doc.get("matrix", doc)
-    A = np.asarray(doc, dtype=float)
+    """JSON matrix: nested lists, or {'matrix': nested lists}."""
+    A = _json_floats(path, _read_json(path), "matrix")
     if A.ndim != 2 or A.size == 0:
         raise InputError(f"{path}:1: expected a nonempty 2-d array")
-    if not np.all(np.isfinite(A)):
-        raise InputError(f"{path}:1: non-finite entries")
     return A
 
 
 def read_json_tensor(path: str) -> Array:
-    """JSON tensor: either nested lists or {'dims': [...], 'entries': flat}
-    with entries in row-major order."""
+    """JSON tensor: nested lists, {'tensor': nested lists}, or
+    {'dims': [...], 'entries': flat} with entries in row-major order."""
     doc = _read_json(path)
     if isinstance(doc, dict) and "dims" in doc:
-        dims = [int(x) for x in doc["dims"]]
-        entries = np.asarray(doc["entries"], dtype=float)
-        want = int(np.prod(dims))
-        if entries.ndim != 1 or entries.size != want:
-            raise InputError(f"{path}:1: expected {want} entries for dims {dims}")
+        dims = _json_floats(path, doc, "dims")
+        if dims.ndim != 1 or np.any(dims < 1) or np.any(dims % 1):
+            raise InputError(f"{path}:1: dims must be a list of positive integers")
+        dims, entries = dims.astype(int).tolist(), _json_floats(path, doc, "entries")
+        if entries.shape != (math.prod(dims),):
+            raise InputError(f"{path}:1: expected {math.prod(dims)} entries for dims {dims}")
         T = entries.reshape(dims)
     else:
-        if isinstance(doc, dict):
-            doc = doc.get("tensor", doc)
-        T = np.asarray(doc, dtype=float)
-    if T.ndim < 2:
-        raise InputError(f"{path}:1: tensor needs at least 2 modes")
-    if not np.all(np.isfinite(T)):
-        raise InputError(f"{path}:1: non-finite entries")
+        T = _json_floats(path, doc, "tensor")
+    if T.ndim < 2 or T.size == 0:
+        raise InputError(f"{path}:1: expected a nonempty tensor with at least 2 modes")
     return T
 
 
 def read_weights(path: str, n: int) -> Array:
     """Whitespace-separated positive weights; the count must equal n."""
-    vals = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            for tok in line.split():
-                vals.append(_parse_float(path, lineno, tok))
+        vals = [_parse_float(path, lineno, tok) for lineno, raw in enumerate(fh, start=1)
+                for tok in raw.split("#", 1)[0].split()]
     if len(vals) != n:
         raise InputError(f"{path}: expected {n} weights, found {len(vals)}")
     w = np.array(vals)
@@ -240,3 +222,20 @@ def _read_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+
+
+def _json_floats(path: str, value, key: str) -> Array:
+    """The finite float array of a JSON value, or of its member ``key`` when
+    it is an object: the one place a document becomes numbers.  Anything but
+    nested lists of numbers there is an ``InputError``."""
+    if isinstance(value, dict):
+        value = value.get(key)
+    try:
+        if value is None:
+            raise TypeError
+        A = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{path}:1: {key} must be nested lists of numbers") from None
+    if not np.all(np.isfinite(A)):
+        raise InputError(f"{path}:1: non-finite entries")
+    return A

@@ -23,14 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import (
-    BRUTE_FORCE_CAP,
-    COMPLETION_CAP,
-    _mask_set,
-    cut_norm_bruteforce,
-    cut_norm_lp_upper,
-    rectangle_sum,
-)
+from .cutnorm import BRUTE_FORCE_CAP, _mask_set, _sweep_exact, cut_norm_lp_upper, rectangle_sum
 from .domains import CutDomain
 from .linalg import ATOL, as_adjacency, as_matrix, as_weights
 from .pvd import best_truncation, certificate, compute_pvd, tail_rms, truncate
@@ -63,7 +56,9 @@ class Partition:
 @dataclass
 class RegularityReport:
     """A partition with its bounds and certificates.  ``details`` holds the
-    construction's own fields, under the names the CLI reports them."""
+    construction's own fields, under the names the CLI reports them.  The
+    cut-norm bounds are exact (``exact``) by the rule of ``_cut_norm_ub``;
+    ``szemeredi_irregularity_ub`` is None past that rule, and in max-cut."""
 
     partition: Partition
     approx_matrix: Array
@@ -136,36 +131,30 @@ def _blockwise_ub(M: Array, partition: Partition, bf_cap: int) -> float:
 
 def weak_irregularity_ub(A, partition: Partition, bf_cap: int = BRUTE_FORCE_CAP) -> float:
     """Cut norm of A minus its block averaging: an upper bound on the best
-    block-constant approximation's cut-norm distance.  Exact while the
-    smaller side is within ``COMPLETION_CAP`` (``_cut_norm_ub``); beyond it
-    the LP relaxation value (also an upper bound)."""
+    block-constant approximation's cut-norm distance.  Exact where
+    ``cutnorm._sweep_exact`` holds (``_cut_norm_ub``); past it the LP
+    relaxation value (also an upper bound)."""
     A = as_matrix(A)
     return _cut_norm_ub(A - block_average(A, partition), bf_cap)[0]
 
 
-def szemeredi_irregularity_ub(A, partition: Partition, bf_cap: int = BRUTE_FORCE_CAP) -> float:
+def szemeredi_irregularity_ub(A, partition: Partition,
+                              bf_cap: int = BRUTE_FORCE_CAP) -> float | None:
     """Sum over ordered block pairs of the exact within-block cut norm of A
-    minus its block averaging."""
+    minus its block averaging; None, with nothing computed, where
+    ``cutnorm._sweep_exact`` fails for the largest part's block."""
+    largest = max(len(p) for p in partition)
+    if not _sweep_exact((largest, largest), bf_cap):
+        return None
     A = as_matrix(A)
     return _blockwise_ub(A - block_average(A, partition), partition, bf_cap)
 
 
-def _szemeredi_within_cap(A: Array, partition: Partition, bf_cap: int):
-    """``szemeredi_irregularity_ub`` when every part is within ``bf_cap``,
-    else None."""
-    if max(len(p) for p in partition) <= bf_cap:
-        return szemeredi_irregularity_ub(A, partition, bf_cap)
-    return None
-
-
 def _cut_norm_ub(R: Array, bf_cap: int) -> tuple:
-    """(value, exact_flag) upper bound on max |R(S,T)|: the value of the
-    ``cut_norm_bruteforce`` witness within ``bf_cap``, else the sweep over
-    the smaller side while it is within ``COMPLETION_CAP``, else the LP
-    relaxation value."""
-    if max(R.shape) <= bf_cap:
-        return abs(cut_norm_bruteforce(R, cap=bf_cap).value), True
-    if min(R.shape) <= COMPLETION_CAP:
+    """(value, exact_flag) upper bound on max |R(S,T)|: the exact sweep
+    maximum where ``cutnorm._sweep_exact`` holds, else the LP relaxation
+    value."""
+    if _sweep_exact(R.shape, bf_cap):
         return _plain_cut_norm(R, ATOL), True
     return cut_norm_lp_upper(R), False
 
@@ -241,7 +230,7 @@ def weak_regularity_partition(A, eps: float, weights=None, atol: float = ATOL,
         ``(RMS of the first r+1 projection values) * sum(weights)``.
     """
     report = _weak_core(A, eps, weights, atol, bf_cap)
-    report.szemeredi_irregularity_ub = _szemeredi_within_cap(
+    report.szemeredi_irregularity_ub = szemeredi_irregularity_ub(
         report.pvd.source, report.partition, bf_cap)
     return report
 
@@ -327,7 +316,7 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None, atol: f
         partition=partition,
         approx_matrix=coarse,
         weak_irregularity_ub=wub,
-        szemeredi_irregularity_ub=_szemeredi_within_cap(A, partition, bf_cap),
+        szemeredi_irregularity_ub=szemeredi_irregularity_ub(A, partition, bf_cap),
         bound_certificate=ones_mass * tail,
         certificates=certs,
         terms_used=m,

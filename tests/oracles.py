@@ -215,6 +215,13 @@ def plain_pick(A, atol: float = 1e-9) -> tuple:
             tuple(int(k) for k in np.nonzero(V[t])[0]), float(row[t]), best)
 
 
+def plain_cutnorm_long_side(A) -> float:
+    """The plain cut norm by ``plain_pick``'s dense pass over every index set
+    of the longer side (the package sweeps the smaller side)."""
+    A = np.asarray(A, dtype=float)
+    return plain_pick(A if A.shape[0] >= A.shape[1] else A.T)[3]
+
+
 def completion_pool(A, d, e, atol: float = 1e-9) -> list:
     """(S, T, value, sweep value) of every rectangle the row-set sweep over
     the smaller side finds within ``atol`` of its best value: each prefix

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -89,6 +90,12 @@ def test_szemreg_part_beyond_cap_uses_upper_bound(tmp_path, capsys):
     exact = sum(oracles.plain_cutnorm(gap[np.ix_(P, Q)])
                 for P in lib.partition for Q in lib.partition)
     assert second["lhs"] >= exact - 1e-9
+    # every part is within ``COMPLETION_CAP``, so the Szemeredi sum is the
+    # exact blockwise one past ``--bf-cap`` too
+    parts = rep["results"]["parts"]
+    R = A - oracles.block_mean_matrix(A, parts)
+    want = sum(oracles.plain_cutnorm(R[np.ix_(P, Q)]) for P in parts for Q in parts)
+    assert rep["results"]["szemeredi_irregularity_ub"] == pytest.approx(want, abs=1e-9)
 
 
 def test_cutnorm_exit_zero_and_value(tmp_path, capsys):
@@ -358,17 +365,43 @@ def test_classes_non_positive_eps_is_exit_two(tmp_path, capsys, eps):
 
 
 def test_bf_cap_does_not_change_a_greedy_report(tmp_path, capsys):
-    """Every rectangle of this residual is within ``--tol-abs`` of the
+    """Every rectangle of the band residual is within ``--tol-abs`` of the
     maximum; within ``--bf-cap`` and past it the step takes the same pick,
-    so the reports are byte-identical."""
-    path = tmp_path / "band.json"
-    path.write_text(json.dumps((1e-17 * np.array([[0, -1, 0], [-1, -1, -1], [-1, -1, -1]]))
+    so the reports are byte-identical.  So are the partition reports of a
+    G(8): their cut-norm bounds and Szemeredi sum are the one exact sweep on
+    both sides of ``--bf-cap``."""
+    band = tmp_path / "band.json"
+    band.write_text(json.dumps((1e-17 * np.array([[0, -1, 0], [-1, -1, -1], [-1, -1, -1]]))
                                .tolist()))
-    texts = []
-    for extra in ([], ["--bf-cap", "1"]):
-        assert cli.main(["pvd", "--input", str(path), *extra]) == 0
-        texts.append(capsys.readouterr().out)
-    assert texts[0] == texts[1]
+    graph, _ = _gnp_file(tmp_path, 8, 103)
+    for argv in (["pvd", "--input", str(band)], ["weakreg", "--input", graph, "--eps", "0.5"],
+                 ["szemreg", "--input", graph, "--eps", "0.8"]):
+        texts = []
+        for extra in ([], ["--bf-cap", "1"]):
+            assert cli.main([*argv, *extra]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1], argv[0]
+
+
+@pytest.mark.parametrize("command, doc", [("tensor", {"dims": [2, 2]}),
+                                          ("cutnorm", {"matrix": {"a": 1}})])
+def test_malformed_json_is_exit_two(tmp_path, capsys, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{path}:1: " in captured.err
+
+
+def test_readme_options_table_matches_the_parser():
+    """The README's options table lists each subcommand's options, in
+    order, as ``COMMANDS`` declares them."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Options\n", 1)[1].split("\n#", 1)[0]
+    table = {m.group(1): re.findall(r"`--([\w-]+)`", m.group(2))
+             for m in re.finditer(r"^\| `(\w+)` \| (.*) \|$", section, re.M)}
+    assert table == {name: list(options) for name, (_, _, options) in cli.COMMANDS.items()}
 
 
 def test_zero_tol_abs_is_accepted(tmp_path, capsys):

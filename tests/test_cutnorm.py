@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvdkit import cli, cutnorm, domains, sweep
+from pvdkit import cli, cutnorm, domains, regularity, sweep
 from pvdkit.cutnorm import (CutPair, build_cut_lp, cut_lp_approx, cut_lp_exact,
                             cut_norm_bruteforce, cut_norm_lp_upper, exact_completion,
                             lp_candidates, lp_round, normalized_cut_bruteforce,
@@ -594,6 +594,38 @@ def test_cut_domain_exhausts_one_signed_residuals_beyond_completion():
         result = compute_pvd(A, CutDomain(np.ones(side)))
         assert result.exhausted and result.num_terms == terms
         assert np.allclose(sum(result.increments), A, atol=1e-9)
+
+
+@pytest.mark.parametrize("shape, bf_cap, exact", [
+    ((12, 30), 12, True), ((13, 13), 12, True), ((22, 40), 12, True), ((5, 30), 4, True),
+    ((23, 23), 12, False), ((23, 23), 23, True), ((23, 24), 23, False), ((30, 23), 29, False),
+])
+def test_every_cut_norm_quantity_follows_the_one_sweep_rule(monkeypatch, shape, bf_cap, exact):
+    """The greedy step, the cut-norm bound and the Szemeredi sum take the
+    exact sweep exactly where ``cutnorm._sweep_exact`` holds: the longer
+    side within ``bf_cap`` or the smaller side within ``COMPLETION_CAP``.
+    The routes are stubbed, so only the choice is tested."""
+    assert cutnorm._sweep_exact(shape, bf_cap) is exact
+    routes = []
+
+    def route(name, value):
+        return lambda *args, **kwargs: routes.append(name) or value
+
+    monkeypatch.setattr(regularity, "_plain_cut_norm", route("sweep", 0.0))
+    monkeypatch.setattr(regularity, "cut_norm_lp_upper", route("lp", 0.0))
+    monkeypatch.setattr(domains, "_SweepTables", route("tables", None))
+    monkeypatch.setattr(domains, "_sweep_pick", route("sweep", [((0,), (0,), 0.0)]))
+    monkeypatch.setattr(domains, "cut_lp_exact", route("lp", CutPair((0,), (0,), 0.0)))
+    R = np.zeros(shape)
+    assert regularity._cut_norm_ub(R, bf_cap) == (0.0, exact)
+    CutDomain(np.ones(shape[0]), np.ones(shape[1]), bf_cap=bf_cap).max_step(R)
+    want = ["sweep", "tables", "sweep"] if exact else ["lp", "lp"]
+    if shape[0] == shape[1]:
+        whole = regularity.Partition(parts=(tuple(range(shape[0])),))
+        value = regularity.szemeredi_irregularity_ub(R, whole, bf_cap)
+        assert value == (0.0 if exact else None)
+        want += ["sweep"] if exact else []
+    assert routes == want
 
 
 def test_greedy_steps_past_the_cap_solve_no_lp(monkeypatch):

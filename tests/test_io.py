@@ -170,6 +170,26 @@ def test_json_tensor_forms(tmp_path):
         read_json_tensor(p3)
 
 
+def test_json_tensor_object_form(tmp_path):
+    path = _write(tmp_path, "t.json", '{"tensor": [[1, 2], [3, 4]]}')
+    assert np.array_equal(read_json_tensor(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_json_tensor, '{"dims": [2, 2]}', "entries must be nested lists"),
+    (read_json_tensor, '{"dims": 3, "entries": [1, 2, 3]}', "dims must be a list"),
+    (read_json_tensor, '{"dims": [2.5, 2], "entries": [1, 2, 3, 4]}', "dims must be a list"),
+    (read_json_tensor, '{"tensor": {"a": 1}}', "tensor must be nested lists"),
+    (read_json_tensor, '[[], []]', "expected a nonempty tensor"),
+    (read_json_matrix, '{"matrix": {"a": 1}}', "matrix must be nested lists"),
+    (read_json_matrix, '[[1, 2], [3]]', "matrix must be nested lists"),
+])
+def test_json_malformed_document_is_input_error(tmp_path, reader, text, message):
+    path = _write(tmp_path, "bad.json", text)
+    with pytest.raises(InputError, match=r"bad\.json:1: " + message):
+        reader(path)
+
+
 def test_json_parse_error_location(tmp_path):
     path = _write(tmp_path, "bad.json", "[[1, 2,\n")
     with pytest.raises(InputError, match="bad.json:"):

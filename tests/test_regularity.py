@@ -101,6 +101,32 @@ def test_irregularity_upper_bounds_match_oracle(seed, part):
     assert regularity._block_deviation(A, part) == oracles.block_spread(A, parts)
 
 
+def test_szemeredi_sum_is_none_past_the_sweep_rule(monkeypatch):
+    """A part of 23 vertices at the default cap is past the exact sweep's
+    rule: the sum is None, and no block bound runs."""
+    def refuse(*args):
+        raise AssertionError("a block bound ran")
+
+    monkeypatch.setattr(regularity, "_block_max_abs", refuse)
+    A = oracles.gnp_adjacency(np.random.default_rng(102), 24, 0.5)
+    part = Partition(parts=(tuple(range(23)), (23,)))
+    assert szemeredi_irregularity_ub(A, part) is None
+
+
+@pytest.mark.parametrize("size", [13, 16])
+def test_szemeredi_sum_is_exact_past_the_default_cap(size):
+    """A part of 13-16 vertices is past the default ``bf_cap`` of 12 but
+    within ``COMPLETION_CAP``: the sum is the exact blockwise one."""
+    n = size + 3
+    A = oracles.gnp_adjacency(np.random.default_rng(size), n, 0.5)
+    parts = [list(range(size)), list(range(size, n))]
+    R = A - oracles.block_mean_matrix(A, parts)
+    # [DERIVED] each block's plain cut norm, swept over its longer side
+    want = sum(oracles.plain_cutnorm_long_side(R[np.ix_(P, Q)]) for P in parts for Q in parts)
+    part = Partition(parts=tuple(tuple(P) for P in parts))
+    assert szemeredi_irregularity_ub(A, part) == pytest.approx(want, abs=1e-9)
+
+
 def test_weak_regularity_certificates_pass():
     rng = np.random.default_rng(93)
     for trial in range(5):
