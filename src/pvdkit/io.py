@@ -224,18 +224,26 @@ def _read_json(path: str):
         raise InputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
 
 
+def _numbers(value) -> bool:
+    """Whether ``value`` is a JSON number or nested lists of them."""
+    return all(map(_numbers, value)) if type(value) is list else type(value) in (int, float)
+
+
 def _json_floats(path: str, value, key: str) -> Array:
     """The finite float array of a JSON value, or of its member ``key`` when
     it is an object: the one place a document becomes numbers.  Anything but
-    nested lists of numbers there is an ``InputError``."""
+    nested lists of numbers there is an ``InputError``: a string, ``true``,
+    ``false`` or ``null`` among them too, which NumPy would convert."""
     if isinstance(value, dict):
         value = value.get(key)
     try:
-        if value is None:
+        if not _numbers(value):
             raise TypeError
         A = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, RecursionError):
         raise InputError(f"{path}:1: {key} must be nested lists of numbers") from None
+    except OverflowError:  # an integer beyond the float range
+        raise InputError(f"{path}:1: non-finite entries") from None
     if not np.all(np.isfinite(A)):
         raise InputError(f"{path}:1: non-finite entries")
     return A

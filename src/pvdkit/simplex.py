@@ -18,7 +18,7 @@ kept basis's inverse and cost line are copied once, and the rows that stay
 primal feasible are priced against them, one matrix-vector product each,
 with their points written and checked per segment; only the row that ends a
 segment goes through the repair.  A pivot is one rank-one update of the
-whole tableau.
+rows with a nonzero entry in the pivot column.
 """
 from __future__ import annotations
 
@@ -62,9 +62,9 @@ class Tableau:
     smallest index on ties), and the primal loop confirms optimality.
     When the repair runs out of entering columns or pivots, or the point
     violates ``A_ub @ x <= b + TOL`` or ``x >= -TOL``, the right-hand side
-    is solved again from the slack basis.  A pivot updates
-    the whole tableau by one rank-one product; rows with a zero multiplier
-    subtract exact zeros.
+    is solved again from the slack basis.  A pivot subtracts one rank-one
+    product from the rows whose multiplier is nonzero; the other rows would
+    subtract exact zeros, so they are left as they are.
 
     ``pivots`` counts every pivot made, ``cold_solves`` the solves that
     started from the slack basis, ``repairs`` the right-hand sides that took
@@ -265,7 +265,8 @@ class Tableau:
         T[i] /= T[i, j]
         col = T[:, j].copy()
         col[i] = 0.0
-        T -= np.multiply.outer(col, T[i])
+        rows = np.flatnonzero(col)
+        T[rows] -= np.multiply.outer(col[rows], T[i])
         T[:, j] = 0.0  # keep the pivot column exactly unit
         T[i, j] = 1.0
         self.basis[i] = j

@@ -38,10 +38,10 @@ the best value so far, a real rectangle's value, is a running lower bound
 ``lb``, and only the chunk's row sets whose bound is within the tolerance of
 ``lb`` are sorted, each once, in blocks of ``SWEEP_BLOCK_ROWS``.  A dropped
 row set is below the maximum less the tolerance, so it holds no candidate.
-The sweep holds the sorted row sets until the maximum is known, and once
-they pass a block it thins them to those that can still hold the pick (a
-candidate above every candidate before it in the tie rule's order) or the
-first candidate of the largest value; the pick reads their own prefixes.
+The sweep holds the sorted row sets within the tolerance of the best so
+far until the maximum is known, and once they pass a block it thins them to
+those that can still hold the pick (a candidate above every candidate before
+it in the tie rule's order) or the first candidate of the largest value.
 Each row sum adds its rows to +0 in increasing order, and each mass ``d(S)``
 is a row of one matrix-vector product with the indicators, so the chunks
 change no bit of any value or pick.  The plain form is swept the same way
@@ -60,13 +60,12 @@ of 0.4% of them, mean 2.3%, over the steps of the greedy runs on G(8-12,
 time, besides the ``2^m`` row-set masses (34 MB at ``m = 22``), which a
 ``domains.CutDomain`` keeps between its steps with its work arrays.
 ``COMPLETION_CAP`` = 22 caps the swept side past ``BRUTE_FORCE_CAP``: a step
-on a G(22, 1/2) residual takes 0.7-1.0 s at 84 MB peak RSS (2 vCPUs, Python
-3.11, numpy 2.4), the first step of a domain 0.1-0.2 s more for its masses,
-and each further side about doubles both the time and the masses.
+on a G(22, 1/2) residual takes 0.66-0.69 s at 81 MB peak RSS (2 vCPUs,
+Python 3.11, numpy 2.4), the first step of a domain 0.1 s more for its
+masses, and each further side about doubles the time and the masses.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -188,11 +187,31 @@ def _prefix_values(R, e, w) -> tuple:
     first, shape ``(rows, 2, n)``.  Each row is evaluated on its own, so its
     values do not depend on its chunk or on the other rows."""
     n = R.shape[1]
-    order = np.argsort(R / e, axis=1)
+    order = (R / e).argsort(axis=1)
     ends = np.concatenate([order, order[:, ::-1]], axis=1).reshape(len(R), 2, n)
     cumsum = np.add.accumulate  # ``np.cumsum`` less its call overhead, which a one-row call feels
     sums = cumsum(R[np.arange(len(R))[:, None, None], ends], axis=2)
     return order, sums / np.sqrt(cumsum(e[ends], axis=2)) / w[:, None, None]
+
+
+def _bound(R, e, w) -> tuple:
+    """The bound ``ub(S)`` of the module docstring for each row of row sums
+    ``R`` (column weights ``e``, ``w`` the roots of the row-set masses), and
+    whether it may have lost terms to underflow: a square of a row sum
+    underflows before ``1/e_j`` scales it, so ``max(P, N)`` below ``2^-900``
+    times the largest ``1/e_j`` may have.  An overflowed square makes its
+    part inf, an overflowed ``1/e_j`` makes it NaN where ``r_j`` is 0, and
+    ``fmax`` keeps an inf part where the difference is NaN; the larger part
+    holds at least half the total, so the difference loses a few ulps of it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = 1.0 / e
+        squares = np.multiply(R, R)  # the one temporary of the size of ``R``
+        total = squares @ inv
+        squares = np.maximum(R, 0.0, out=squares)
+        squares *= squares
+        positive = squares @ inv
+        squares = np.fmax(positive, total - positive)
+        return np.sqrt(squares) / w, squares < 2.0**-900 * max(1.0, float(inv.max()))
 
 
 def _sweep(B, e, tables, atol: float, flip: bool) -> tuple:
@@ -202,44 +221,33 @@ def _sweep(B, e, tables, atol: float, flip: bool) -> tuple:
     pick or the first candidate of the largest value (``_hold``), the
     masks, column orders, values (``_prefix_values``) and best values, in
     no particular order."""
-    ones = np.ones(len(e))
     best, held = -math.inf, None
     for lo, R in _row_sums(B, tables.low, tables.work):
         w = tables.roots[lo - 1 : lo - 1 + len(R)]
-        squares = R / e
-        squares *= R  # in place: one temporary of the size of ``R``, not two
-        total = squares @ ones
-        squares *= R > 0
-        positive = squares @ ones
-        # a square that overflowed to inf, times 0 where ``R <= 0``, is NaN:
-        # that row set has an infinite part, and so an infinite bound
-        positive[np.isnan(positive)] = np.inf
-        # the larger sign's part holds at least half the total, so the
-        # difference loses no more than a few ulps of it; where both parts
-        # overflowed, the difference is NaN and ``fmax`` keeps the inf
-        squares = np.fmax(positive, total - positive)
-        upper = np.sqrt(squares) / w
+        upper, unsure = _bound(R, e, w)
         # the row set of the largest bound is sorted first: its best value
-        # joins the running lower bound that prunes the chunk
-        t = int(np.argmax(upper))
-        order, vals = _prefix_values(R[t : t + 1], e, w[t : t + 1])
-        best = max(best, float(np.abs(vals).max()))
-        # the relative margin covers the rounding of the bound against the
-        # sweep, which sums in another order; a bound that came near the
-        # subnormal range may have lost terms to underflow, so its row set stays
-        keep = (((upper + atol) * (1.0 + 1e-9) >= best)
-                | (np.minimum(squares, upper) < 2.0**-900))
-        keep[t] = False
-        rows = np.flatnonzero(keep)
-        blocks = (rows[i : i + SWEEP_BLOCK_ROWS] for i in range(0, len(rows), SWEEP_BLOCK_ROWS))
-        groups = itertools.chain([(np.array([t]), order, vals)],
-                                 ((b, *_prefix_values(R[b], e, w[b])) for b in blocks))
-        for index, order, vals in groups:
+        # starts the running lower bound that prunes the chunk.  The relative
+        # margin covers the rounding of the bound against the sweep, which
+        # sums in another order; a NaN bound fails ``<``, so its row set stays
+        index, rows = np.array([upper.argmax()]), None
+        while len(index):
+            order, vals = _prefix_values(R[index], e, w[index])
             group = [index + float(lo), order, vals, np.abs(vals).max(axis=(1, 2))]
-            best = max(best, float(group[3].max()))
-            held = group if held is None else [np.concatenate(p) for p in zip(held, group)]
-            if len(held[0]) > SWEEP_BLOCK_ROWS:
-                held = _hold(held, best - atol, flip)
+            top = float(group[3].max())
+            # a group below the best less the tolerance holds no candidate,
+            # and one above it by more leaves none in the groups before it
+            if held is None or top - atol > best:
+                held = group
+            elif top >= best - atol:
+                held = [np.concatenate(p) for p in zip(held, group)]
+                if len(held[0]) > SWEEP_BLOCK_ROWS:
+                    held = _hold(held, max(best, top) - atol, flip)
+            best = max(best, top)
+            if rows is None:
+                keep = ~(upper < best / (1.0 + 1e-9) - atol) | unsure
+                keep[index] = False
+                rows = keep.nonzero()[0]
+            index, rows = rows[:SWEEP_BLOCK_ROWS], rows[SWEEP_BLOCK_ROWS:]
     return best, held
 
 
@@ -296,37 +304,29 @@ def _sweep_pick(A, d, e, atol: float, top: bool = False, tables=None) -> list:
     best, (masks, order, vals, best_per_S) = _sweep(
         B, ee, _SweepTables(dd) if tables is None else tables, atol, flip)
     k = len(ee)
+    floor, bests, swept = best - atol, best_per_S.tolist(), masks.tolist()
+
+    def candidate(r: int, s: int, i: int) -> tuple:
+        """The (S mask, T mask) of row ``r``'s prefix (``s`` 0) or suffix
+        (``s`` 1) of length ``i + 1``, then ``s``, ``r`` and ``i``."""
+        row = order[r].tolist()
+        other = _set_mask(row[k - 1 - i :] if s else row[: i + 1])
+        return ((other, int(swept[r])) if flip else (int(swept[r]), other)), s, r, i
+
     # unless ``S`` is the sorted side, the pick lies in the first qualifying
     # swept set.  A longer prefix (suffix) holds a shorter one, so of a
     # swept set's prefixes (suffixes) within ``atol`` the shortest has the
     # smallest mask
-    win = np.flatnonzero(best_per_S >= best - atol)
+    win = [r for r, b in enumerate(bests) if b >= floor]
     if not flip:
-        win = win[masks[win] == masks[win].min()]
-    ok = np.abs(vals[win]) >= best - atol
-    candidates = []
-    for r, found, shortest in zip(win.tolist(), ok.any(axis=2).tolist(),
-                                  ok.argmax(axis=2).tolist()):
-        swept, row = int(masks[r]), order[r].tolist()
-        for s in (0, 1):
-            if found[s]:
-                i = shortest[s]
-                other = _set_mask(row[k - 1 - i :] if s else row[: i + 1])
-                candidates.append(((other, swept) if flip else (swept, other), s, r, i))
-    _, s, r, i = min(candidates)
-    picks = [(r, s, i)]
+        win = [min(win, key=swept.__getitem__)]
+    picks = [min(candidate(r, s, next(i for i, a in enumerate(v) if abs(a) >= floor))
+                 for r in win for s, v in enumerate(vals[r].tolist())
+                 if any(abs(a) >= floor for a in v))]
     if top:
-        tops = np.flatnonzero(best_per_S == best)
-        r = tops[np.argmin(masks[tops])]
-        picks.insert(0, (r, *divmod(int(np.argmax(np.abs(vals[r]))), k)))
-    pairs = []
-    for r, s, i in picks:
-        start = s * (k - 1 - i)
-        other = tuple(sorted(order[r, start : start + i + 1].tolist()))
-        swept = _mask_set(int(masks[r]))
-        S, T = (other, swept) if flip else (swept, other)
-        pairs.append((S, T, float(vals[r, s, i])))
-    return pairs
+        r = min((r for r, b in enumerate(bests) if b == best), key=swept.__getitem__)
+        picks.insert(0, candidate(r, *divmod(int(np.abs(vals[r]).argmax()), k)))
+    return [(_mask_set(S), _mask_set(T), float(vals[r, s, i])) for (S, T), s, r, i in picks]
 
 
 def _plain_sweep(A, low, atol: float) -> tuple:
@@ -341,10 +341,9 @@ def _plain_sweep(A, low, atol: float) -> tuple:
     ones = np.ones(A.shape[1])
     best, firsts = -math.inf, []
     for lo, R in _row_sums(A, low):
-        spread = np.abs(R) @ ones
-        approx = (spread + np.abs(R @ ones)) / 2
-        rows = np.flatnonzero(((approx + atol) * (1.0 + 1e-9) >= max(best, approx.max()))
-                              | (approx < 2.0**-900))
+        approx = (np.abs(R) @ ones + np.abs(R @ ones)) / 2
+        lim = max(best, approx.max()) / (1.0 + 1e-9) - atol
+        rows = ((approx >= lim) | (approx < 2.0**-900)).nonzero()[0]
         S = R[rows]
         v = np.maximum(np.where(S > 0, S, 0.0).sum(axis=1),
                        -np.where(S < 0, S, 0.0).sum(axis=1))

@@ -384,7 +384,9 @@ def test_bf_cap_does_not_change_a_greedy_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, doc", [("tensor", {"dims": [2, 2]}),
-                                          ("cutnorm", {"matrix": {"a": 1}})])
+                                          ("cutnorm", {"matrix": {"a": 1}}),
+                                          ("tensor", [["1", "2"], ["3", "4"]]),
+                                          ("cutnorm", [[True, False], [False, True]])])
 def test_malformed_json_is_exit_two(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

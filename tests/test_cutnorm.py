@@ -325,6 +325,59 @@ def test_pruned_sweep_where_the_bound_overflows(shape, signs):
     assert abs(pair.value) == pytest.approx(oracles.cut_pnorm_max_fast(A, d, e), rel=1e-12)
 
 
+_R = 6.7326551858930884e-161
+
+
+@pytest.mark.parametrize("A, d, e", [
+    (np.array([[_R, 0.0], [0.0, _R * 1e150 * (1 - 1e-6)]]), np.full(2, 1e-300),
+     np.array([1e-300, 1.0])),
+    (np.array([[0.0, 1.0], [0.0, 2.0]]), np.ones(2), np.array([4e-309, 1.0])),
+])
+def test_pruned_sweep_where_the_bound_is_inexact(A, d, e):
+    """First, a row sum near 1e-160 over a column of weight 1e-300: its
+    square underflows to a subnormal, which keeps about three digits, before
+    ``1/e_j`` scales it up to about 1e-20, so its bound may lie 5e-4 below
+    its value, and the other row set's value is 1e-6 below that one.  Then
+    a zero column of a weight whose reciprocal overflows, which makes every
+    bound NaN.  The row sets must still be swept, not dropped."""
+    _bitwise_reference(A, d, e, 0.0)
+
+
+@st.composite
+def _bound_inputs(draw):
+    """A chunk's row sums, column weights and row-set mass roots for
+    ``sweep._bound``: entries near 1e160 (squares overflow) and near 1e-160
+    (squares underflow), mixed with ordinary ones and zeros; weights near
+    1e-300 and 1e300, and subnormal ones whose reciprocal overflows, so that
+    ``0 * inf`` is NaN."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    scales = draw(st.lists(st.sampled_from([1.0, 1e9, 1e160, 1e-160]), min_size=1, max_size=3))
+    entry = st.builds(lambda k, scale: k / 7.0 * scale,
+                      st.integers(-30, 30), st.sampled_from(scales))
+    R = np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+    weights = draw(st.lists(st.sampled_from([1.0, 3.0 / 7.0, 4.0, 1e-300, 1e300, 4e-309]),
+                            min_size=1, max_size=3))
+    e = np.array(draw(st.lists(st.sampled_from(weights), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.sampled_from([1.0, 7.0 / 3.0, 1e-150, 1e150]),
+                               min_size=m, max_size=m)))
+    return R, e, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_bound_inputs())
+@example(inputs=(np.array([[_R, 0.0]]), np.array([1e-300, 1.0]), np.array([1e-150])))
+def test_bound_holds_every_prefix_value(inputs):
+    """For every row set of a chunk, the pruning bound is at least its best
+    ``_prefix_values`` value within the relative margin of the pruning test
+    (a NaN bound passes it), unless the bound is marked as one that may have
+    lost terms to underflow, whose row set the sweep keeps."""
+    R, e, w = inputs
+    upper, unsure = sweep._bound(R, e, w)
+    with np.errstate(all="ignore"):
+        best = np.abs(sweep._prefix_values(R, e, w)[1]).max(axis=(1, 2))
+    assert np.all(unsure | ~(upper < best / (1.0 + 1e-9)))
+
+
 def test_weighted_step_memory_is_blocked():
     """One side-12 weighted step, on a graph residual (few survivors) and on
     the zero matrix (every row set survives), allocates under 2 MB; the

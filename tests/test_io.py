@@ -183,6 +183,15 @@ def test_json_tensor_object_form(tmp_path):
     (read_json_tensor, '[[], []]', "expected a nonempty tensor"),
     (read_json_matrix, '{"matrix": {"a": 1}}', "matrix must be nested lists"),
     (read_json_matrix, '[[1, 2], [3]]', "matrix must be nested lists"),
+    (read_json_tensor, '[["1", "2"], ["3", "4"]]', "tensor must be nested lists"),
+    (read_json_matrix, '[[true, false], [false, true]]', "matrix must be nested lists"),
+    (read_json_matrix, '[[1, true], [0.5, 2]]', "matrix must be nested lists"),
+    (read_json_matrix, '[[1, null], [3, 4]]', "matrix must be nested lists"),
+    (read_json_tensor, '{"dims": [2, true], "entries": [1, 2]}', "dims must be nested lists"),
+    pytest.param(read_json_matrix, '[[1' + '0' * 400 + ', 2], [3, 4]]', "non-finite entries",
+                 id="integer-beyond-the-float-range"),
+    pytest.param(read_json_tensor, '[' * 700 + '1' + ']' * 700, "tensor must be nested lists",
+                 id="nested-past-the-recursion-limit"),
 ])
 def test_json_malformed_document_is_input_error(tmp_path, reader, text, message):
     path = _write(tmp_path, "bad.json", text)
