@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import (BRUTE_FORCE_CAP, COMPLETION_CAP, CutPair, cut_lp_approx, cut_lp_exact,
+from .cutnorm import (BRUTE_FORCE_CAP, _sweep_exact, cut_lp_approx, cut_lp_exact,
                       integer_weights, normalized_cut_bruteforce, rectangle_value)
 from .domains import CutDomain, UnsupportedDomain
 from .graphs import (EXHAUSTIVE_PARTITION_CAP, core_density, cut_pseudorandomness_profile,
@@ -29,7 +29,7 @@ from .linalg import ATOL, frob_norm
 from .pvd import certificate, compute_pvd, verify_pvd
 from .regularity import max_cut_details, szemeredi_partition, weak_regularity_partition
 from .simplex import SimplexError
-from .sweep import _max_cut, _sweep_pick
+from .sweep import _max_cut
 from .tensor import CutTuples, tensor_bound_check
 from .cur import cur_pvd
 
@@ -57,41 +57,41 @@ def _jsonable(obj):
     return obj
 
 
-def resolve_weights(ip: str, A: np.ndarray):
-    """(left, right) weight vectors for the chosen inner product."""
-    d, e = _weights(ip, A)
-    smallest = float(d.min()) * float(e.min())
+def resolve_weights(ip: str, A: np.ndarray) -> list:
+    """One weight vector per mode of ``A`` for the chosen inner product,
+    refused when the smallest weights of the modes multiply below the normal
+    float range."""
+    weights = _weights(ip, A)
+    smallest = math.prod(float(w.min()) for w in weights)
     if smallest < sys.float_info.min:
-        raise ValueError(f"--ip {ip}: the smallest left and right weights multiply to "
+        raise ValueError(f"--ip {ip}: the smallest weights of the modes multiply to "
                          f"{smallest:.3g}, below the normal float range, so the weight "
                          "masses of the rectangles underflow")
-    return d, e
+    return weights
 
 
-def _weights(ip: str, A: np.ndarray):
-    m, n = A.shape
+def _weights(ip: str, A: np.ndarray) -> list:
+    """A square matrix shares one vector between its modes; ``file:`` on any
+    other shape holds one number per index of each mode, mode by mode."""
     if ip == "euclidean":
-        return np.ones(m), np.ones(n)
-    if ip == "degree":
-        if m != n:
-            raise ValueError("--ip degree needs a square matrix")
-        d = degree_weights(A)
-        return d, d
-    if ip == "degree-plus-avg":
-        if m != n:
-            raise ValueError("--ip degree-plus-avg needs a square matrix")
-        deg = row_sums(A)
-        d = deg + deg.mean()
-        if np.any(d <= 0):
-            raise ValueError("--ip degree-plus-avg needs positive shifted degrees")
-        return d, d
+        return [np.ones(dim) for dim in A.shape]
+    square = A.ndim == 2 and A.shape[0] == A.shape[1]
+    if ip in ("degree", "degree-plus-avg"):
+        if not square:
+            raise ValueError(f"--ip {ip} needs a square matrix")
+        if ip == "degree":
+            d = degree_weights(A)
+        else:
+            deg = row_sums(A)
+            d = deg + deg.mean()
+            if np.any(d <= 0):
+                raise ValueError("--ip degree-plus-avg needs positive shifted degrees")
+        return [d, d]
     if ip.startswith("file:"):
-        path = ip[5:]
-        if m == n:
-            w = read_weights(path, m)
-            return w, w.copy()
-        w = read_weights(path, m + n)
-        return w[:m], w[m:]
+        if square:
+            w = read_weights(ip[5:], A.shape[0])
+            return [w, w.copy()]
+        return np.split(read_weights(ip[5:], sum(A.shape)), np.cumsum(A.shape[:-1]))
     raise ValueError(f"unknown inner product {ip!r}; "
                      "choose euclidean, degree, degree-plus-avg, or file:<path>")
 
@@ -137,33 +137,26 @@ def cmd_pvd(args):
 
 def cmd_cutnorm(args):
     A, info = _load(args)
-    m, n = A.shape
     d, e = resolve_weights(args.ip, A)
+    exact = _sweep_exact(A.shape, args.bf_cap)
     certs = []
     if args.eps is not None:
         method = "lp-approx"
         pair = cut_lp_approx(A, args.eps, d, e, atol=args.tol_abs)
-        if max(m, n) <= args.bf_cap:
-            exact = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=args.tol_abs)
+        if exact:
+            best = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=args.tol_abs)
             certs.append(certificate("approx-guarantee",
-                                     abs(exact.value) / (1.0 + args.eps) - abs(pair.value), 1e-9))
-    elif max(m, n) <= args.bf_cap:
+                                     abs(best.value) / (1.0 + args.eps) - abs(pair.value), 1e-9))
+    elif exact:
         method = "bruteforce"
         pair = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=args.tol_abs)
         if integer_weights(d) and integer_weights(e):
             other = cut_lp_exact(A, d, e, atol=args.tol_abs)
             certs.append(certificate("dual-route-agreement",
                                      abs(abs(pair.value) - abs(other.value)), 1e-6))
-    elif integer_weights(d) and integer_weights(e):
+    else:
         method = "lp-exact"
         pair = cut_lp_exact(A, d, e, atol=args.tol_abs)
-    elif min(m, n) <= COMPLETION_CAP:
-        method = "completion"
-        pair = CutPair(*_sweep_pick(A, d, e, args.tol_abs)[-1])
-    else:
-        raise ValueError(f"matrix side exceeds --bf-cap {args.bf_cap}, the smaller side "
-                         f"exceeds the completion cap {COMPLETION_CAP}, and the LP route "
-                         "needs positive integer weights")
     witness = rectangle_value(A, d, e, pair.S, pair.T) if pair.S else 0.0
     certs.insert(0, certificate("witness-consistency", abs(pair.value - witness), 1e-9))
     results = {
@@ -219,9 +212,6 @@ def cmd_szemreg(args):
 
 def cmd_classes(args):
     A, info = _load(args)
-    n = A.shape[0] if A.shape[0] == A.shape[1] else None
-    if n is None:
-        raise ValueError("classes needs a square matrix")
     d, _ = resolve_weights(args.ip, A)
     eps = 0.25 if args.eps is None else args.eps
     r = 3 if args.r is None else args.r
@@ -229,11 +219,10 @@ def cmd_classes(args):
     profile = cut_pseudorandomness_profile(A, weights=d, r=r, atol=args.tol_abs,
                                            bf_cap=args.bf_cap)
     spectral = spectral_projection_values(A, weights=d, r=r)
-    mode = "exhaustive" if n <= EXHAUSTIVE_PARTITION_CAP else "sampled"
+    mode = "exhaustive" if A.shape[0] <= EXHAUSTIVE_PARTITION_CAP else "sampled"
     lp_ratio, lp_parts = lp_upper_regularity_check(A, args.p, args.eta, mode=mode,
                                                    samples=args.samples, seed=args.seed)
-    deg = row_sums(A)
-    dd = deg + deg.mean()
+    dd, _ = _weights("degree-plus-avg", A)
     core = core_density(A)
     core_other = frob_norm(A, dd, dd) ** 2
     results = {
@@ -270,17 +259,7 @@ def cmd_cur(args):
 def cmd_tensor(args):
     T = read_json_tensor(args.input)
     info = {"path": args.input, "format": "json", "shape": list(T.shape)}
-    if args.ip.startswith("file:"):
-        flat = read_weights(args.ip[5:], sum(T.shape))
-        weights = []
-        at = 0
-        for dim in T.shape:
-            weights.append(flat[at:at + dim])
-            at += dim
-    elif args.ip == "euclidean":
-        weights = [np.ones(dim) for dim in T.shape]
-    else:
-        raise ValueError("tensors support --ip euclidean or file:<path>")
+    weights = resolve_weights(args.ip, T)
     domain = CutTuples(weights)
     r = 2 if args.r is None else args.r
     check = tensor_bound_check(T, domain, r, atol=args.tol_abs)

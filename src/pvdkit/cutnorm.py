@@ -90,11 +90,6 @@ def _rect_value(A, d, e, S, T) -> float:
     return rectangle_sum(A, S, T) / math.sqrt(d[S].sum() * e[T].sum())
 
 
-def _check_cap(A, cap: int) -> None:
-    if max(A.shape) > cap:
-        raise ValueError(f"matrix sides {A.shape} exceed brute-force cap {cap}")
-
-
 def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL) -> CutPair:
     """Exact unnormalized cut norm ``max |A(S,T)|`` by a sweep over row sets,
     each with the positive or negative support of its row sums.
@@ -115,7 +110,8 @@ def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL) -> Cu
         that row's ``2^n`` sums.
     """
     A = as_matrix(A)
-    _check_cap(A, cap)
+    if max(A.shape) > cap:
+        raise ValueError(f"matrix sides {A.shape} exceed brute-force cap {cap}")
     best, s, row = _plain_pick(A, atol)
     mags = np.abs(row)
     # the row is summed in another order than the sweep, so its maximum may
@@ -128,7 +124,8 @@ def normalized_cut_bruteforce(
     A, d_left=None, d_right=None, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL
 ) -> CutPair:
     """Exact ``max |A(S,T)| / sqrt(d(S) e(T))`` by the sorted-ratio sweep
-    over the smaller side, for inputs whose longer side is within ``cap``.
+    over the smaller side, for inputs where ``_sweep_exact(A.shape, cap)``
+    holds; others raise ``ValueError``.
 
     Covers both signs; the stored value keeps its sign, and ties within
     ``atol`` break by the tie rule of ``sweep``.
@@ -137,7 +134,9 @@ def normalized_cut_bruteforce(
     m, n = A.shape
     d = as_weights(d_left, m, "left weights")
     e = as_weights(d_right, n, "right weights")
-    _check_cap(A, cap)
+    if not _sweep_exact(A.shape, cap):
+        raise ValueError(f"matrix sides {A.shape} exceed the brute-force cap {cap} and the "
+                         f"smaller side exceeds the completion cap {COMPLETION_CAP}")
     return CutPair(*_sweep_pick(A, d, e, atol)[-1])
 
 

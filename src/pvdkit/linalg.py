@@ -6,6 +6,8 @@ bookkeeping once so the rest of the package can stay in whitened coordinates.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.linalg as la
 
@@ -82,6 +84,19 @@ def ip_dot(x, y, d=None) -> float:
 
 def ip_norm(x, d=None) -> float:
     return float(np.sqrt(max(ip_dot(x, x, d), 0.0)))
+
+
+def stable_norm(x) -> float:
+    """Euclidean norm of ``x`` flattened: ``numpy.linalg.norm`` unchanged
+    wherever that is finite, else the norm of ``x`` scaled by its largest
+    magnitude, times that magnitude, so squares beyond the float range do
+    not overflow."""
+    with np.errstate(over="ignore"):
+        value = float(la.norm(x))
+    if math.isfinite(value):
+        return value
+    big = float(np.max(np.abs(x)))
+    return big * float(la.norm(x / big))
 
 
 def whitened(A, d_left=None, d_right=None) -> Array:

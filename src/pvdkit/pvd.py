@@ -22,7 +22,7 @@ import numpy as np
 import numpy.linalg as la
 
 from .domains import CutDomain, UnsupportedDomain
-from .linalg import ATOL, DEPENDENCE_RTOL
+from .linalg import ATOL, DEPENDENCE_RTOL, stable_norm
 
 Array = np.ndarray
 
@@ -68,7 +68,7 @@ class PvdResult:
 
     @property
     def source_frob_norm(self) -> float:
-        return float(la.norm(self.source / self.domain.whitener))
+        return stable_norm(self.source / self.domain.whitener)
 
     def selected_pairs(self) -> list:
         return [self.domain.describe(k) for k in self.keys]
@@ -230,7 +230,7 @@ def tail_rms(sigmas, r: int):
     padded = np.zeros(r + 1)
     head = min(len(sigmas), r + 1)
     padded[:head] = sigmas[:head]
-    return la.norm(padded) / math.sqrt(r + 1)
+    return stable_norm(padded) / math.sqrt(r + 1)
 
 
 def best_truncation(result: PvdResult, r: int):
@@ -303,8 +303,9 @@ def verify_pvd(result: PvdResult) -> dict:
     """
     domain = result.domain
     Aw = (result.source / domain.whitener).ravel()
+    src_norm = stable_norm(Aw)
     if isinstance(domain, CutDomain):
-        proj_norm = float(la.norm(Aw))
+        proj_norm = src_norm
     else:
         size = domain.size()
         if size is None:
@@ -314,11 +315,11 @@ def verify_pvd(result: PvdResult) -> dict:
                 f"domain has {size} atoms; verification cap is {VERIFY_ATOM_CAP}")
         G = np.stack([atom.ravel() for _, atom in domain.atoms()])
         coef, *_ = la.lstsq(G.T, Aw, rcond=None)
-        proj_norm = float(la.norm(G.T @ coef))
+        proj_norm = stable_norm(G.T @ coef)
 
     certs = []
-    sig_norm = float(la.norm(result.sigmas))
-    allowance = VERIFY_FROB_RTOL * max(1.0, float(la.norm(Aw)))
+    sig_norm = stable_norm(result.sigmas)
+    allowance = VERIFY_FROB_RTOL * max(1.0, src_norm)
     gap = abs(sig_norm - proj_norm) if result.exhausted else sig_norm - proj_norm
     certs.append(certificate("projection-identity", gap, allowance))
 
@@ -341,7 +342,6 @@ def verify_pvd(result: PvdResult) -> dict:
     r_max = result.num_terms if result.exhausted else result.num_terms - 1
     chain_resid = -math.inf
     chain_source = -math.inf
-    src_norm = float(la.norm(Aw))
     resid_at = {}  # truncation index -> its residual norm; many r share one
     for r in range(0, r_max + 1):
         approx, idx = best_truncation(result, r)

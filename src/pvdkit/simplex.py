@@ -147,9 +147,11 @@ class Tableau:
             # the block product rounds otherwise than the per-row product of a
             # single solve, by less than 2 (n + 1) eps |A_ub| |x|; wherever the
             # two may fall on different sides of the limit, the per-row
-            # product decides
-            scale = np.outer(np.abs(block).max(axis=1, initial=0.0), self.row_abs)
-            doubt = (np.abs(limit) + 3 * (n + 1) * scale) * EPS
+            # product decides; a scale beyond the float range puts every row
+            # in doubt
+            with np.errstate(over="ignore"):
+                scale = np.outer(np.abs(block).max(axis=1, initial=0.0), self.row_abs)
+                doubt = (np.abs(limit) + 3 * (n + 1) * scale) * EPS
             for r in np.flatnonzero(np.any(block @ self.A.T > limit - doubt, axis=1)).tolist():
                 if np.any(self.A @ block[r] > limit[r]):
                     rows = r

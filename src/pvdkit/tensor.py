@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import numpy.linalg as la
 
 from .cutnorm import _mask_set
 from .domains import FactorDomain
-from .linalg import ATOL, as_tensor, as_weights
+from .linalg import ATOL, as_tensor, as_weights, stable_norm
 from .pvd import best_truncation, certificate, compute_pvd, p_norm, tail_rms
 
 Array = np.ndarray
@@ -104,7 +103,7 @@ def tensor_bound_check(T, domain, r: int, atol: float = ATOL) -> dict:
     approx, _idx = best_truncation(result, r)
     lhs = p_norm(T - approx, domain, result.atol)
     tail = float(tail_rms(result.sigmas, r))
-    src = float(la.norm((T / domain.whitener).ravel())) / math.sqrt(r + 1)
+    src = stable_norm(T / domain.whitener) / math.sqrt(r + 1)
     recomputed = p_norm(T - sum(result.increments, np.zeros(T.shape)), domain, result.atol)
     slack = 1e-9
     certs = [

@@ -13,6 +13,7 @@ from pvdkit.cutnorm import COMPLETION_CAP, normalized_cut_bruteforce
 from pvdkit.domains import UnsupportedDomain
 from pvdkit.pvd import best_truncation
 from pvdkit.regularity import szemeredi_partition
+from pvdkit.tensor import CutTuples, tensor_bound_check
 
 import oracles
 
@@ -203,26 +204,54 @@ def test_non_integer_weights_beyond_the_cap_exit_zero(tmp_path, capsys):
     assert json.loads(texts[0])["all_certificates_pass"] is True
 
 
-def test_cutnorm_non_integer_weights_beyond_the_cap_take_the_completion(tmp_path, capsys):
-    """Past ``--bf-cap`` with non-integer weights ``cutnorm`` sweeps the
-    smaller side (the exact completion) and reports the exact value."""
+def test_cutnorm_within_the_exact_rule_is_bruteforce_beyond_the_cap(tmp_path, capsys):
+    """Past ``--bf-cap`` with the smaller side within ``COMPLETION_CAP``
+    ``cutnorm`` is the exact sweep, whatever the weights: integer weights add
+    the LP route's agreement and ``--eps`` its guarantee.  Past the rule the
+    LP route refuses non-integer weights."""
     A = oracles.gnp_adjacency(np.random.default_rng(14), 13, 0.5)
     path = tmp_path / "g13.json"
     path.write_text(json.dumps(A.tolist()))
     code, rep = _run(capsys, ["cutnorm", "--input", str(path), "--ip", "degree-plus-avg"])
     assert code == 0
-    assert rep["results"]["method"] == "completion"
+    assert rep["results"]["method"] == "bruteforce"
     d, _ = cli.resolve_weights("degree-plus-avg", A)
     want = normalized_cut_bruteforce(A, d, d, cap=13)
-    assert rep["results"]["value"] == pytest.approx(abs(want.value), rel=1e-12)
-    # integer weights keep the LP route; beyond the completion cap it refuses
-    _, rep = _run(capsys, ["cutnorm", "--input", str(path)])
-    assert rep["results"]["method"] == "lp-exact"
+    assert rep["results"]["value"] == abs(want.value)
+    assert [c["name"] for c in rep["certificates"]] == ["witness-consistency"]
+    code, rep = _run(capsys, ["cutnorm", "--input", str(path)])
+    assert code == 0 and rep["results"]["method"] == "bruteforce"
+    assert [c["name"] for c in rep["certificates"]] == ["witness-consistency",
+                                                        "dual-route-agreement"]
+    code, rep = _run(capsys, ["cutnorm", "--input", str(path), "--ip", "degree-plus-avg",
+                              "--eps", "0.1"])
+    assert code == 0 and rep["results"]["method"] == "lp-approx"
+    assert [c["name"] for c in rep["certificates"]] == ["witness-consistency",
+                                                        "approx-guarantee"]
     side = COMPLETION_CAP + 1
     big = tmp_path / "big.json"
     big.write_text(json.dumps(oracles.gnp_adjacency(np.random.default_rng(15), side, 0.5).tolist()))
     assert cli.main(["cutnorm", "--input", str(big), "--ip", "degree-plus-avg"]) == 2
-    assert f"completion cap {COMPLETION_CAP}" in capsys.readouterr().err
+    assert "positive integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(6, 30), (30, 6)])
+def test_cutnorm_long_thin_integer_matrix_is_bruteforce(shape, tmp_path, capsys):
+    """A longer side past the default ``--bf-cap`` with a short side: the
+    exact sweep's pick, checked against the LP route."""
+    A = np.random.default_rng(16).integers(-3, 4, size=shape).astype(float)
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(A.tolist()))
+    code, rep = _run(capsys, ["cutnorm", "--input", str(path)])
+    assert code == 0
+    assert rep["results"]["method"] == "bruteforce"
+    pool = oracles.completion_pool(A, np.ones(shape[0]), np.ones(shape[1]))
+    S, T, _, sweep_value = oracles.completion_pick(pool)
+    assert (tuple(rep["results"]["S"]), tuple(rep["results"]["T"])) == (S, T)
+    assert rep["results"]["signed_value"] == sweep_value
+    assert rep["results"]["value"] == pytest.approx(max(abs(c[2]) for c in pool), rel=1e-12)
+    assert [c["name"] for c in rep["certificates"]] == ["witness-consistency",
+                                                        "dual-route-agreement"]
 
 
 def test_classes_without_samples_is_exit_two(tmp_path, capsys):
@@ -243,19 +272,112 @@ def test_weights_file_inner_product(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("command", ["cutnorm", "pvd"])
+def _tensor_file(tmp_path, T):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dims": list(T.shape), "entries": T.ravel().tolist()}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["cutnorm", "pvd", "tensor"])
 def test_underflowing_weights_are_exit_two(command, tmp_path, capsys):
     """Weights of 1e-300 make every weight mass d(S) e(T) underflow to 0: a
     usage error naming the weights, not a division by zero or an empty
-    reduction deep in the sweep."""
-    graph = tmp_path / "g.edges"
-    graph.write_text("1 2\n2 3\n1 3\n3 4\n")
+    reduction deep in the sweep.  ``tensor`` takes the same guard: the
+    smallest weights of its three modes multiply to 1e-900."""
+    if command == "tensor":
+        path = _tensor_file(tmp_path, np.arange(27.0).reshape(3, 3, 3))
+        count = 9
+    else:
+        path = tmp_path / "g.edges"
+        path.write_text("1 2\n2 3\n1 3\n3 4\n")
+        count = 4
     weights = tmp_path / "w.txt"
-    weights.write_text("1e-300 1e-300 1e-300 1e-300\n")
-    code = cli.main([command, "--input", str(graph), "--ip", f"file:{weights}"])
+    weights.write_text(" ".join(["1e-300"] * count) + "\n")
+    code = cli.main([command, "--input", str(path), "--ip", f"file:{weights}"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "weights" in captured.err and "underflow" in captured.err
+
+
+@pytest.mark.parametrize("ip", ["file", "degree"])
+def test_tensor_square_two_mode_input_shares_one_weight_vector(ip, tmp_path, capsys):
+    """A square two-mode tensor reads its weights as a square matrix does:
+    ``n`` numbers from a file, or its degrees, for both modes."""
+    A = oracles.gnp_adjacency(np.random.default_rng(17), 4, 0.7)
+    w = np.array([1.0, 2.0, 3.0, 4.0]) if ip == "file" else A.sum(axis=1)
+    wpath = tmp_path / "w.txt"
+    wpath.write_text(" ".join(map(str, w)) + "\n")
+    flag = f"file:{wpath}" if ip == "file" else "degree"
+    code, rep = _run(capsys, ["tensor", "--input", _tensor_file(tmp_path, A), "--ip", flag])
+    assert code == 0
+    want = tensor_bound_check(A, CutTuples([w, w]), 2)
+    assert rep["results"]["sigmas"] == want["sigmas"]
+
+
+def test_tensor_three_modes_refuse_degree_weights(tmp_path, capsys):
+    path = _tensor_file(tmp_path, np.ones((2, 2, 2)))
+    code = cli.main(["tensor", "--input", path, "--ip", "degree"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "square" in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, _, options) in cli.COMMANDS.items()
+                                        if "ip" in options))
+def test_each_ip_subcommand_resolves_weights_once(name, tmp_path, capsys, monkeypatch):
+    """Every subcommand that declares ``--ip`` reads it through the one
+    resolver, once, and parses no weights of its own."""
+    calls = []
+    resolve = cli.resolve_weights
+
+    def counted(ip, A):
+        calls.append(ip)
+        return resolve(ip, A)
+
+    monkeypatch.setattr(cli, "resolve_weights", counted)
+    if name == "tensor":
+        path = _tensor_file(tmp_path, np.arange(8.0).reshape(2, 2, 2))
+    else:
+        path = _graph_file(tmp_path)
+    eps = {"weakreg": "0.6", "szemreg": "0.8", "maxcut": "0.5"}
+    cli.main([name, "--input", path] + (["--eps", eps[name]] if name in eps else []))
+    capsys.readouterr()
+    assert calls == ["euclidean"]
+
+
+def _big_file(tmp_path):
+    """A matrix whose squared entries overflow the float range."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps((np.random.default_rng(0).normal(size=(6, 5)) * 1e160).tolist()))
+    return str(path)
+
+
+@pytest.mark.parametrize("extra", [["--r", "1"], []])
+def test_pvd_of_entries_near_the_float_limit_is_certified(extra, tmp_path, capsys):
+    """Norms of whitened arrays are taken without overflowing their squares,
+    so the projection identity compares finite norms."""
+    code, rep = _run(capsys, ["pvd", "--input", _big_file(tmp_path), *extra])
+    assert code == 0
+    assert len(rep["certificates"]) == 5 and rep["all_certificates_pass"] is True
+    assert rep["results"]["source_frob_norm"] == pytest.approx(
+        1e160 * float(np.linalg.norm(np.random.default_rng(0).normal(size=(6, 5)))), rel=1e-12)
+
+
+def test_tensor_of_entries_near_the_float_limit_writes_its_report(tmp_path, capsys):
+    """The bound chain holds; only the residual check, whose slack is an
+    absolute 1e-9, fails on the roundoff of entries near 1e160."""
+    code, rep = _run(capsys, ["tensor", "--input", _big_file(tmp_path)])
+    assert code == 1
+    failed = [c["name"] for c in rep["certificates"] if not c["pass"]]
+    assert failed == ["residual-consistency"]
+
+
+def test_cutnorm_of_entries_near_the_float_limit(tmp_path, capsys):
+    """The LP route of the dual check solves without overflow warnings."""
+    code, rep = _run(capsys, ["cutnorm", "--input", _big_file(tmp_path)])
+    assert code == 0
+    assert [c["name"] for c in rep["certificates"]] == ["witness-consistency",
+                                                        "dual-route-agreement"]
 
 
 def test_unknown_ip_rejected(tmp_path, capsys):

@@ -76,6 +76,20 @@ def test_bruteforce_normalized_matches_oracle():
         assert rectangle_value(A, d, e, pair.S, pair.T) == pytest.approx(pair.value)
 
 
+def test_bruteforce_cap_is_the_exact_rule():
+    """``normalized_cut_bruteforce`` takes every shape where
+    ``_sweep_exact`` holds, a longer side past ``cap`` included, and refuses
+    the others."""
+    rng = np.random.default_rng(25)
+    A = rng.normal(size=(3, 16))
+    d, e = rng.uniform(0.5, 2.0, size=3), rng.uniform(0.5, 2.0, size=16)
+    pair = normalized_cut_bruteforce(A, d, e)
+    assert abs(pair.value) == pytest.approx(oracles.cut_pnorm_max_fast(A, d, e), rel=1e-12)
+    side = cutnorm.COMPLETION_CAP + 1
+    with pytest.raises(ValueError, match="completion cap"):
+        normalized_cut_bruteforce(np.ones((side, side)))
+
+
 def test_bruteforce_tie_break_is_canonical():
     # identity: every diagonal singleton ties at value 1; smallest masks win
     pair = normalized_cut_bruteforce(np.eye(3))

@@ -3,8 +3,8 @@ import numpy.linalg as la
 import pytest
 
 from pvdkit.linalg import (ATOL, as_matrix, as_tensor, as_weights, frob_inner,
-                           frob_norm, ip_dot, ip_norm, spectral_norm, tensor_whitener,
-                           whitened)
+                           frob_norm, ip_dot, ip_norm, spectral_norm, stable_norm,
+                           tensor_whitener, whitened)
 
 import oracles
 
@@ -64,6 +64,18 @@ def test_whitening_preserves_weighted_norm():
         W = whitened(X, d, e)
         assert la.norm(W) == pytest.approx(frob_norm(X, d, e), rel=1e-12)
         assert frob_inner(X, X, d, e) == pytest.approx(frob_norm(X, d, e) ** 2, rel=1e-12)
+
+
+def test_stable_norm_is_numpy_norm_where_that_is_finite():
+    """Bitwise ``numpy.linalg.norm`` on ordinary arrays; entries whose
+    squares overflow give the scaled norm, without an overflow warning."""
+    rng = np.random.default_rng(11)
+    for shape in ((7,), (4, 5), (3, 2, 4)):
+        X = rng.normal(size=shape)
+        assert stable_norm(X) == float(la.norm(X))
+        assert stable_norm(X * 1e160) == pytest.approx(1e160 * float(la.norm(X)), rel=1e-14)
+    assert stable_norm(np.array([1e300, -1e300])) == pytest.approx(2 ** 0.5 * 1e300)
+    assert stable_norm(np.zeros(3)) == 0.0
 
 
 def test_spectral_norm_matches_svd():
