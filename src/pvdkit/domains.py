@@ -109,7 +109,9 @@ class FactorDomain:
     is the outer product of the labelled rows, and keys run in
     ``itertools.product`` order of the labels.  The maximizer contracts the
     residual with each factor matrix in turn (``U R Z^T`` for two modes), so
-    no atom is formed and the memory is one value per atom.
+    no atom is formed.  Each contraction writes into a work array the domain
+    keeps between steps, the last one holding one value per atom, so a step
+    allocates no value vector of its own.
     """
 
     def __init__(self, factors, labels, weights):
@@ -119,6 +121,12 @@ class FactorDomain:
         self.weights = tuple(weights)
         self.shape = tuple(F.shape[1] for F in self.factors)
         self.whitener = tensor_whitener(self.shape, self.weights)
+        # Contraction k eats mode k's axis (the leading one) and appends mode
+        # k's label axis, as ``np.tensordot(vals, F_k, axes=([0], [1]))``
+        # does; ``_work[k]`` holds its result.
+        sizes = tuple(len(labs) for labs in self.labels)
+        self._work = [np.empty(self.shape[k + 1:] + sizes[:k + 1])
+                      for k in range(len(self.shape))]
 
     def size(self):
         return math.prod(len(labs) for labs in self.labels)
@@ -132,8 +140,13 @@ class FactorDomain:
 
     def max_step(self, resid_white, atol: float = ATOL):
         vals = resid_white
-        for F in self.factors:
-            vals = np.tensordot(vals, F, axes=([0], [1]))
+        order = tuple(range(1, len(self.shape))) + (0,)
+        for F, work in zip(self.factors, self._work):
+            # the operands and the ``dot`` call of ``np.tensordot``, so every
+            # value keeps its bits
+            flat = vals.transpose(order).reshape(-1, F.shape[1])
+            np.dot(flat, F.T, out=work.reshape(flat.shape[0], F.shape[0]))
+            vals = work
         idx = np.unravel_index(_first_best(vals.ravel(), atol), vals.shape)
         return tuple(labs[i] for labs, i in zip(self.labels, idx)), float(vals[idx])
 
@@ -281,9 +294,21 @@ class FullSphereDomain:
 
 
 def _first_best(vals: np.ndarray, atol: float) -> int:
-    """Index of the first value within ``atol`` of the largest magnitude."""
-    mags = np.abs(vals)
-    return int(np.nonzero(mags >= float(np.max(mags)) - atol)[0][0])
+    """Index of the first value within ``atol`` of the largest magnitude,
+    found without forming ``np.abs(vals)``; a NaN raises ``ValueError``."""
+    hi, lo = float(vals.max()), float(vals.min())
+    if math.isnan(hi):
+        raise ValueError("residual contains NaN")
+    thr = max(hi, -lo) - atol
+    # |v| >= thr exactly when v >= thr or v <= -thr; each side is scanned
+    # only when its extreme reaches the band, so its first hit exists; with
+    # atol >= 0 one side at least does
+    first = vals.size
+    if hi >= thr:
+        first = int(np.argmax(vals >= thr))
+    if lo <= -thr:
+        first = min(first, int(np.argmax(vals <= -thr)))
+    return first
 
 
 def _rank_one(factors) -> np.ndarray:
@@ -293,17 +318,18 @@ def _rank_one(factors) -> np.ndarray:
 def _distinct_directions(vectors):
     """Indices and normalized, oriented copies of the nonzero ``vectors``,
     skipping each one within 1e-12 (max-abs) of a copy already kept."""
-    keep, units = [], []
+    keep = []
+    units = np.empty(vectors.shape)  # the kept copies fill its leading rows
     for k, x in enumerate(vectors):
         nx = la.norm(x)
         if nx == 0.0:
             continue
         u = _orient(x / nx)
-        if units and np.min(np.max(np.abs(np.array(units) - u), axis=1)) <= 1e-12:
+        if keep and np.min(np.max(np.abs(units[:len(keep)] - u), axis=1)) <= 1e-12:
             continue
+        units[len(keep)] = u
         keep.append(k)
-        units.append(u)
-    return keep, np.array(units)
+    return keep, units[:len(keep)]
 
 
 def _orient(x: np.ndarray) -> np.ndarray:

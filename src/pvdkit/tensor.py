@@ -23,6 +23,8 @@ from .pvd import best_truncation, certificate, compute_pvd, p_norm, tail_rms
 
 Array = np.ndarray
 
+# Largest number of cut tuples: every CutTuples domain keeps one float per
+# tuple (800 KB at the cap) as the value vector of its greedy step.
 CUT_TUPLE_CAP = 100_000
 
 
@@ -53,7 +55,7 @@ class CutTuples(FactorDomain):
 
     Mode ``k`` contributes one normalized indicator row per nonempty subset,
     labelled by its bit mask.  ``CUT_TUPLE_CAP`` bounds the number of tuples,
-    the length of the value vector ``max_step`` builds.
+    the length of the value vector the domain keeps for ``max_step``.
     """
 
     def __init__(self, weights):
@@ -94,7 +96,9 @@ def tensor_bound_check(T, domain, r: int, atol: float = ATOL) -> dict:
     norm of the residual against the RMS tail of the projection values, and
     that tail against the source Frobenius bound.  A third certificate checks
     that the engine's residual norm agrees with one recomputed from scratch.
-    Each allows an absolute ``1e-9``.
+    Each allows a slack of ``1e-9``, or ``1e-12`` times the Frobenius norm of
+    the whitened source where that is larger, so that roundoff at the scale
+    of entries near the float limit does not fail them.
     """
     T = as_tensor(T, "tensor")
     if r < 0:
@@ -103,9 +107,10 @@ def tensor_bound_check(T, domain, r: int, atol: float = ATOL) -> dict:
     approx, _idx = best_truncation(result, r)
     lhs = p_norm(T - approx, domain, result.atol)
     tail = float(tail_rms(result.sigmas, r))
-    src = stable_norm(T / domain.whitener) / math.sqrt(r + 1)
+    source_norm = stable_norm(T / domain.whitener)
+    src = source_norm / math.sqrt(r + 1)
     recomputed = p_norm(T - sum(result.increments, np.zeros(T.shape)), domain, result.atol)
-    slack = 1e-9
+    slack = max(1e-9, 1e-12 * source_norm)
     certs = [
         certificate("residual-vs-tail", lhs, tail + slack),
         certificate("tail-vs-source", tail, src + slack),

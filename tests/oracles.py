@@ -679,6 +679,27 @@ def gram_max_step(keys, gram, resid, atol: float = 1e-9):
     return keys[idx], float(vals[idx])
 
 
+def tensordot_values(factors, resid) -> np.ndarray:
+    """Every atom's inner product with ``resid``, in product order of the
+    factor rows: one ``np.tensordot`` per mode."""
+    vals = np.asarray(resid, dtype=float)
+    for F in factors:
+        vals = np.tensordot(vals, F, axes=([0], [1]))
+    return vals
+
+
+def tensordot_max_step(factors, labels, resid, atol: float = 1e-9):
+    """(key, value) of a factor domain's greedy step by fresh
+    ``np.tensordot`` contractions with each mode's factor matrix in turn,
+    then an ``np.abs`` scan for the first entry in product order whose
+    magnitude is within ``atol`` of the largest."""
+    vals = tensordot_values(factors, resid)
+    mags = np.abs(vals.ravel())
+    flat = int(np.nonzero(mags >= float(np.max(mags)) - atol)[0][0])
+    idx = np.unravel_index(flat, vals.shape)
+    return tuple(labs[i] for labs, i in zip(labels, idx)), float(vals[idx])
+
+
 def restricted_growth_strings(n: int, max_labels: int):
     """Every set partition of range(n) into at most ``max_labels`` parts, as
     label strings a with a[0] = 0 and a[i] <= max(a[:i]) + 1, in
