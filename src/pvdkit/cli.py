@@ -60,13 +60,16 @@ def _jsonable(obj):
 def resolve_weights(ip: str, A: np.ndarray) -> list:
     """One weight vector per mode of ``A`` for the chosen inner product,
     refused when the smallest weights of the modes multiply below the normal
-    float range."""
+    float range, or their weight masses beyond it."""
     weights = _weights(ip, A)
     smallest = math.prod(float(w.min()) for w in weights)
     if smallest < sys.float_info.min:
         raise ValueError(f"--ip {ip}: the smallest weights of the modes multiply to "
                          f"{smallest:.3g}, below the normal float range, so the weight "
                          "masses of the rectangles underflow")
+    if not math.isfinite(math.prod(sum(w.tolist()) for w in weights)):
+        raise ValueError(f"--ip {ip}: the weight masses of the modes multiply beyond "
+                         "the float range, so the whitener overflows")
     return weights
 
 

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import math
 
-import numpy.linalg as la
-
 from .domains import ColumnRowDomain
-from .linalg import ATOL, as_matrix
+from .linalg import ATOL, as_matrix, stable_norm
 from .pvd import best_truncation, certificate, compute_pvd, p_norm
 
 
@@ -33,5 +31,5 @@ def cur_pvd(A, eps: float, atol: float = ATOL):
     result = compute_pvd(A, domain, max_terms=r + 1, atol=atol)
     approx, _index = best_truncation(result, r)
     resid = p_norm(A - approx, domain, result.atol)
-    cert = certificate("cur-chain", resid, eps * float(la.norm(A)) + 1e-9)
+    cert = certificate("cur-chain", resid, eps * stable_norm(A) + 1e-9)
     return approx, result, cert

@@ -11,8 +11,8 @@ Two routes to ``max |A(S, T)| / sqrt(d(S) e(T))`` over nonempty index sets:
   rounded by a threshold scan over the LP levels and closed by
   ``exact_completion``.
 
-The relaxation alone is exact for one-signed matrices, which makes it the
-cut step's route past ``COMPLETION_CAP``.  With mixed signs, entries of the
+The relaxation alone is exact for one-signed matrices, but the greedy cut
+step never takes it (``domains``).  With mixed signs, entries of the
 minority sign next to a good rectangle enter the LP objective as forced
 payments and the relaxation can undershoot, so the LP routes refuse such
 matrices whose smaller side is beyond ``COMPLETION_CAP``.

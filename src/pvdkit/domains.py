@@ -20,15 +20,15 @@ from functools import reduce
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import BRUTE_FORCE_CAP, _sweep_exact, cut_lp_exact
-from .linalg import ATOL, as_matrix, as_weights, ip_norm, tensor_whitener
+from .cutnorm import BRUTE_FORCE_CAP, COMPLETION_CAP, _sweep_exact
+from .linalg import ATOL, as_matrix, as_weights, ip_norm, stable_norm, tensor_whitener
 from .sweep import _SweepTables, _mask_set, _set_mask, _sweep_pick
 
 
 class UnsupportedDomain(ValueError):
     """Raised when an operation needs more from a domain than it can give
-    (enumeration of an infinite domain or beyond its cap, an LP cut step
-    with non-integer weights or on a residual with both signs)."""
+    (enumeration of an infinite domain or beyond its cap, a cut step outside
+    the exact sweep's rule)."""
 
 
 class CutDomain:
@@ -43,8 +43,7 @@ class CutDomain:
         sweep over the smaller side (``sweep``) where ``cutnorm._sweep_exact``
         holds (the longer side within ``bf_cap`` or the smaller side within
         ``cutnorm.COMPLETION_CAP``), whatever ``bf_cap`` is there; past it,
-        the LP route ``cutnorm.cut_lp_exact``, which needs integer weights
-        and a one-signed residual.
+        ``max_step`` raises ``UnsupportedDomain`` before any work.
     """
 
     def __init__(self, d_left, d_right=None, bf_cap: int = BRUTE_FORCE_CAP):
@@ -86,19 +85,18 @@ class CutDomain:
         return {"kind": "cut", "S": list(_mask_set(key[0])), "T": list(_mask_set(key[1]))}
 
     def max_step(self, resid_white, atol: float = ATOL):
+        m, n = self.shape
+        if not _sweep_exact(self.shape, self.bf_cap):
+            raise UnsupportedDomain(
+                f"{m}x{n} cut domain: an exact cut step needs the longer side within "
+                f"bf_cap {self.bf_cap} or the smaller side within COMPLETION_CAP "
+                f"{COMPLETION_CAP}")
         d, e = self.weights
-        R = resid_white * self.whitener
-        if _sweep_exact(self.shape, self.bf_cap):
-            if self._tables is None:
-                self._tables = _SweepTables(d if self.shape[0] <= self.shape[1] else e,
-                                            max(self.shape))
-            S, T, value = _sweep_pick(R, d, e, atol, tables=self._tables)[-1]
-            return (_set_mask(S), _set_mask(T)), value
-        try:
-            pair = cut_lp_exact(R, d, e, atol=atol)
-        except ValueError as exc:
-            raise UnsupportedDomain(str(exc)) from exc
-        return pair.masks(), pair.value
+        if self._tables is None:
+            self._tables = _SweepTables(d if m <= n else e, max(m, n))
+        S, T, value = _sweep_pick(resid_white * self.whitener, d, e, atol,
+                                  tables=self._tables)[-1]
+        return (_set_mask(S), _set_mask(T)), value
 
 
 class FactorDomain:
@@ -321,7 +319,7 @@ def _distinct_directions(vectors):
     keep = []
     units = np.empty(vectors.shape)  # the kept copies fill its leading rows
     for k, x in enumerate(vectors):
-        nx = la.norm(x)
+        nx = stable_norm(x)
         if nx == 0.0:
             continue
         u = _orient(x / nx)

@@ -270,6 +270,11 @@ def combination_coefficients(result: PvdResult, num_terms: int) -> Array:
     return alpha
 
 
+def roundoff_slack(src_norm: float) -> float:
+    """A certificate's slack at the scale of a whitened source norm."""
+    return max(VERIFY_STEP_ATOL, 1e-12 * src_norm)
+
+
 def certificate(name: str, lhs: float, rhs: float) -> dict:
     """One report certificate: the claim ``lhs <= rhs``, both sides as floats."""
     return {"name": name, "lhs": float(lhs), "rhs": float(rhs),
@@ -296,7 +301,7 @@ def verify_pvd(result: PvdResult) -> dict:
     * ``truncation-chain-residual`` / ``truncation-chain-source``: for every
       certifiable ``r``, the best truncation's residual norm against the RMS
       tail bound, and that bound against the source-norm bound.  These three
-      allow ``VERIFY_STEP_ATOL``.
+      allow ``roundoff_slack`` of the whitened source norm.
 
     Raises ``UnsupportedDomain`` when a domain other than the cut domain
     cannot be enumerated or has more than ``VERIFY_ATOM_CAP`` atoms.
@@ -336,8 +341,9 @@ def verify_pvd(result: PvdResult) -> dict:
         _, value = domain.max_step(Rw, result.atol)
         worst = max(worst, abs(value) - result.sigmas[j])
         Rw -= result.increments[j] / domain.whitener
+    slack = roundoff_slack(src_norm)
     if result.num_terms:
-        certs.append(certificate("step-dominance", worst, VERIFY_STEP_ATOL))
+        certs.append(certificate("step-dominance", worst, slack))
 
     r_max = result.num_terms if result.exhausted else result.num_terms - 1
     chain_resid = -math.inf
@@ -351,7 +357,7 @@ def verify_pvd(result: PvdResult) -> dict:
         chain_resid = max(chain_resid, resid_at[idx] - tail)
         chain_source = max(chain_source, tail - src_norm / math.sqrt(r + 1))
     if r_max >= 0:
-        certs.append(certificate("truncation-chain-residual", chain_resid, VERIFY_STEP_ATOL))
-        certs.append(certificate("truncation-chain-source", chain_source, VERIFY_STEP_ATOL))
+        certs.append(certificate("truncation-chain-residual", chain_resid, slack))
+        certs.append(certificate("truncation-chain-source", chain_source, slack))
 
     return {"pass": all(c["pass"] for c in certs), "certificates": certs}

@@ -225,7 +225,7 @@ def weak_regularity_partition(A, eps: float, weights=None, atol: float = ATOL,
     Returns
     -------
     RegularityReport
-        With ``weak_irregularity_ub`` the (exact or LP) cut norm of
+        With ``weak_irregularity_ub`` the exact cut norm of
         ``A - approx_matrix`` and ``bound_certificate`` the tail bound
         ``(RMS of the first r+1 projection values) * sum(weights)``.
     """

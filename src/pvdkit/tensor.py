@@ -19,7 +19,7 @@ import numpy as np
 from .cutnorm import _mask_set
 from .domains import FactorDomain
 from .linalg import ATOL, as_tensor, as_weights, stable_norm
-from .pvd import best_truncation, certificate, compute_pvd, p_norm, tail_rms
+from .pvd import best_truncation, certificate, compute_pvd, p_norm, roundoff_slack, tail_rms
 
 Array = np.ndarray
 
@@ -96,9 +96,8 @@ def tensor_bound_check(T, domain, r: int, atol: float = ATOL) -> dict:
     norm of the residual against the RMS tail of the projection values, and
     that tail against the source Frobenius bound.  A third certificate checks
     that the engine's residual norm agrees with one recomputed from scratch.
-    Each allows a slack of ``1e-9``, or ``1e-12`` times the Frobenius norm of
-    the whitened source where that is larger, so that roundoff at the scale
-    of entries near the float limit does not fail them.
+    Each allows ``pvd.roundoff_slack`` of the Frobenius norm of the whitened
+    source.
     """
     T = as_tensor(T, "tensor")
     if r < 0:
@@ -110,7 +109,7 @@ def tensor_bound_check(T, domain, r: int, atol: float = ATOL) -> dict:
     source_norm = stable_norm(T / domain.whitener)
     src = source_norm / math.sqrt(r + 1)
     recomputed = p_norm(T - sum(result.increments, np.zeros(T.shape)), domain, result.atol)
-    slack = max(1e-9, 1e-12 * source_norm)
+    slack = roundoff_slack(source_norm)
     certs = [
         certificate("residual-vs-tail", lhs, tail + slack),
         certificate("tail-vs-source", tail, src + slack),

@@ -620,6 +620,14 @@ def max_cut_split(approx, parts, delta: float, split_cap: int) -> tuple:
     return tuple(int(c) for c in best_counts), X, estimate
 
 
+def sweep_rule(shape, bf_cap: int = 12) -> str:
+    """Pattern of the refusal of a cut step past the exact sweep's rule (the
+    longer side within ``bf_cap`` or the smaller within 22): the message
+    names the shape and both caps."""
+    m, n = shape
+    return rf"{m}x{n} cut domain: .*bf_cap {bf_cap}\b.*COMPLETION_CAP 22\b"
+
+
 def gnp_adjacency(rng, n: int, p: float) -> np.ndarray:
     """Simple undirected G(n, p) adjacency matrix, zero diagonal."""
     A = np.zeros((n, n))

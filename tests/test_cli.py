@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pvdkit import cli
+from pvdkit import cli, cutnorm, domains, regularity
 from pvdkit.cutnorm import COMPLETION_CAP, normalized_cut_bruteforce
 from pvdkit.domains import UnsupportedDomain
 from pvdkit.pvd import best_truncation
@@ -363,6 +363,65 @@ def test_pvd_of_entries_near_the_float_limit_is_certified(extra, tmp_path, capsy
         1e160 * float(np.linalg.norm(np.random.default_rng(0).normal(size=(6, 5)))), rel=1e-12)
 
 
+@pytest.mark.parametrize("source, scale", [("normal", 1e12), ("graph", 1e12), ("graph", 1e100),
+                                           ("graph", 1e160)])
+def test_pvd_certificates_allow_roundoff_at_the_source_scale(source, scale, tmp_path, capsys):
+    """Step dominance and the truncation chain allow ``1e-12`` times the
+    whitened source norm past ``1e-9``: with an absolute slack the 8x9
+    matrix at 1e12 failed ``truncation-chain-source`` by 2.4e-4, and this
+    G(10) failed a chain or step certificate at every scale."""
+    if source == "normal":
+        A = np.random.default_rng(3).normal(size=(8, 9))
+    else:
+        A = oracles.gnp_adjacency(np.random.default_rng(12), 10, 0.5)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps((A * scale).tolist()))
+    code, rep = _run(capsys, ["pvd", "--input", str(path)])
+    assert code == 0 and rep["all_certificates_pass"] is True
+    certs = {c["name"]: c for c in rep["certificates"]}
+    for name in ("step-dominance", "truncation-chain-residual", "truncation-chain-source"):
+        assert certs[name]["rhs"] == max(1e-9, 1e-12 * rep["results"]["source_frob_norm"])
+
+
+def test_cur_of_entries_near_the_float_limit_keeps_its_terms(tmp_path, capsys):
+    """Column and row norms near 1e160 are taken without overflowing their
+    squares: every direction is kept, and ``cur-chain`` compares finite
+    norms, where it used to pass with 0 terms against an overflowed rhs."""
+    M = np.random.default_rng(3).normal(size=(8, 9))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps((M * 1e160).tolist()))
+    code, rep = _run(capsys, ["cur", "--input", str(path), "--eps", "0.5"])
+    assert code == 0 and rep["results"]["num_terms"] == 5
+    cert = rep["certificates"][0]
+    assert 0 < cert["lhs"] <= cert["rhs"] == pytest.approx(
+        0.5 * 1e160 * float(np.linalg.norm(M)), rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["cutnorm", "pvd", "tensor", "degree"])
+def test_overflowing_weight_masses_are_exit_two(command, tmp_path, capsys):
+    """Weight masses that multiply beyond the float range would overflow the
+    whitener (a NaN residual): a usage error naming the weights.  Degree
+    weights of a G(10) at 1e160 are one such case."""
+    if command == "degree":
+        A = oracles.gnp_adjacency(np.random.default_rng(12), 10, 0.5) * 1e160
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(A.tolist()))
+        argv = ["pvd", "--input", str(path), "--ip", "degree"]
+    else:
+        if command == "tensor":
+            path, count = _tensor_file(tmp_path, np.arange(27.0).reshape(3, 3, 3)), 9
+        else:
+            path, count = tmp_path / "g.edges", 4
+            path.write_text("1 2\n2 3\n1 3\n3 4\n")
+        weights = tmp_path / "w.txt"
+        weights.write_text(" ".join(["1e200"] * count) + "\n")
+        argv = [command, "--input", str(path), "--ip", f"file:{weights}"]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "weight masses" in captured.err and "overflow" in captured.err
+
+
 def test_tensor_of_entries_near_the_float_limit_writes_its_report(tmp_path, capsys):
     """The certificates' slack scales with the whitened source norm past
     1e-9, so the residual check passes on the roundoff of entries near
@@ -508,7 +567,30 @@ def test_bf_cap_does_not_change_a_greedy_report(tmp_path, capsys):
         assert texts[0] == texts[1], argv[0]
 
 
-@pytest.mark.parametrize("command, doc", [("tensor", {"dims": [2, 2]}),
+@pytest.mark.parametrize("argv", [["pvd", "--r", "1"],
+                                  ["weakreg", "--eps", "0.5", "--ip", "degree"],
+                                  ["szemreg", "--eps", "0.8"], ["maxcut", "--eps", "0.5"],
+                                  ["classes"]])
+def test_greedy_runs_past_the_sweep_rule_are_refused(argv, tmp_path, capsys, monkeypatch):
+    """Past ``cutnorm._sweep_exact`` a greedy cut step is refused before
+    any work: a G(23) run exits 2 naming the rule, with no LP solved and no
+    sweep run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route ran past the rule")
+
+    for module, name in ((cutnorm, "lp_candidates"), (cutnorm, "simplex_solve"),
+                         (domains, "_sweep_pick"), (domains, "_SweepTables"),
+                         (regularity, "_plain_cut_norm")):
+        monkeypatch.setattr(module, name, refuse)
+    path, A = _gnp_file(tmp_path, COMPLETION_CAP + 1, 23)
+    assert A.sum(axis=1).min() > 0  # every vertex is in the edge list
+    code = cli.main([argv[0], "--input", path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert re.search(oracles.sweep_rule(A.shape), captured.err)
+
+
+@pytest.mark.parametrize("command, doc",[("tensor", {"dims": [2, 2]}),
                                           ("cutnorm", {"matrix": {"a": 1}}),
                                           ("tensor", [["1", "2"], ["3", "4"]]),
                                           ("cutnorm", [[True, False], [False, True]])])

@@ -632,35 +632,40 @@ def test_lp_candidates_batches_keep_records(monkeypatch, batch_lps):
     _matches_sequential_reference(A, d, e, cs)
 
 
+def _refuses(*args, **kwargs):
+    raise AssertionError("a route ran past the rule")
+
+
 def test_cut_lp_exact_refuses_mixed_signs_beyond_completion(monkeypatch):
     """Past the completion cap the LP-only pool can undershoot on a mixed-sign
-    matrix, so the exact route refuses before solving any LP."""
+    matrix, so the exact route refuses before solving any LP; the cut
+    domain refuses the step by the rule of the exact sweep."""
     side = cutnorm.COMPLETION_CAP + 1
     A = np.random.default_rng(30).integers(-3, 4, size=(side, side)).astype(float)
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was solved")
-
-    monkeypatch.setattr(cutnorm, "lp_candidates", no_lp)
+    monkeypatch.setattr(cutnorm, "lp_candidates", _refuses)
     with pytest.raises(ValueError, match="mixed-sign"):
         cut_lp_exact(A)
-    with pytest.raises(UnsupportedDomain, match="mixed-sign"):
+    with pytest.raises(UnsupportedDomain, match=oracles.sweep_rule((side, side))):
         CutDomain(np.ones(side)).max_step(A)
 
 
-def test_cut_domain_exhausts_one_signed_residuals_beyond_completion():
-    """Past ``COMPLETION_CAP`` a greedy cut step has only the LP route, which
-    is exact on a one-signed residual: a 23x23 matrix with one block of
-    ones, and one with two disjoint blocks, exhaust in one and two terms."""
+def test_cut_domain_refuses_one_signed_residuals_beyond_completion(monkeypatch):
+    """Past ``_sweep_exact`` a greedy cut step has no exact route, so it is
+    refused before any work, even on a one-signed residual where the LP
+    relaxation would be exact: a 23x23 matrix with one block of ones, and
+    one with two disjoint blocks, stop at the first step with no LP solved
+    and no sweep run."""
+    for name in ("_sweep_pick", "_SweepTables"):
+        monkeypatch.setattr(domains, name, _refuses)
+    monkeypatch.setattr(cutnorm, "lp_candidates", _refuses)
     side = cutnorm.COMPLETION_CAP + 1
     one = np.zeros((side, side))
     one[:4, :4] = 1.0
     two = one.copy()
     two[10:13, 10:13] = 1.0
-    for A, terms in ((one, 1), (two, 2)):
-        result = compute_pvd(A, CutDomain(np.ones(side)))
-        assert result.exhausted and result.num_terms == terms
-        assert np.allclose(sum(result.increments), A, atol=1e-9)
+    for A in (one, two):
+        with pytest.raises(UnsupportedDomain, match=oracles.sweep_rule((side, side))):
+            compute_pvd(A, CutDomain(np.ones(side)))
 
 
 @pytest.mark.parametrize("shape, bf_cap, exact", [
@@ -671,7 +676,8 @@ def test_every_cut_norm_quantity_follows_the_one_sweep_rule(monkeypatch, shape, 
     """The greedy step, the cut-norm bound and the Szemeredi sum take the
     exact sweep exactly where ``cutnorm._sweep_exact`` holds: the longer
     side within ``bf_cap`` or the smaller side within ``COMPLETION_CAP``.
-    The routes are stubbed, so only the choice is tested."""
+    Past it the bound is the LP's, and the greedy step is refused with no
+    route called.  The routes are stubbed, so only the choice is tested."""
     assert cutnorm._sweep_exact(shape, bf_cap) is exact
     routes = []
 
@@ -682,11 +688,16 @@ def test_every_cut_norm_quantity_follows_the_one_sweep_rule(monkeypatch, shape, 
     monkeypatch.setattr(regularity, "cut_norm_lp_upper", route("lp", 0.0))
     monkeypatch.setattr(domains, "_SweepTables", route("tables", None))
     monkeypatch.setattr(domains, "_sweep_pick", route("sweep", [((0,), (0,), 0.0)]))
-    monkeypatch.setattr(domains, "cut_lp_exact", route("lp", CutPair((0,), (0,), 0.0)))
+    monkeypatch.setattr(cutnorm, "lp_candidates", route("step-lp", []))
     R = np.zeros(shape)
     assert regularity._cut_norm_ub(R, bf_cap) == (0.0, exact)
-    CutDomain(np.ones(shape[0]), np.ones(shape[1]), bf_cap=bf_cap).max_step(R)
-    want = ["sweep", "tables", "sweep"] if exact else ["lp", "lp"]
+    dom = CutDomain(np.ones(shape[0]), np.ones(shape[1]), bf_cap=bf_cap)
+    if exact:
+        dom.max_step(R)
+    else:
+        with pytest.raises(UnsupportedDomain, match=oracles.sweep_rule(shape, bf_cap)):
+            dom.max_step(R)
+    want = ["sweep", "tables", "sweep"] if exact else ["lp"]
     if shape[0] == shape[1]:
         whole = regularity.Partition(parts=(tuple(range(shape[0])),))
         value = regularity.szemeredi_irregularity_ub(R, whole, bf_cap)

@@ -92,9 +92,9 @@ def test_cut_domain_enumeration_cap():
     dom = CutDomain(np.ones(side), bf_cap=12)
     with pytest.raises(UnsupportedDomain):
         list(dom.atoms())
-    # past the cap and the completion, only a one-signed residual has a route
+    # past the cap and the completion a step is refused by the sweep's rule
     mixed = np.random.default_rng(63).integers(-3, 4, size=(side, side)).astype(float)
-    with pytest.raises(UnsupportedDomain, match="mixed-sign"):
+    with pytest.raises(UnsupportedDomain, match=oracles.sweep_rule((side, side))):
         dom.max_step(mixed)
 
 
