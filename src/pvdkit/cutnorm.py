@@ -36,9 +36,17 @@ BRUTE_FORCE_CAP = 12
 #: cap on the swept (smaller) side of the exact sweep past ``BRUTE_FORCE_CAP``
 COMPLETION_CAP = 22
 
+#: cap on the pairs ``(a, b)`` of the ratio grid of ``cut_lp_exact``
+RATIO_CAP = 1 << 16
+
 #: cap on the entries of one batch of level masks in the LP rounding; a
 #: ratio grid is solved and rounded in batches of this many mask entries
 ROUND_BATCH_ENTRIES = 1 << 18
+
+
+class UnsupportedDomain(ValueError):
+    """An operation needs more than a domain gives: enumeration of an
+    infinite domain or past its cap, a cut maximum past ``_sweep_exact``."""
 
 
 def _sweep_exact(shape, bf_cap: int) -> bool:
@@ -46,6 +54,14 @@ def _sweep_exact(shape, bf_cap: int) -> bool:
     the exact sweep: its longer side is within ``bf_cap`` or its smaller
     side within ``COMPLETION_CAP``."""
     return max(shape) <= bf_cap or min(shape) <= COMPLETION_CAP
+
+
+def _require_sweep(shape, bf_cap: int) -> None:
+    """Raise ``UnsupportedDomain`` where ``_sweep_exact`` fails."""
+    if not _sweep_exact(shape, bf_cap):
+        raise UnsupportedDomain(
+            f"{shape[0]}x{shape[1]} cut domain: an exact cut maximum needs the longer side within "
+            f"bf_cap {bf_cap} or the smaller side within COMPLETION_CAP {COMPLETION_CAP}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +141,7 @@ def normalized_cut_bruteforce(
 ) -> CutPair:
     """Exact ``max |A(S,T)| / sqrt(d(S) e(T))`` by the sorted-ratio sweep
     over the smaller side, for inputs where ``_sweep_exact(A.shape, cap)``
-    holds; others raise ``ValueError``.
+    holds; others raise ``UnsupportedDomain``.
 
     Covers both signs; the stored value keeps its sign, and ties within
     ``atol`` break by the tie rule of ``sweep``.
@@ -134,9 +150,7 @@ def normalized_cut_bruteforce(
     m, n = A.shape
     d = as_weights(d_left, m, "left weights")
     e = as_weights(d_right, n, "right weights")
-    if not _sweep_exact(A.shape, cap):
-        raise ValueError(f"matrix sides {A.shape} exceed the brute-force cap {cap} and the "
-                         f"smaller side exceeds the completion cap {COMPLETION_CAP}")
+    _require_sweep(A.shape, cap)
     return CutPair(*_sweep_pick(A, d, e, atol)[-1])
 
 
@@ -315,8 +329,11 @@ def _round_levels(A, d, e, s, t) -> list:
 
 @lru_cache(maxsize=128)
 def ratio_candidates(sum_left: int, sum_right: int) -> tuple:
-    """All reduced fractions a/b with 1 <= a <= sum_left, 1 <= b <= sum_right."""
+    """All reduced fractions a/b with 1 <= a <= sum_left, 1 <= b <= sum_right,
+    for at most ``RATIO_CAP`` pairs (a, b)."""
     assert sum_left >= 1 and sum_right >= 1
+    if sum_left * sum_right > RATIO_CAP:
+        raise ValueError(f"{sum_left * sum_right} LP ratio pairs exceed RATIO_CAP {RATIO_CAP}")
     fracs = {Fraction(a, b) for a in range(1, sum_left + 1) for b in range(1, sum_right + 1)}
     return tuple(float(f) for f in sorted(fracs))
 
@@ -467,8 +484,7 @@ def cut_norm_lp_upper(A) -> float:
     unit box (min of the two single-variable caps for positive entries, the
     shifted plane for negative ones).  The box maximum of the bilinear form
     is attained at 0/1 vertices, i.e. equals the cut norm, so the LP value
-    can only overshoot; it never undershoots.  Intended as the size-capped
-    fallback where enumeration is infeasible.
+    can only overshoot; it never undershoots.
     """
     A = as_matrix(A)
     m, n = A.shape

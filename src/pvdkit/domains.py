@@ -20,15 +20,9 @@ from functools import reduce
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import BRUTE_FORCE_CAP, COMPLETION_CAP, _sweep_exact
+from .cutnorm import BRUTE_FORCE_CAP, UnsupportedDomain, _require_sweep
 from .linalg import ATOL, as_matrix, as_weights, ip_norm, stable_norm, tensor_whitener
 from .sweep import _SweepTables, _mask_set, _set_mask, _sweep_pick
-
-
-class UnsupportedDomain(ValueError):
-    """Raised when an operation needs more from a domain than it can give
-    (enumeration of an infinite domain or beyond its cap, a cut step outside
-    the exact sweep's rule)."""
 
 
 class CutDomain:
@@ -40,10 +34,8 @@ class CutDomain:
         Strictly positive weight vectors; ``d_right`` defaults to ``d_left``.
     bf_cap : int
         Largest side that ``atoms`` enumerates.  A greedy step is the exact
-        sweep over the smaller side (``sweep``) where ``cutnorm._sweep_exact``
-        holds (the longer side within ``bf_cap`` or the smaller side within
-        ``cutnorm.COMPLETION_CAP``), whatever ``bf_cap`` is there; past it,
-        ``max_step`` raises ``UnsupportedDomain`` before any work.
+        sweep over the smaller side (``sweep``), whatever ``bf_cap`` is, and
+        is refused before any work past ``cutnorm._require_sweep``.
     """
 
     def __init__(self, d_left, d_right=None, bf_cap: int = BRUTE_FORCE_CAP):
@@ -85,12 +77,8 @@ class CutDomain:
         return {"kind": "cut", "S": list(_mask_set(key[0])), "T": list(_mask_set(key[1]))}
 
     def max_step(self, resid_white, atol: float = ATOL):
+        _require_sweep(self.shape, self.bf_cap)
         m, n = self.shape
-        if not _sweep_exact(self.shape, self.bf_cap):
-            raise UnsupportedDomain(
-                f"{m}x{n} cut domain: an exact cut step needs the longer side within "
-                f"bf_cap {self.bf_cap} or the smaller side within COMPLETION_CAP "
-                f"{COMPLETION_CAP}")
         d, e = self.weights
         if self._tables is None:
             self._tables = _SweepTables(d if m <= n else e, max(m, n))

@@ -12,7 +12,7 @@ import numpy.linalg as la
 
 from .cutnorm import BRUTE_FORCE_CAP
 from .domains import CutDomain
-from .linalg import ATOL, as_adjacency, as_weights, whitened
+from .linalg import ATOL, as_adjacency, as_weights, stable_norm, whitened
 from .pvd import compute_pvd
 from .regularity import Partition
 
@@ -120,7 +120,7 @@ def cut_pseudorandomness_profile(A, weights=None, r: int = 1,
     deg = A @ np.ones(n)
     d = as_weights(weights, n, "weights")
     result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap), max_terms=r, atol=atol)
-    prefix = float(la.norm(result.sigmas[:r]))
+    prefix = stable_norm(result.sigmas[:r])
     cut_mass = float(np.sum(deg))
     ones_mass = float(np.sum(d))
     ratio = cut_mass / ones_mass
@@ -189,6 +189,9 @@ def lp_upper_regularity_check(A, p: float, eta: float, mode: str = "exhaustive",
     if total <= 0:
         raise ValueError("empty graph: zero cut mass")
     mean_density = total / n ** 2
+    top = float(A.max())
+    if p * math.log(top) > math.log(np.finfo(float).max):
+        raise ValueError(f"block densities overflow: {top:.3g} to the power {p}")
 
     def ratio_of(labels) -> tuple:
         groups: dict = {}

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import BRUTE_FORCE_CAP, _mask_set, _sweep_exact, cut_norm_lp_upper, rectangle_sum
+from .cutnorm import BRUTE_FORCE_CAP, _mask_set, _require_sweep, rectangle_sum
 from .domains import CutDomain
 from .linalg import ATOL, as_adjacency, as_matrix, as_weights
-from .pvd import best_truncation, certificate, compute_pvd, tail_rms, truncate
+from .pvd import best_truncation, certificate, compute_pvd, roundoff_slack, tail_rms, truncate
 from .sweep import _plain_cut_norm
 
 Array = np.ndarray
@@ -57,8 +57,8 @@ class Partition:
 class RegularityReport:
     """A partition with its bounds and certificates.  ``details`` holds the
     construction's own fields, under the names the CLI reports them.  The
-    cut-norm bounds are exact (``exact``) by the rule of ``_cut_norm_ub``;
-    ``szemeredi_irregularity_ub`` is None past that rule, and in max-cut."""
+    cut-norm bounds are exact; ``szemeredi_irregularity_ub`` is None in
+    max-cut."""
 
     partition: Partition
     approx_matrix: Array
@@ -67,7 +67,6 @@ class RegularityReport:
     bound_certificate: float
     certificates: list
     terms_used: int
-    exact: bool
     block_deviation: float
     pvd: object = field(repr=False)
     details: dict = field(default_factory=dict, repr=False)
@@ -115,48 +114,37 @@ def _block_deviation(M: Array, partition: Partition) -> float:
     return max(float(M[ix].max() - M[ix].min()) for _, _, ix in _blocks(partition))
 
 
-def _block_max_abs(M: Array, ix, bf_cap: int) -> float:
-    """Upper bound on max over nonempty S, T within the block ``ix`` of
-    |M(S, T)|: ``_cut_norm_ub`` of the block."""
-    return _cut_norm_ub(M[ix], bf_cap)[0]
+def _block_max_abs(M: Array, ix) -> float:
+    """``_cut_norm_ub`` of the block ``ix`` of ``M``."""
+    return _cut_norm_ub(M[ix])
 
 
-def _blockwise_ub(M: Array, partition: Partition, bf_cap: int) -> float:
+def _blockwise_ub(M: Array, partition: Partition) -> float:
     """Sum over ordered block pairs of ``_block_max_abs``."""
-    total = 0.0
-    for _, _, ix in _blocks(partition):
-        total += _block_max_abs(M, ix, bf_cap)
-    return total
+    return sum(_block_max_abs(M, ix) for _, _, ix in _blocks(partition))
 
 
 def weak_irregularity_ub(A, partition: Partition, bf_cap: int = BRUTE_FORCE_CAP) -> float:
-    """Cut norm of A minus its block averaging: an upper bound on the best
-    block-constant approximation's cut-norm distance.  Exact where
-    ``cutnorm._sweep_exact`` holds (``_cut_norm_ub``); past it the LP
-    relaxation value (also an upper bound)."""
+    """Exact cut norm of A minus its block averaging, refused past
+    ``_require_sweep``: an upper bound on the best block-constant
+    approximation's cut-norm distance."""
     A = as_matrix(A)
-    return _cut_norm_ub(A - block_average(A, partition), bf_cap)[0]
+    _require_sweep(A.shape, bf_cap)
+    return _cut_norm_ub(A - block_average(A, partition))
 
 
-def szemeredi_irregularity_ub(A, partition: Partition,
-                              bf_cap: int = BRUTE_FORCE_CAP) -> float | None:
+def szemeredi_irregularity_ub(A, partition: Partition, bf_cap: int = BRUTE_FORCE_CAP) -> float:
     """Sum over ordered block pairs of the exact within-block cut norm of A
-    minus its block averaging; None, with nothing computed, where
-    ``cutnorm._sweep_exact`` fails for the largest part's block."""
-    largest = max(len(p) for p in partition)
-    if not _sweep_exact((largest, largest), bf_cap):
-        return None
+    minus its block averaging, refused (``_require_sweep``) by the largest
+    part's block."""
+    _require_sweep((max(map(len, partition)),) * 2, bf_cap)
     A = as_matrix(A)
-    return _blockwise_ub(A - block_average(A, partition), partition, bf_cap)
+    return _blockwise_ub(A - block_average(A, partition), partition)
 
 
-def _cut_norm_ub(R: Array, bf_cap: int) -> tuple:
-    """(value, exact_flag) upper bound on max |R(S,T)|: the exact sweep
-    maximum where ``cutnorm._sweep_exact`` holds, else the LP relaxation
-    value."""
-    if _sweep_exact(R.shape, bf_cap):
-        return _plain_cut_norm(R, ATOL), True
-    return cut_norm_lp_upper(R), False
+def _cut_norm_ub(R: Array) -> float:
+    """max |R(S,T)| by the exact sweep, for callers past ``_require_sweep``."""
+    return _plain_cut_norm(R, ATOL)
 
 
 def _checked(A, eps: float, weights) -> tuple:
@@ -183,12 +171,14 @@ def _weak_core(A, eps: float, weights, atol: float, bf_cap: int) -> RegularityRe
     m = min(index - 1, result.num_terms)
     partition = _partition_of(result, m, A.shape[0])
 
-    wub, exact = _cut_norm_ub(A - approx, bf_cap)
-    bound = float(tail_rms(result.sigmas, r)) * float(d.sum())
+    wub = _cut_norm_ub(A - approx)
+    ones_mass = float(d.sum())
+    bound = float(tail_rms(result.sigmas, r)) * ones_mass
 
     deviation = _block_deviation(approx, partition)
     certs = [
-        certificate("cut-norm-chain", wub, bound + 1e-9),
+        certificate("cut-norm-chain", wub,
+                    bound + roundoff_slack(ones_mass * result.source_frob_norm)),
         certificate("partition-size", len(partition), 2 ** (2 * m)),
     ]
     if np.all(d == d[0]):
@@ -201,7 +191,6 @@ def _weak_core(A, eps: float, weights, atol: float, bf_cap: int) -> RegularityRe
         bound_certificate=bound,
         certificates=certs,
         terms_used=m,
-        exact=exact,
         block_deviation=deviation,
         pvd=result,
         details={"selected": result.selected_pairs(), "truncation_rank": r},
@@ -269,6 +258,9 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None, atol: f
 
     result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap),
                          max_terms=min(levels[-1] + 1, A.size), atol=atol)
+    src = result.source_frob_norm
+    if not math.isfinite(src * src):
+        raise ValueError(f"the ladder's masses overflow: whitened input norm {src:.3g} squared")
     cum = np.concatenate([[0.0], np.cumsum(result.sigmas ** 2)])
 
     def mass(q: int) -> float:
@@ -298,19 +290,21 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None, atol: f
     ones_mass = float(d.sum())
 
     tail = float(tail_rms(result.sigmas, fq))
-    cutb, exact = _cut_norm_ub(A - refined, bf_cap)
+    cutb = _cut_norm_ub(A - refined)
 
-    slack = 1e-9
+    # slacks at the scale of masses, cut norms and norms
+    slack = roundoff_slack(src ** 2)
+    cut_slack = roundoff_slack(ones_mass * src)
     certs = [
         certificate("pigeonhole-window", window, threshold + slack),
         certificate("window-captures-gap", gap_frob ** 2, window + slack),
-        certificate("first-term-control", cutb, ones_mass * tail + slack),
-        certificate("second-term-control", _blockwise_ub(gap, partition, bf_cap),
-                    ones_mass * gap_frob + slack),
-        certificate("gap-scale", gap_frob, eps * math.sqrt(horizon) + slack),
+        certificate("first-term-control", cutb, ones_mass * tail + cut_slack),
+        certificate("second-term-control", _blockwise_ub(gap, partition),
+                    ones_mass * gap_frob + cut_slack),
+        certificate("gap-scale", gap_frob, eps * math.sqrt(horizon) + roundoff_slack(src)),
     ]
 
-    wub, _ = _cut_norm_ub(A - coarse, bf_cap)
+    wub = _cut_norm_ub(A - coarse)
     refined_mass = mass(refined_rank)
     return RegularityReport(
         partition=partition,
@@ -320,7 +314,6 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None, atol: f
         bound_certificate=ones_mass * tail,
         certificates=certs,
         terms_used=m,
-        exact=exact,
         block_deviation=_block_deviation(coarse, partition),
         pvd=result,
         details={
@@ -410,7 +403,7 @@ def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
         "exact_split": exact_split,
         "delta": delta,
         "weak_irregularity_ub": report.weak_irregularity_ub,
-        "irregularity_exact": report.exact,
+        "irregularity_exact": True,
         "num_parts": p,
         "report": report,
     }

@@ -383,6 +383,54 @@ def test_pvd_certificates_allow_roundoff_at_the_source_scale(source, scale, tmp_
         assert certs[name]["rhs"] == max(1e-9, 1e-12 * rep["results"]["source_frob_norm"])
 
 
+def _scaled_graph(tmp_path, scale, seed=12):
+    path = tmp_path / "scaled.json"
+    A = oracles.gnp_adjacency(np.random.default_rng(seed), 10, 0.5)
+    path.write_text(json.dumps((A * scale).tolist()))
+    return str(path), A
+
+
+@pytest.mark.parametrize("seed", [12, 3])
+def test_regularity_certificates_allow_roundoff_at_the_source_scale(seed, tmp_path, capsys):
+    """The weak and ladder certificates allow ``roundoff_slack`` at the
+    scale of what they compare: with an absolute 1e-9, ``szemreg`` on these
+    G(10) at 1e12 exited 1, failing ``window-captures-gap`` (seed 12) or
+    ``second-term-control`` (seed 3) by an ulp."""
+    path, A = _scaled_graph(tmp_path, 1e12, seed)
+    code, rep = _run(capsys, ["szemreg", "--input", path, "--eps", "0.8"])
+    assert code == 0 and rep["all_certificates_pass"] is True
+    certs = {c["name"]: c for c in rep["certificates"]}
+    src = 1e12 * float(np.linalg.norm(A))
+    assert certs["first-term-control"]["rhs"] == pytest.approx(
+        rep["results"]["bound_certificate"] + 1e-12 * 10 * src, rel=1e-15)
+    code, rep = _run(capsys, ["weakreg", "--input", path, "--eps", "0.5"])
+    assert code == 0 and rep["all_certificates_pass"] is True
+
+
+@pytest.mark.parametrize("argv, what", [(["szemreg", "--eps", "0.8"], "the ladder's masses"),
+                                        (["classes"], "block densities")])
+def test_overflowing_squares_are_exit_two(argv, what, tmp_path, capsys):
+    """At 1e160 the ladder's masses and the block densities' powers
+    overflow: an input error naming what overflowed, where a traceback
+    used to exit 1."""
+    code = cli.main([argv[0], "--input", _scaled_graph(tmp_path, 1e160)[0], *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {what} overflow")
+
+
+def test_ratio_grid_past_its_cap_is_exit_two(tmp_path, capsys):
+    """Degree weights of a K4 with edge weights 100 give a ratio grid of
+    1200 x 1200 pairs for the LP of ``dual-route-agreement``, past
+    ``RATIO_CAP``: refused at once, where it used to grow without bound."""
+    path = tmp_path / "k4.edges"
+    path.write_text("".join(f"{i} {j} 100\n" for i in range(4) for j in range(i + 1, 4)))
+    code = cli.main(["cutnorm", "--input", str(path), "--ip", "degree"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {1200 * 1200} LP ratio pairs exceed RATIO_CAP 65536\n"
+
+
 def test_cur_of_entries_near_the_float_limit_keeps_its_terms(tmp_path, capsys):
     """Column and row norms near 1e160 are taken without overflowing their
     squares: every direction is kept, and ``cur-chain`` compares finite

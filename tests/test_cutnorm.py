@@ -86,7 +86,7 @@ def test_bruteforce_cap_is_the_exact_rule():
     pair = normalized_cut_bruteforce(A, d, e)
     assert abs(pair.value) == pytest.approx(oracles.cut_pnorm_max_fast(A, d, e), rel=1e-12)
     side = cutnorm.COMPLETION_CAP + 1
-    with pytest.raises(ValueError, match="completion cap"):
+    with pytest.raises(UnsupportedDomain, match=oracles.sweep_rule((side, side))):
         normalized_cut_bruteforce(np.ones((side, side)))
 
 
@@ -473,6 +473,20 @@ def test_ratio_candidates_are_reduced_and_complete():
     assert len(cs) == len(set(cs))
 
 
+def test_ratio_grid_past_its_cap_is_refused_before_any_fraction(monkeypatch):
+    """More than ``RATIO_CAP`` pairs ``(a, b)`` are refused before one
+    ``Fraction`` is built, so ``cut_lp_exact`` on weight masses of 600 and
+    600 raises at once and solves no LP."""
+    monkeypatch.setattr(cutnorm, "Fraction", _refuses)
+    monkeypatch.setattr(cutnorm, "lp_candidates", _refuses)
+    cap = cutnorm.RATIO_CAP
+    for a, b in ((cap + 1, 1), (1, cap + 1), (257, 256)):
+        with pytest.raises(ValueError, match=f"^{a * b} LP ratio pairs exceed RATIO_CAP"):
+            ratio_candidates(a, b)
+    with pytest.raises(ValueError, match="RATIO_CAP"):
+        cut_lp_exact(np.ones((2, 2)), [300.0, 300.0])
+
+
 def test_lp_round_dominates_lp_objective():
     """Rounding a solved relaxation never loses value."""
     rng = np.random.default_rng(23)
@@ -673,37 +687,40 @@ def test_cut_domain_refuses_one_signed_residuals_beyond_completion(monkeypatch):
     ((23, 23), 12, False), ((23, 23), 23, True), ((23, 24), 23, False), ((30, 23), 29, False),
 ])
 def test_every_cut_norm_quantity_follows_the_one_sweep_rule(monkeypatch, shape, bf_cap, exact):
-    """The greedy step, the cut-norm bound and the Szemeredi sum take the
-    exact sweep exactly where ``cutnorm._sweep_exact`` holds: the longer
-    side within ``bf_cap`` or the smaller side within ``COMPLETION_CAP``.
-    Past it the bound is the LP's, and the greedy step is refused with no
-    route called.  The routes are stubbed, so only the choice is tested."""
+    """The greedy step, the normalized maximizer, the cut-norm bound and the
+    Szemeredi sum take the exact sweep exactly where ``cutnorm._sweep_exact``
+    holds: the longer side within ``bf_cap`` or the smaller side within
+    ``COMPLETION_CAP``.  Past it each raises the one refusal with no route
+    called (the regularity bounds on square shapes, where a partition
+    applies).  The routes are stubbed, so only the choice is tested."""
     assert cutnorm._sweep_exact(shape, bf_cap) is exact
     routes = []
 
     def route(name, value):
         return lambda *args, **kwargs: routes.append(name) or value
 
+    pick = [((0,), (0,), 0.0)]
     monkeypatch.setattr(regularity, "_plain_cut_norm", route("sweep", 0.0))
-    monkeypatch.setattr(regularity, "cut_norm_lp_upper", route("lp", 0.0))
     monkeypatch.setattr(domains, "_SweepTables", route("tables", None))
-    monkeypatch.setattr(domains, "_sweep_pick", route("sweep", [((0,), (0,), 0.0)]))
-    monkeypatch.setattr(cutnorm, "lp_candidates", route("step-lp", []))
+    monkeypatch.setattr(domains, "_sweep_pick", route("sweep", pick))
+    monkeypatch.setattr(cutnorm, "_sweep_pick", route("sweep", pick))
+    monkeypatch.setattr(cutnorm, "lp_candidates", route("lp", []))
+    monkeypatch.setattr(cutnorm, "simplex_solve", route("lp", (None, 0.0)))
     R = np.zeros(shape)
-    assert regularity._cut_norm_ub(R, bf_cap) == (0.0, exact)
     dom = CutDomain(np.ones(shape[0]), np.ones(shape[1]), bf_cap=bf_cap)
-    if exact:
-        dom.max_step(R)
-    else:
-        with pytest.raises(UnsupportedDomain, match=oracles.sweep_rule(shape, bf_cap)):
-            dom.max_step(R)
-    want = ["sweep", "tables", "sweep"] if exact else ["lp"]
+    calls = [lambda: dom.max_step(R), lambda: normalized_cut_bruteforce(R, cap=bf_cap)]
     if shape[0] == shape[1]:
         whole = regularity.Partition(parts=(tuple(range(shape[0])),))
-        value = regularity.szemeredi_irregularity_ub(R, whole, bf_cap)
-        assert value == (0.0 if exact else None)
-        want += ["sweep"] if exact else []
-    assert routes == want
+        calls += [lambda: regularity.weak_irregularity_ub(R, whole, bf_cap),
+                  lambda: regularity.szemeredi_irregularity_ub(R, whole, bf_cap)]
+    for call in calls:
+        if exact:
+            call()
+        else:
+            with pytest.raises(UnsupportedDomain, match=oracles.sweep_rule(shape, bf_cap)):
+                call()
+    want = ["tables", "sweep", "sweep"] + ["sweep", "sweep"] * (shape[0] == shape[1])
+    assert routes == (want if exact else [])
 
 
 def test_greedy_steps_past_the_cap_solve_no_lp(monkeypatch):

@@ -66,18 +66,18 @@ def test_no_unused_imports():
     assert [hit for p in modules for hit in _unused_imports(p)] == []
 
 
-#: the LP relaxation family, reached only by ``cutnorm``'s own routes and
-#: ``regularity``'s bound past the exact sweep's rule
+#: the LP relaxation family, reached only by ``cutnorm``'s own routes;
+#: ``cut_norm_lp_upper`` has no caller in the library
 LP_NAMES = {"cut_lp_exact", "cut_lp_approx", "lp_candidates", "build_cut_lp",
             "solve_cut_lp", "lp_round", "cut_norm_lp_upper"}
 
 
 def test_greedy_path_imports_no_lp():
     """The engine, its domains, the sweep and the subcommands built on the
-    greedy step import nothing from ``simplex`` and no name of the LP
-    family."""
+    greedy step, the regularity bounds included, import nothing from
+    ``simplex`` and no name of the LP family."""
     hits = []
-    for name in ("domains", "pvd", "sweep", "graphs", "tensor", "cur"):
+    for name in ("domains", "pvd", "sweep", "regularity", "graphs", "tensor", "cur"):
         tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):

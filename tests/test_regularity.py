@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvdkit import regularity
+from pvdkit import UnsupportedDomain, cutnorm, regularity
 from pvdkit.regularity import (Partition, block_average, max_cut_details,
                                refine, szemeredi_irregularity_ub,
                                szemeredi_partition, weak_irregularity_ub,
@@ -101,16 +101,33 @@ def test_irregularity_upper_bounds_match_oracle(seed, part):
     assert regularity._block_deviation(A, part) == oracles.block_spread(A, parts)
 
 
-def test_szemeredi_sum_is_none_past_the_sweep_rule(monkeypatch):
+def test_szemeredi_sum_is_refused_past_the_sweep_rule(monkeypatch):
     """A part of 23 vertices at the default cap is past the exact sweep's
-    rule: the sum is None, and no block bound runs."""
+    rule: the sum raises the rule's refusal, and no block bound runs."""
     def refuse(*args):
         raise AssertionError("a block bound ran")
 
     monkeypatch.setattr(regularity, "_block_max_abs", refuse)
+    monkeypatch.setattr(regularity, "block_average", refuse)
     A = oracles.gnp_adjacency(np.random.default_rng(102), 24, 0.5)
     part = Partition(parts=(tuple(range(23)), (23,)))
-    assert szemeredi_irregularity_ub(A, part) is None
+    with pytest.raises(UnsupportedDomain, match=oracles.sweep_rule((23, 23))):
+        szemeredi_irregularity_ub(A, part)
+
+
+def test_weak_irregularity_past_the_sweep_rule_is_refused_without_an_lp(monkeypatch):
+    """Past the exact sweep's rule the weak bound raises the rule's
+    refusal; it no longer falls back to the LP relaxation's upper bound."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(cutnorm, "cut_norm_lp_upper", refuse)
+    monkeypatch.setattr(cutnorm, "simplex_solve", refuse)
+    side = cutnorm.COMPLETION_CAP + 1
+    A = oracles.gnp_adjacency(np.random.default_rng(103), side, 0.5)
+    part = Partition(parts=(tuple(range(side)),))
+    with pytest.raises(UnsupportedDomain, match=oracles.sweep_rule((side, side))):
+        weak_irregularity_ub(A, part)
 
 
 @pytest.mark.parametrize("size", [13, 16])
@@ -133,7 +150,6 @@ def test_weak_regularity_certificates_pass():
         A = oracles.gnp_adjacency(rng, 8, 0.5)
         rep = weak_regularity_partition(A, 0.5)
         assert rep.all_pass, f"trial {trial}: {rep.certificates}"
-        assert rep.exact
         # [DERIVED] the reported irregularity really is the residual cut norm
         R = A - rep.approx_matrix
         assert rep.weak_irregularity_ub == pytest.approx(
