@@ -2,10 +2,11 @@
 
 Two routes to ``max |A(S, T)| / sqrt(d(S) e(T))`` over nonempty index sets:
 
-* the exact sweep over the row sets of the smaller side (``sweep``, which
-  states its tie rule, its pruning and its cost), behind the exact routes
-  and, wherever ``_sweep_exact`` holds, the greedy cut step of
-  ``domains.CutDomain`` and the cut-norm bounds of ``regularity``; and
+* the exact sweep over the row sets of the smaller side, whose masks break
+  ties first (``sweep``, which states its tie rule, its pruning and its
+  cost), behind the exact routes and, wherever ``_sweep_exact`` holds,
+  the greedy cut step of ``domains.CutDomain`` and the cut-norm bounds of
+  ``regularity``; and
 * the paper's linear-programming relaxation per candidate ratio
   ``c = d(S)/e(T)``, solved as one warm chain per sign (``lp_candidates``),
   rounded by a threshold scan over the LP levels and closed by
@@ -28,7 +29,7 @@ import numpy as np
 
 from .linalg import ATOL, as_matrix, as_weights
 from .simplex import Tableau, simplex_solve
-from .sweep import _mask_set, _plain_pick, _set_mask, _sweep_pick
+from .sweep import _mask_set, _plain_cut_norm, _plain_witness, _set_mask, _sweep_pick
 
 #: default cap on one side's length for brute-force rectangle enumeration
 BRUTE_FORCE_CAP = 12
@@ -107,33 +108,19 @@ def _rect_value(A, d, e, S, T) -> float:
 
 
 def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL) -> CutPair:
-    """Exact unnormalized cut norm ``max |A(S,T)|`` by a sweep over row sets,
-    each with the positive or negative support of its row sums.
+    """Exact unnormalized cut norm ``max |A(S,T)|`` by the sweep over the
+    smaller side, for inputs where ``_sweep_exact(A.shape, cap)`` holds;
+    others raise ``UnsupportedDomain``.
 
-    Parameters
-    ----------
-    A : array_like, shape (m, n)
-    cap : int
-        Reject inputs with ``max(m, n)`` beyond this (2^m row sets, 2^n
-        column sets in the tie-break scan).
-
-    Returns
-    -------
-    CutPair
-        Witness sets with the signed rectangle sum attaining the maximum
-        absolute value; ties within ``atol`` break to the smallest (S mask,
-        T mask): the first qualifying row set, then the first column set in
-        that row's ``2^n`` sums.
+    Returns the witness sets with their signed sum; ties within ``atol``
+    break to the smallest (swept mask, other mask), as in ``sweep``: the
+    first swept set within ``atol``, then ``sweep._plain_witness``.
     """
     A = as_matrix(A)
-    if max(A.shape) > cap:
-        raise ValueError(f"matrix sides {A.shape} exceed brute-force cap {cap}")
-    best, s, row = _plain_pick(A, atol)
-    mags = np.abs(row)
-    # the row is summed in another order than the sweep, so its maximum may
-    # sit an ulp below ``best``
-    t = int(np.argmax(mags >= min(best, float(mags.max())) - atol))
-    return CutPair(_mask_set(s), _mask_set(t + 1), float(row[t]))
+    _require_sweep(A.shape, cap)
+    best, s, r = _plain_cut_norm(A, atol)
+    S, T = _mask_set(s), _plain_witness(r, best - atol)
+    return CutPair(*((S, T) if A.shape[0] <= A.shape[1] else (T, S)), float(r[list(T)].sum()))
 
 
 def normalized_cut_bruteforce(
@@ -386,13 +373,14 @@ def exact_completion(A, d_left, d_right, atol: float = ATOL) -> list:
             for S, T, _ in dict.fromkeys(_sweep_pick(A, d, e, atol, top=True))]
 
 
-def _select_pair(pool, atol: float) -> CutPair:
+def _select_pair(pool, atol: float, tall: bool) -> CutPair:
+    """The pair within ``atol`` of the best, by the tie rule of ``sweep``."""
     assert pool, "no candidate rectangles"
     best = max(abs(p.value) for p in pool)
     winners = [p for p in pool if abs(p.value) >= best - atol and p.S]
     if not winners:
         return CutPair((), (), 0.0)
-    return min(winners, key=lambda p: p.masks())
+    return min(winners, key=lambda p: p.masks()[::-1] if tall else p.masks())
 
 
 def integer_weights(w) -> bool:
@@ -423,7 +411,7 @@ def _closed_lp_route(A, d, e, cs, atol: float) -> CutPair:
                          f"smaller side within {COMPLETION_CAP}, and the LP relaxation "
                          "alone can undershoot")
     pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
-    return _select_pair(pool + exact_completion(A, d, e, atol), atol)
+    return _select_pair(pool + exact_completion(A, d, e, atol), atol, m > n)
 
 
 def cut_lp_exact(A, d_left=None, d_right=None, atol: float = ATOL) -> CutPair:

@@ -6,9 +6,10 @@ engine may project onto ("atoms"), plus an exact maximizer of
 at weights: whitening happens here.
 
 Tie-breaking is uniform across domains: among candidates within ``atol``
-of the best value, the lexicographically smallest canonical key wins (subset
-masks for cut pairs, whose candidates are the prefix-and-suffix rectangles
-of the ``sweep``, (column, row) for column-row pairs, the index for
+of the best value, the lexicographically smallest canonical key wins (for
+cut pairs, whose candidates are the prefix-and-suffix rectangles of the
+``sweep``, the subset mask of the smaller side, the rows when square, then
+that of the other; (column, row) for column-row pairs; the index for
 explicit lists).
 """
 from __future__ import annotations

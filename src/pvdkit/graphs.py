@@ -12,7 +12,7 @@ import numpy.linalg as la
 
 from .cutnorm import BRUTE_FORCE_CAP
 from .domains import CutDomain
-from .linalg import ATOL, as_adjacency, as_weights, stable_norm, whitened
+from .linalg import ATOL, _unit_exponent, as_adjacency, as_weights, stable_norm, whitened
 from .pvd import compute_pvd
 from .regularity import Partition
 
@@ -68,8 +68,9 @@ def core_density(A) -> float:
     avg = float(deg.mean())
     if avg <= 0:
         raise ValueError("empty graph: average degree is zero")
-    w = deg + avg
-    return float(np.sum(A ** 2 / np.outer(w, w)))
+    k = _unit_exponent(deg + avg)  # one scale for ``A`` and ``w``, so no term moves
+    w = np.ldexp(deg + avg, k)
+    return float(np.sum(np.ldexp(A, k) ** 2 / np.outer(w, w)))
 
 
 def spectral_projection_values(A, weights=None, r: int | None = None) -> Array:

@@ -110,7 +110,17 @@ def whitened(A, d_left=None, d_right=None) -> Array:
     m, n = A.shape
     d = as_weights(d_left, m, "left weights")
     e = as_weights(d_right, n, "right weights")
-    return A / np.sqrt(np.outer(d, e))
+    kd, ke = _unit_exponent(d), _unit_exponent(e)
+    ke -= (kd + ke) % 2  # so that the square root halves an even exponent
+    return np.ldexp(A / np.sqrt(np.outer(np.ldexp(d, kd), np.ldexp(e, ke))), (kd + ke) // 2)
+
+
+def _unit_exponent(x) -> int:
+    """The ``k`` that scales the largest magnitude of ``x`` into [1, 2) as
+    ``x * 2**k``.  Operands scaled so, and the result scaled back, keep the
+    products and quotients of entries near the float limits finite, and
+    change no bit short of underflow."""
+    return 1 - math.frexp(float(np.abs(x).max()))[1]
 
 
 def frob_inner(X, Y, d_left=None, d_right=None) -> float:
@@ -122,7 +132,9 @@ def frob_inner(X, Y, d_left=None, d_right=None) -> float:
     m, n = X.shape
     d = as_weights(d_left, m, "left weights")
     e = as_weights(d_right, n, "right weights")
-    return float(np.sum(X * Y / np.outer(d, e)))
+    k = [_unit_exponent(M) for M in (X, Y, d, e)]
+    X, Y, d, e = (np.ldexp(M, j) for M, j in zip((X, Y, d, e), k))
+    return float(np.ldexp(np.sum(X * Y / np.outer(d, e)), k[2] + k[3] - k[0] - k[1]))
 
 
 def frob_norm(X, d_left=None, d_right=None) -> float:

@@ -144,7 +144,7 @@ def szemeredi_irregularity_ub(A, partition: Partition, bf_cap: int = BRUTE_FORCE
 
 def _cut_norm_ub(R: Array) -> float:
     """max |R(S,T)| by the exact sweep, for callers past ``_require_sweep``."""
-    return _plain_cut_norm(R, ATOL)
+    return _plain_cut_norm(R, ATOL)[0]
 
 
 def _checked(A, eps: float, weights) -> tuple:

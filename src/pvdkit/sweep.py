@@ -20,10 +20,12 @@ support of ``r``.
 The tie rule of every exact normalized maximization: the candidates are
 the prefixes and suffixes of each swept set's sorted other side whose sweep
 value lies within the tolerance of the maximum, and the pick is the
-candidate with the smallest (S mask, T mask), valued by its own sweep.  By
-the lemma the candidates hold every rectangle of the largest value; a
-rectangle within the tolerance of it that is no prefix or suffix is never
-picked.
+candidate with the smallest (swept mask, sorted mask), valued by its own
+sweep.  The swept side is the smaller one, the rows when square: a tall
+matrix is swept as its transpose, and its pick is the transposed pick of
+the transpose.  By the lemma the candidates hold every rectangle of the
+largest value; a rectangle within the tolerance of it that is no prefix or
+suffix is never picked.
 
 Most row sets need no sort.  The best column set of a row set lies in the
 support of one sign of ``r`` (its columns pass the threshold ``lam/2``), so
@@ -40,15 +42,15 @@ the best value so far, a real rectangle's value, is a running lower bound
 row set is below the maximum less the tolerance, so it holds no candidate.
 The sweep holds the sorted row sets within the tolerance of the best so
 far until the maximum is known, and once they pass a block it thins them to
-those that can still hold the pick (a candidate above every candidate before
-it in the tie rule's order) or the first candidate of the largest value.
-Each row sum adds its rows to +0 in increasing order, and each mass ``d(S)``
-is a row of one matrix-vector product with the indicators, so the chunks
-change no bit of any value or pick.  The plain form is swept the same way
-(``_plain_pick`` behind ``cut_norm_bruteforce``, ``_plain_cut_norm`` behind
-the exact cut norm bound of ``regularity``), summing support by support only
-the row sets whose ``(|r|_1 + |sum r|) / 2``, their value up to rounding,
-comes near the best, and so is the largest cut ``A(X, X^c)`` (``_max_cut``).
+those above every row set of smaller mask, which hold the pick and the
+first candidate of the largest value.  Each row sum adds its rows to +0 in
+increasing order, and each mass ``d(S)`` is a row of one matrix-vector
+product with the indicators, so the chunks change no bit of any value or
+pick.  The plain form is swept the same way over the smaller side
+(``_plain_cut_norm``, behind ``cutnorm.cut_norm_bruteforce`` and the exact
+cut norm bound of ``regularity``), summing support by support only the row
+sets whose ``(|r|_1 + |sum r|) / 2``, their value up to rounding, comes near
+the best, and so is the largest cut ``A(X, X^c)`` (``_max_cut``).
 No caller outside this module builds an indicator table or walks the
 chunks.
 
@@ -214,7 +216,7 @@ def _bound(R, e, w) -> tuple:
         return np.sqrt(squares) / w, squares < 2.0**-900 * max(1.0, float(inv.max()))
 
 
-def _sweep(B, e, tables, atol: float, flip: bool) -> tuple:
+def _sweep(B, e, tables, atol: float) -> tuple:
     """The pruned sweep over the row sets of ``B`` (column weights ``e``,
     ``tables`` the ``_SweepTables`` of its rows).  Returns the largest
     sweep value and, of the sorted row sets that may hold the tie rule's
@@ -241,7 +243,7 @@ def _sweep(B, e, tables, atol: float, flip: bool) -> tuple:
             elif top >= best - atol:
                 held = [np.concatenate(p) for p in zip(held, group)]
                 if len(held[0]) > SWEEP_BLOCK_ROWS:
-                    held = _hold(held, max(best, top) - atol, flip)
+                    held = _hold(held, max(best, top) - atol)
             best = max(best, top)
             if rows is None:
                 keep = ~(upper < best / (1.0 + 1e-9) - atol) | unsure
@@ -251,82 +253,50 @@ def _sweep(B, e, tables, atol: float, flip: bool) -> tuple:
     return best, held
 
 
-def _hold(held, floor: float, flip: bool) -> list:
-    """The row sets of ``held`` that may still hold the tie rule's pick or
-    the first candidate of the largest value, once that value is known to
-    be at least ``floor + atol``.  A candidate within ``floor`` can be the
-    pick only if its value exceeds that of every candidate before it in the
-    tie rule's order, (S mask, T mask) and then prefixes first: with the
-    rows swept, only the row sets above every one of smaller mask hold one.
-    With the columns swept, those candidates are found among the prefixes
-    (suffixes) of each row set above every shorter one, and the first row
-    set of the largest value is kept besides."""
+def _hold(held, floor: float) -> list:
+    """The row sets of ``held`` within ``floor`` that exceed every row set
+    of smaller mask: once the largest value is known to be at least
+    ``floor + atol``, the others hold neither the tie rule's pick, which
+    lies in the first row set within ``floor``, nor the first candidate of
+    the largest value."""
     masks, order, vals, best = held
-    if not flip:
-        rank = np.argsort(masks)
-        b = best[rank]
-        keep = rank[(b >= floor) & (b > np.maximum.accumulate(np.concatenate([[-np.inf], b[:-1]])))]
-        return [masks[keep], order[keep], vals[keep], best[keep]]
-    a = np.abs(vals)
-    ok = a >= floor
-    ok[:, :, 1:] &= a[:, :, 1:] > np.maximum.accumulate(a, axis=2)[:, :, :-1]
-    r, side, j = np.nonzero(ok)
-    # each candidate's sorted-side set, then its masks as bytes, highest bit
-    # first, so that byte order is mask order
-    k = order.shape[1]
-    start = side * (k - 1 - j)
-    pos = np.arange(k)
-    sets = np.empty((len(r), k), dtype=bool)
-    sets[np.arange(len(r))[:, None], order[r]] = ((pos >= start[:, None])
-                                                  & (pos <= (start + j)[:, None]))
-    keys = np.concatenate([np.packbits(sets[:, ::-1], axis=1),
-                           masks[r].astype(">u8").view(np.uint8).reshape(-1, 8),
-                           side[:, None].astype(np.uint8)], axis=1)
-    rank = np.lexsort(keys.T[::-1])
-    v = a[r, side, j][rank]
-    keep = np.zeros(len(masks), dtype=bool)
-    keep[r[rank[v > np.maximum.accumulate(np.concatenate([[-np.inf], v[:-1]]))]]] = True
-    tops = np.flatnonzero(best == best.max())
-    keep[tops[np.argmin(masks[tops])]] = True
+    rank = np.argsort(masks)
+    b = best[rank]
+    keep = rank[(b >= floor) & (b > np.maximum.accumulate(np.concatenate([[-np.inf], b[:-1]])))]
     return [masks[keep], order[keep], vals[keep], best[keep]]
 
 
 def _sweep_pick(A, d, e, atol: float, top: bool = False, tables=None) -> list:
     """The row-set sweep over the smaller side of ``A`` (its rows when
-    ``m <= n``, else its columns) and the pick of the module docstring's tie
-    rule, as ``(S, T, value)``: index tuples of ``A`` and the signed sweep
-    value; with ``top`` it is preceded by the first candidate of the largest
-    sweep value.  ``tables`` are the swept side's ``_SweepTables``, built
-    when not given.  Takes validated arrays and does not check the size of
-    the swept side."""
-    flip = A.shape[0] > A.shape[1]
-    B, dd, ee = (A.T, e, d) if flip else (A, d, e)
-    best, (masks, order, vals, best_per_S) = _sweep(
-        B, ee, _SweepTables(dd) if tables is None else tables, atol, flip)
-    k = len(ee)
-    floor, bests, swept = best - atol, best_per_S.tolist(), masks.tolist()
+    ``m <= n``; a tall ``A`` is swept as ``A.T`` and the pick transposed)
+    and the pick of the module docstring's tie rule, as ``(S, T, value)``:
+    index tuples of ``A`` and the signed sweep value; with ``top`` it is
+    preceded by the first candidate of the largest sweep value.  ``tables``
+    are the swept side's ``_SweepTables``, built when not given.  Takes
+    validated arrays and does not check the size of the swept side."""
+    if A.shape[0] > A.shape[1]:
+        return [(T, S, v) for S, T, v in _sweep_pick(A.T, e, d, atol, top, tables)]
+    best, (masks, order, vals, bests) = _sweep(
+        A, e, _SweepTables(d) if tables is None else tables, atol)
+    n, floor = len(e), best - atol
 
     def candidate(r: int, s: int, i: int) -> tuple:
-        """The (S mask, T mask) of row ``r``'s prefix (``s`` 0) or suffix
-        (``s`` 1) of length ``i + 1``, then ``s``, ``r`` and ``i``."""
+        """The T mask of row ``r``'s prefix (``s`` 0) or suffix (``s`` 1)
+        of length ``i + 1``, then ``s``, ``r`` and ``i``."""
         row = order[r].tolist()
-        other = _set_mask(row[k - 1 - i :] if s else row[: i + 1])
-        return ((other, int(swept[r])) if flip else (int(swept[r]), other)), s, r, i
+        return _set_mask(row[n - 1 - i :] if s else row[: i + 1]), s, r, i
 
-    # unless ``S`` is the sorted side, the pick lies in the first qualifying
-    # swept set.  A longer prefix (suffix) holds a shorter one, so of a
-    # swept set's prefixes (suffixes) within ``atol`` the shortest has the
-    # smallest mask
-    win = [r for r, b in enumerate(bests) if b >= floor]
-    if not flip:
-        win = [min(win, key=swept.__getitem__)]
+    # the pick lies in the first swept set within ``atol``.  A longer prefix
+    # (suffix) holds a shorter one, so of its prefixes (suffixes) within
+    # ``atol`` the shortest has the smallest mask
+    r = int(np.argmin(np.where(bests >= floor, masks, np.inf)))
     picks = [min(candidate(r, s, next(i for i, a in enumerate(v) if abs(a) >= floor))
-                 for r in win for s, v in enumerate(vals[r].tolist())
-                 if any(abs(a) >= floor for a in v))]
+                 for s, v in enumerate(vals[r].tolist()) if any(abs(a) >= floor for a in v))]
     if top:
-        r = min((r for r, b in enumerate(bests) if b == best), key=swept.__getitem__)
-        picks.insert(0, candidate(r, *divmod(int(np.abs(vals[r]).argmax()), k)))
-    return [(_mask_set(S), _mask_set(T), float(vals[r, s, i])) for (S, T), s, r, i in picks]
+        r = int(np.argmin(np.where(bests == best, masks, np.inf)))
+        picks.insert(0, candidate(r, *divmod(int(np.abs(vals[r]).argmax()), n)))
+    return [(_mask_set(int(masks[r])), _mask_set(T), float(vals[r, s, i]))
+            for T, s, r, i in picks]
 
 
 def _plain_sweep(A, low, atol: float) -> tuple:
@@ -352,25 +322,38 @@ def _plain_sweep(A, low, atol: float) -> tuple:
         firsts = [f for f in firsts if f[1] >= best - atol] + [
             (lo + int(rows[i]), float(v[i]), S[i])
             for i in np.flatnonzero(above & (v >= best - atol))]
-    return best, next((s, r) for s, value, r in firsts if value >= best - atol)
+    return best, *next((s, r) for s, value, r in firsts if value >= best - atol)
 
 
-def _plain_pick(A, atol: float) -> tuple:
-    """The plain cut norm by the sweep over the row sets of ``A``, the mask
-    of the first row set within ``atol`` of it (``_plain_sweep``), and that
-    row set's sums over every nonempty column set, entry ``mask - 1``: the
-    witness scan of ``cutnorm.cut_norm_bruteforce``."""
-    m, n = A.shape
-    low = _low_indicators(m)
-    best, (s, r) = _plain_sweep(A, low, atol)
-    return best, s, _subset_sums(r, low if n == m else _low_indicators(n))
-
-
-def _plain_cut_norm(A, atol: float) -> float:
-    """The plain cut norm ``max |A(S,T)|`` by the sweep over the smaller
-    side of ``A``."""
+def _plain_cut_norm(A, atol: float) -> tuple:
+    """``_plain_sweep`` over the smaller side of ``A``: the plain cut norm,
+    then the mask of the first swept set within ``atol`` of it and that
+    set's sums over the other side."""
     B = A if A.shape[0] <= A.shape[1] else A.T
-    return _plain_sweep(B, _low_indicators(B.shape[0]), atol)[0]
+    return _plain_sweep(B, _low_indicators(B.shape[0]), atol)
+
+
+def _plain_witness(r, floor: float) -> tuple:
+    """The smallest mask ``T`` with ``|r(T)| >= floor``, the plain form's
+    other side for a swept set with sums ``r``.  With ``floor > 0`` it lies
+    in the support of one sign, less the entries that, dropped from the
+    highest index, keep the sum at ``floor``; the smaller mask of the two
+    signs wins.  The support sums are the ones ``_plain_sweep`` compares."""
+    if floor <= 0:
+        return (0,)  # every set qualifies
+    sets = []
+    for x in np.where(r > 0, r, 0.0), np.where(r < 0, -r, 0.0):
+        support, total, kept = np.flatnonzero(x).tolist(), x.sum(), []
+        if total < floor:
+            continue
+        for k in range(len(support) - 1, -1, -1):
+            # the last entry stays, though the rounding of ``total`` may pass it
+            if (kept or k) and total - x[support[k]] >= floor:
+                total -= x[support[k]]
+            else:
+                kept.insert(0, support[k])
+        sets.append(kept)
+    return tuple(min(sets, key=_set_mask))
 
 
 def _max_cut(A) -> float:

@@ -177,7 +177,8 @@ def plain_cutnorm_fast(A) -> float:
 
 def table_witness(A, d=None, e=None, atol: float = 1e-9):
     """(S, T, value) read off the dense (S mask, T mask) table: the first
-    entry in row-major order within ``atol`` of the largest absolute value.
+    entry within ``atol`` of the largest absolute value in the tie rule's
+    order, the smaller side's mask first: row-major unless ``A`` is tall.
     Plain sums ``A(S,T)`` when both weight vectors are None, normalized
     values otherwise."""
     A = np.asarray(A, dtype=float)
@@ -189,37 +190,50 @@ def table_witness(A, d=None, e=None, atol: float = 1e-9):
         e = np.ones(A.shape[1]) if e is None else np.asarray(e, dtype=float)
         table = table / np.sqrt(np.outer(U @ d, V @ e))
     mags = np.abs(table)
-    i, j = np.argwhere(mags >= mags.max() - atol)[0]
+    within = mags >= mags.max() - atol
+    tall = A.shape[0] > A.shape[1]
+    i, j = np.argwhere(within.T)[0][::-1] if tall else np.argwhere(within)[0]
     S = tuple(int(k) for k in np.nonzero(U[i])[0])
     T = tuple(int(k) for k in np.nonzero(V[j])[0])
     return S, T, float(table[i, j])
 
 
-def plain_pick(A, atol: float = 1e-9) -> tuple:
-    """(S, T, value, best) of the plain form by the sweep over every row set
-    at once: a row set's best is the larger of its positive and negative
-    supports' sums, each summed entry by entry; ``best`` is their maximum,
-    ``S`` the first row set within ``atol`` of it, and ``T`` the first
-    column set within ``atol`` of the largest of that row's ``2^n``
-    column-set sums, which gives ``value``."""
-    A = np.asarray(A, dtype=float)
-    U, V = subset_matrix(A.shape[0]), subset_matrix(A.shape[1])
-    R = U @ A
+def plain_rows(B, atol: float = 1e-9) -> tuple:
+    """The plain form swept over every row set of ``B`` at once: a row
+    set's best is the larger of its positive and negative supports' sums,
+    each summed entry by entry.  Returns their maximum, the 0/1 rows of the
+    row sets, their row sums and the index of the first row set within
+    ``atol`` of the maximum."""
+    U = subset_matrix(B.shape[0])
+    R = U @ B
     v = np.maximum(np.where(R > 0, R, 0.0).sum(axis=1), -np.where(R < 0, R, 0.0).sum(axis=1))
     best = float(v.max())
-    s = int(np.argmax(v >= best - atol))
-    row = V @ R[s]
-    mags = np.abs(row)
+    return best, U, R, int(np.argmax(v >= best - atol))
+
+
+def plain_pick(A, atol: float = 1e-9) -> tuple:
+    """(S, T, value, best) of the plain form by ``plain_rows`` over the
+    smaller side (the rows when square): ``best`` is the maximum, the
+    swept set the first within ``atol`` of it, and the other side's set
+    the first in mask order within ``atol`` of the largest of that set's
+    ``2^n`` sums; ``value`` sums the set's row sums over it, as
+    ``cut_norm_bruteforce`` does."""
+    A = np.asarray(A, dtype=float)
+    tall = A.shape[0] > A.shape[1]
+    best, U, R, s = plain_rows(A.T if tall else A, atol)
+    V = subset_matrix(R.shape[1])
+    mags = np.abs(V @ R[s])
     t = int(np.argmax(mags >= min(best, float(mags.max())) - atol))
-    return (tuple(int(k) for k in np.nonzero(U[s])[0]),
-            tuple(int(k) for k in np.nonzero(V[t])[0]), float(row[t]), best)
+    swept, other = (tuple(int(k) for k in np.nonzero(W[i])[0]) for W, i in ((U, s), (V, t)))
+    value = float(R[s][list(other)].sum())
+    return (other, swept, value, best) if tall else (swept, other, value, best)
 
 
 def plain_cutnorm_long_side(A) -> float:
-    """The plain cut norm by ``plain_pick``'s dense pass over every index set
-    of the longer side (the package sweeps the smaller side)."""
+    """The plain cut norm by ``plain_rows`` over every index set of the
+    longer side (the package sweeps the smaller side)."""
     A = np.asarray(A, dtype=float)
-    return plain_pick(A if A.shape[0] >= A.shape[1] else A.T)[3]
+    return plain_rows(A if A.shape[0] >= A.shape[1] else A.T)[0]
 
 
 def completion_pool(A, d, e, atol: float = 1e-9) -> list:
@@ -269,13 +283,15 @@ def completion_pairs(A, d, e, atol: float = 1e-9) -> list:
     rectangle and the sweep value coincide."""
     pool = completion_pool(A, d, e, atol)
     top = max(pool, key=lambda c: abs(c[3]))
-    return [c[:3] for c in dict.fromkeys([top, completion_pick(pool)])]
+    return [c[:3] for c in dict.fromkeys([top, completion_pick(pool, np.shape(A))])]
 
 
-def completion_pick(pool) -> tuple:
-    """The first entry of a ``completion_pool`` with the smallest (S mask,
-    T mask): the exact cut step's tie rule."""
-    return min(pool, key=lambda c: (mask(c[0]), mask(c[1])))
+def completion_pick(pool, shape) -> tuple:
+    """The first entry of a ``completion_pool`` of a ``shape`` matrix with
+    the smallest masks, the smaller side's first (the rows' when square):
+    the exact cut step's tie rule."""
+    tall = shape[0] > shape[1]
+    return min(pool, key=lambda c: (mask(c[1]), mask(c[0])) if tall else (mask(c[0]), mask(c[1])))
 
 
 def mask(indices) -> int:

@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from pvdkit import cli, cutnorm, domains, regularity
 from pvdkit.cutnorm import COMPLETION_CAP, normalized_cut_bruteforce
 from pvdkit.domains import UnsupportedDomain
+from pvdkit.linalg import frob_norm
 from pvdkit.pvd import best_truncation
 from pvdkit.regularity import szemeredi_partition
 from pvdkit.tensor import CutTuples, tensor_bound_check
@@ -246,7 +248,7 @@ def test_cutnorm_long_thin_integer_matrix_is_bruteforce(shape, tmp_path, capsys)
     assert code == 0
     assert rep["results"]["method"] == "bruteforce"
     pool = oracles.completion_pool(A, np.ones(shape[0]), np.ones(shape[1]))
-    S, T, _, sweep_value = oracles.completion_pick(pool)
+    S, T, _, sweep_value = oracles.completion_pick(pool, shape)
     assert (tuple(rep["results"]["S"]), tuple(rep["results"]["T"])) == (S, T)
     assert rep["results"]["signed_value"] == sweep_value
     assert rep["results"]["value"] == pytest.approx(max(abs(c[2]) for c in pool), rel=1e-12)
@@ -405,6 +407,29 @@ def test_regularity_certificates_allow_roundoff_at_the_source_scale(seed, tmp_pa
         rep["results"]["bound_certificate"] + 1e-12 * 10 * src, rel=1e-15)
     code, rep = _run(capsys, ["weakreg", "--input", path, "--eps", "0.5"])
     assert code == 0 and rep["all_certificates_pass"] is True
+
+
+def test_classes_core_density_near_the_float_limit(tmp_path, capsys):
+    """At 1e154 the outer products of the degrees overflow: the core
+    density read 0, its identity passed on 0 = 0, and the threshold rank
+    read 0, with RuntimeWarnings.  Scaled by powers of two, both sides of
+    the identity and the threshold rank keep the values of the unscaled
+    graph."""
+    cores, ranks = [], []
+    for scale in (1.0, 1e154):
+        path, A = _scaled_graph(tmp_path, scale)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, rep = _run(capsys, ["classes", "--input", path])
+            d = cli._weights("degree-plus-avg", A * scale)[0]
+            other = frob_norm(A * scale, d, d) ** 2
+        assert code == 0 and rep["all_certificates_pass"] is True
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        cores.append(rep["results"]["core_density"])
+        ranks.append(rep["results"]["threshold_rank"])
+        assert cores[-1] > 0 and other == pytest.approx(cores[-1], rel=1e-12)
+    assert cores[1] == pytest.approx(cores[0], rel=1e-12)
+    assert ranks[1] == pytest.approx(ranks[0], rel=1e-12) and ranks[0] > 0
 
 
 @pytest.mark.parametrize("argv, what", [(["szemreg", "--eps", "0.8"], "the ladder's masses"),

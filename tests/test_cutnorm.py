@@ -228,7 +228,7 @@ def _bitwise_reference(A, d, e, atol) -> None:
     value."""
     pair = normalized_cut_bruteforce(A, d, e, cap=max(A.shape), atol=atol)
     pool = oracles.completion_pool(A, d, e, atol)
-    S, T, _, value = oracles.completion_pick(pool)
+    S, T, _, value = oracles.completion_pick(pool, A.shape)
     assert (pair.S, pair.T, pair.value.hex()) == (S, T, value.hex())
     top = max(pool, key=lambda c: abs(c[3]))
     d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
@@ -244,12 +244,10 @@ def _plain_reference(A, atol) -> None:
     """The plain form's witness and value, and the sweep's maximum over the
     smaller side, as the sweep over every row set at once gives them, bit
     for bit."""
-    S, T, value, _ = oracles.plain_pick(A, atol)
+    S, T, value, best = oracles.plain_pick(A, atol)
     pair = cut_norm_bruteforce(A, atol=atol)
     assert (pair.S, pair.T, pair.value.hex()) == (S, T, value.hex())
-    B = A if A.shape[0] <= A.shape[1] else A.T
-    best = sweep._plain_cut_norm(A, atol)
-    assert best.hex() == oracles.plain_pick(B, atol)[3].hex()
+    assert sweep._plain_cut_norm(A, atol)[0].hex() == best.hex()
 
 
 @settings(max_examples=200, deadline=None)
@@ -687,12 +685,13 @@ def test_cut_domain_refuses_one_signed_residuals_beyond_completion(monkeypatch):
     ((23, 23), 12, False), ((23, 23), 23, True), ((23, 24), 23, False), ((30, 23), 29, False),
 ])
 def test_every_cut_norm_quantity_follows_the_one_sweep_rule(monkeypatch, shape, bf_cap, exact):
-    """The greedy step, the normalized maximizer, the cut-norm bound and the
-    Szemeredi sum take the exact sweep exactly where ``cutnorm._sweep_exact``
-    holds: the longer side within ``bf_cap`` or the smaller side within
-    ``COMPLETION_CAP``.  Past it each raises the one refusal with no route
-    called (the regularity bounds on square shapes, where a partition
-    applies).  The routes are stubbed, so only the choice is tested."""
+    """The greedy step, the normalized and the plain maximizer, the cut-norm
+    bound and the Szemeredi sum take the exact sweep exactly where
+    ``cutnorm._sweep_exact`` holds: the longer side within ``bf_cap`` or the
+    smaller side within ``COMPLETION_CAP``.  Past it each raises the one
+    refusal with no route called (the regularity bounds on square shapes,
+    where a partition applies).  The routes are stubbed, so only the choice
+    is tested."""
     assert cutnorm._sweep_exact(shape, bf_cap) is exact
     routes = []
 
@@ -700,7 +699,9 @@ def test_every_cut_norm_quantity_follows_the_one_sweep_rule(monkeypatch, shape, 
         return lambda *args, **kwargs: routes.append(name) or value
 
     pick = [((0,), (0,), 0.0)]
-    monkeypatch.setattr(regularity, "_plain_cut_norm", route("sweep", 0.0))
+    plain = (0.0, 1, np.zeros(max(shape)))
+    monkeypatch.setattr(regularity, "_plain_cut_norm", route("sweep", plain))
+    monkeypatch.setattr(cutnorm, "_plain_cut_norm", route("sweep", plain))
     monkeypatch.setattr(domains, "_SweepTables", route("tables", None))
     monkeypatch.setattr(domains, "_sweep_pick", route("sweep", pick))
     monkeypatch.setattr(cutnorm, "_sweep_pick", route("sweep", pick))
@@ -708,7 +709,8 @@ def test_every_cut_norm_quantity_follows_the_one_sweep_rule(monkeypatch, shape, 
     monkeypatch.setattr(cutnorm, "simplex_solve", route("lp", (None, 0.0)))
     R = np.zeros(shape)
     dom = CutDomain(np.ones(shape[0]), np.ones(shape[1]), bf_cap=bf_cap)
-    calls = [lambda: dom.max_step(R), lambda: normalized_cut_bruteforce(R, cap=bf_cap)]
+    calls = [lambda: dom.max_step(R), lambda: normalized_cut_bruteforce(R, cap=bf_cap),
+             lambda: cut_norm_bruteforce(R, cap=bf_cap)]
     if shape[0] == shape[1]:
         whole = regularity.Partition(parts=(tuple(range(shape[0])),))
         calls += [lambda: regularity.weak_irregularity_ub(R, whole, bf_cap),
@@ -719,7 +721,7 @@ def test_every_cut_norm_quantity_follows_the_one_sweep_rule(monkeypatch, shape, 
         else:
             with pytest.raises(UnsupportedDomain, match=oracles.sweep_rule(shape, bf_cap)):
                 call()
-    want = ["tables", "sweep", "sweep"] + ["sweep", "sweep"] * (shape[0] == shape[1])
+    want = ["tables", "sweep", "sweep", "sweep"] + ["sweep", "sweep"] * (shape[0] == shape[1])
     assert routes == (want if exact else [])
 
 
@@ -859,7 +861,7 @@ def test_exact_completion_selects_the_table_witness(inputs):
     """The completion's pool holds the rectangle the dense table's tie rule
     picks, with its value."""
     A, d, e = inputs
-    pair = cutnorm._select_pair(exact_completion(A, d, e), 1e-9)
+    pair = cutnorm._select_pair(exact_completion(A, d, e), 1e-9, A.shape[0] > A.shape[1])
     S, T, value = oracles.table_witness(A, d, e)
     assert (pair.S, pair.T) == (S, T)
     assert pair.value == pytest.approx(value, abs=1e-9)
@@ -882,8 +884,10 @@ def test_exact_completion_selects_as_the_full_pool(A, data):
     pairs = exact_completion(A, d, e)
     assert 1 <= len(pairs) <= 2 and set(pairs) <= set(full)
     assert abs(pairs[0].value) == pytest.approx(max(abs(p.value) for p in full), abs=1e-12)
+    tall = A.shape[0] > A.shape[1]
     for pool in ([], lp_pool):
-        assert cutnorm._select_pair(pool + pairs, 1e-9) == cutnorm._select_pair(pool + full, 1e-9)
+        assert (cutnorm._select_pair(pool + pairs, 1e-9, tall)
+                == cutnorm._select_pair(pool + full, 1e-9, tall))
 
 
 @settings(max_examples=200, deadline=None)
@@ -926,16 +930,55 @@ def test_every_exact_step_is_the_pick_of_the_pool(A, data):
         assert abs(value) == pytest.approx(best, abs=1e-12)
 
 
+#: the 9x6 integer input ``0-int9x6.json`` of the benchmark's lp-route
+#: workload at seed 1: a tall input whose maximum is tied
+INT9X6 = [[-3, 1, -1, -2, -2, 2], [1, 3, -3, -3, -1, 0], [-3, 0, 2, -1, 2, -1],
+          [-2, -2, 0, 2, 0, -3], [1, -3, 1, -2, 1, -2], [2, 0, -3, -2, 0, 2],
+          [1, -2, -2, 1, 0, 0], [0, 0, 3, 3, -2, -3], [-3, 2, 2, -2, -1, 3]]
+
+
+@st.composite
+def _non_square_ints(draw):
+    """Tall and wide matrices with entries in -2..2, so that ties are
+    common, and positive integer weights for each side."""
+    m, n = draw(st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(lambda s: s[0] != s[1]))
+    A = np.array(draw(st.lists(st.integers(-2, 2), min_size=m * n, max_size=m * n)), dtype=float)
+    d, e = (np.array(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)), dtype=float)
+            for k in (m, n))
+    return A.reshape(m, n), d, e
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_non_square_ints())
+@example(inputs=(np.array(INT9X6, dtype=float), np.arange(1.0, 10.0) % 3 + 1, np.ones(6)))
+def test_exact_maximizers_transpose_with_their_input(inputs):
+    """The smaller side is swept and breaks ties first, whichever way the
+    input lies: on ``A.T`` the normalized maximizer (unit and integer
+    weights), the plain one and a cut step each return the transposed
+    rectangle of the same call on ``A``, with the same value bits."""
+    A, d, e = inputs
+    for dd, ee in ((np.ones(len(d)), np.ones(len(e))), (d, e)):
+        pair, back = normalized_cut_bruteforce(A, dd, ee), normalized_cut_bruteforce(A.T, ee, dd)
+        assert (pair.S, pair.T, pair.value.hex()) == (back.T, back.S, back.value.hex())
+    pair, back = cut_norm_bruteforce(A), cut_norm_bruteforce(A.T)
+    assert (pair.S, pair.T, pair.value.hex()) == (back.T, back.S, back.value.hex())
+    dom, dom_t = CutDomain(d, e), CutDomain(e, d)
+    (S, T), value = dom.max_step(A / dom.whitener)
+    (P, Q), back = dom_t.max_step(A.T / dom_t.whitener)
+    assert (S, T, value.hex()) == (Q, P, back.hex())
+
+
 @pytest.mark.parametrize("shape", [(3, 16), (16, 3)])
 def test_exact_completion_sweeps_only_the_short_side(shape, monkeypatch):
-    """A long side beyond ``BRUTE_FORCE_CAP`` is sorted, never enumerated:
-    only the short side's subsets are built."""
+    """A long side beyond ``BRUTE_FORCE_CAP`` is sorted or read off the
+    row sums, never enumerated: for the completion and for the plain cut
+    norm only the short side's subsets are built."""
     rng = np.random.default_rng(40 + shape[0])
     A = rng.integers(-3, 4, size=shape).astype(float)
     d = rng.integers(1, 4, size=shape[0]).astype(float)
     e = rng.uniform(0.5, 2.0, size=shape[1])
     built = []
-    sums, masses = sweep._row_sums, sweep._subset_sums
+    sums, masses, low = sweep._row_sums, sweep._subset_sums, sweep._low_indicators
 
     def counted_sums(B, *args):
         built.append(B.shape[0])
@@ -947,13 +990,19 @@ def test_exact_completion_sweeps_only_the_short_side(shape, monkeypatch):
 
     monkeypatch.setattr(sweep, "_row_sums", counted_sums)
     monkeypatch.setattr(sweep, "_subset_sums", counted_masses)
+    monkeypatch.setattr(sweep, "_low_indicators", lambda m: built.append(m) or low(m))
     pool = exact_completion(A, d, e)
-    assert max(shape) > cutnorm.BRUTE_FORCE_CAP and built == [min(shape)] * 2
+    assert max(shape) > cutnorm.BRUTE_FORCE_CAP and built == [min(shape)] * 3
     best = max(abs(p.value) for p in pool)
     assert best == pytest.approx(oracles.cut_pnorm_max_fast(A, d, e), abs=1e-9)
     for p in pool:
         want = oracles.weighted_rect_value(A, d, e, p.S, p.T)
         assert p.value == pytest.approx(want, rel=1e-12)
+    built.clear()
+    pair = cut_norm_bruteforce(A)
+    assert built == [min(shape)] * 2
+    assert abs(pair.value) == pytest.approx(oracles.plain_cutnorm_fast(A), rel=1e-12)
+    assert rectangle_sum(A, pair.S, pair.T) == pytest.approx(pair.value, rel=1e-12)
 
 
 def test_cut_norm_lp_upper_builds_the_envelope_rows(monkeypatch):

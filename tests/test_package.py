@@ -2,6 +2,7 @@
 import ast
 import inspect
 import pathlib
+import sys
 
 import pvdkit
 from pvdkit import cli, cur, linalg, regularity, tensor
@@ -64,6 +65,31 @@ def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert len(modules) > 5
     assert [hit for p in modules for hit in _unused_imports(p)] == []
+
+
+#: the top-level packages ``src/`` may import besides the standard library:
+#: the package itself and pyproject's runtime dependencies
+RUNTIME_IMPORTS = {"pvdkit", "numpy"}
+
+
+def test_imports_only_runtime_dependencies():
+    """Every module imports only the standard library, ``numpy`` and
+    ``pvdkit``.  ``scipy`` and ``hypothesis`` are installed for the tests,
+    so an import of either in ``src/`` would pass here and fail on a user's
+    install."""
+    allowed = set(sys.stdlib_module_names) | RUNTIME_IMPORTS
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if name.split(".")[0] not in allowed]
+    assert hits == []
 
 
 #: the LP relaxation family, reached only by ``cutnorm``'s own routes;
