@@ -24,8 +24,8 @@ from .graphs import (EXHAUSTIVE_PARTITION_CAP, core_density, cut_pseudorandomnes
                      degree_weights, lp_upper_regularity_check, row_sums,
                      spectral_projection_values, threshold_rank)
 from .io import InputError, guess_format, load_matrix, read_json_tensor, read_weights
-from .linalg import ATOL, frob_norm, stable_norm
-from .pvd import certificate, compute_pvd, verify_pvd
+from .linalg import ATOL, frob_norm, stable_norm, whitened
+from .pvd import certificate, compute_pvd, roundoff_slack, verify_pvd
 from .regularity import max_cut_details, szemeredi_partition, weak_regularity_partition
 from .simplex import SimplexError
 from .sweep import _max_cut
@@ -141,6 +141,7 @@ def cmd_cutnorm(args):
     A, info = _load(args)
     d, e = resolve_weights(args.ip, A)
     exact = _sweep_exact(A.shape, args.bf_cap)
+    slack = roundoff_slack(stable_norm(whitened(A, d, e)))
     certs = []
     if args.eps is not None:
         method = "lp-approx"
@@ -148,19 +149,19 @@ def cmd_cutnorm(args):
         if exact:
             best = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=args.tol_abs)
             certs.append(certificate("approx-guarantee",
-                                     abs(best.value) / (1.0 + args.eps) - abs(pair.value), 1e-9))
+                                     abs(best.value) / (1.0 + args.eps) - abs(pair.value), slack))
     elif exact:
         method = "bruteforce"
         pair = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=args.tol_abs)
         if integer_weights(d) and integer_weights(e):
             other = cut_lp_exact(A, d, e, atol=args.tol_abs)
             certs.append(certificate("dual-route-agreement",
-                                     abs(abs(pair.value) - abs(other.value)), 1e-6))
+                                     abs(abs(pair.value) - abs(other.value)), max(1e-6, slack)))
     else:
         method = "lp-exact"
         pair = cut_lp_exact(A, d, e, atol=args.tol_abs)
     witness = rectangle_value(A, d, e, pair.S, pair.T) if pair.S else 0.0
-    certs.insert(0, certificate("witness-consistency", abs(pair.value - witness), 1e-9))
+    certs.insert(0, certificate("witness-consistency", abs(pair.value - witness), slack))
     results = {
         "value": abs(pair.value),
         "signed_value": pair.value,

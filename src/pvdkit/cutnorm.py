@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ATOL, as_matrix, as_weights
+from .linalg import ATOL, _unit_exponent, as_matrix, as_weights
 from .simplex import Tableau, simplex_solve
 from .sweep import _mask_set, _plain_cut_norm, _plain_witness, _set_mask, _sweep_pick
 
@@ -153,10 +153,9 @@ class CutLpInstance:
     sum_i d_i s_i <= sqrt(c),  sum_j e_j t_j <= 1/sqrt(c),  s, t >= 0.
 
     Variables are shifted (y = x + L) so the slack basis is feasible; entries
-    with A_ij = 0 carry no variable (their x is forced to 0).  Only ``b_ub``
-    and ``shift_total`` depend on ``c``; instances of one (matrix, sign)
-    share the rest and the ``tableau`` that solves them, which holds the
-    constraint matrix and the objective.
+    with A_ij = 0 carry no variable.  Only ``b_ub`` and ``shift_total``
+    depend on ``c``; instances of one (matrix, sign) share the ``tableau``
+    that solves them.  These three hold ``2**exponent`` times ``A``.
     """
 
     c: float
@@ -166,12 +165,16 @@ class CutLpInstance:
     nnz: list
     b_ub: np.ndarray
     shift_total: float
+    exponent: int
     tableau: Tableau
 
 
 class _CutLpFamily:
     """The ``c``-independent part of the relaxation of one (matrix, sign),
-    and one tableau that solves its instances as a warm chain."""
+    and one tableau that solves its instances as a warm chain.  The tableau
+    holds the entries times ``2**exponent``, which brings the largest into
+    [1, 2) when it is 2**10 or more: its tolerance is absolute, and the
+    levels do not depend on the scale."""
 
     def __init__(self, A, d_left, d_right, sign: int):
         A = as_matrix(A)
@@ -181,10 +184,11 @@ class _CutLpFamily:
         assert sign in (1, -1)
         self.sign = sign
         self.matrix = B = sign * A
+        self.exponent = _unit_exponent(A) if np.abs(A).max() >= 2.0 ** 10 else 0
         rows, cols = np.nonzero(B)  # row-major, like the pairs in ``nnz``
         self.nnz = list(zip(rows.tolist(), cols.tolist()))
         k = len(self.nnz)
-        a = B[rows, cols]
+        a = np.ldexp(B[rows, cols], self.exponent)
         self.abs_entries = np.abs(a)
         r = np.arange(k)
         A_ub = np.zeros((2 * k + 2, k + m + n))
@@ -198,9 +202,9 @@ class _CutLpFamily:
         objective[:k] = 1.0
         self.tableau = Tableau(A_ub, objective)
 
-    def instances(self, cs) -> tuple:
+    def rhs(self, cs) -> tuple:
         """The right-hand sides of the ratios ``cs`` stacked ``(N, 2k+2)``,
-        and one instance per ratio (its ``b_ub`` a row of that stack)."""
+        and their shift totals ``sum L``."""
         cs = np.asarray(cs, dtype=float)
         assert np.all(cs > 0)
         k = len(self.nnz)
@@ -212,30 +216,33 @@ class _CutLpFamily:
         b[:, 1 : 2 * k : 2] = L
         b[:, 2 * k] = rc
         b[:, 2 * k + 1] = 1.0 / rc
-        return b, [CutLpInstance(c, self.sign, self.matrix, self.d, self.nnz, b_ub, shift,
-                                 self.tableau)
-                   for c, b_ub, shift in zip(cs.tolist(), b, L.sum(axis=1).tolist())]
+        return b, L.sum(axis=1).tolist()
 
-    def instance(self, c: float) -> CutLpInstance:
-        return self.instances([c])[1][0]
+    def instance(self, c: float, b_ub, shift_total: float) -> CutLpInstance:
+        return CutLpInstance(c, self.sign, self.matrix, self.d, self.nnz, b_ub, shift_total,
+                             self.exponent, self.tableau)
 
-    def records(self, cs) -> list:
-        """``lp_candidates`` records of the ratios ``cs``: their instances
-        solved in order on this family's tableau, and rounded together."""
+    def solve(self, cs) -> tuple:
+        """``cs`` solved in order: ``rhs``, raw values, levels, pairs of A."""
         k, m = len(self.nnz), len(self.d)
-        b, insts = self.instances(cs)
+        b, shifts = self.rhs(cs)
         xs, raw = self.tableau.solve_chain(b)
         s, t = xs[:, k : k + m].copy(), xs[:, k + m :].copy()
-        rounded = _round_levels(self.matrix, self.d, self.e, s, t)
-        return [{"c": c, "sign": self.sign, "instance": inst,
-                 "objective": float(value - inst.shift_total), "s": si, "t": ti,
-                 "rounded": r, "pair": CutPair(r.S, r.T, self.sign * r.value) if r.S else r}
-                for c, inst, value, si, ti, r in zip(cs, insts, raw, s, t, rounded)]
+        return b, shifts, raw, s, t, _round_levels(self.matrix, self.d, self.e, s, t, self.sign)
+
+    def records(self, cs) -> list:
+        b, shifts, raw, s, t, pairs = self.solve(cs)
+        return [{"c": c, "sign": self.sign, "instance": self.instance(c, b_ub, shift),
+                 "objective": float(np.ldexp(value - shift, -self.exponent)), "s": si, "t": ti,
+                 "rounded": CutPair(p.S, p.T, self.sign * p.value) if p.S else p, "pair": p}
+                for c, b_ub, shift, value, si, ti, p in zip(cs, b, shifts, raw, s, t, pairs)]
 
 
 def build_cut_lp(A, d_left, d_right, c: float, sign: int = 1) -> CutLpInstance:
     """One relaxation with a tableau of its own, so it is solved cold."""
-    return _CutLpFamily(A, d_left, d_right, sign).instance(c)
+    family = _CutLpFamily(A, d_left, d_right, sign)
+    (b_ub,), (shift_total,) = family.rhs([c])
+    return family.instance(c, b_ub, shift_total)
 
 
 def solve_cut_lp(inst: CutLpInstance) -> dict:
@@ -245,14 +252,14 @@ def solve_cut_lp(inst: CutLpInstance) -> dict:
     xfull, raw = inst.tableau.solve(inst.b_ub)
     s = xfull[k : k + m].copy()
     t = xfull[k + m :].copy()
-    x = xfull[:k] - inst.b_ub[0 : 2 * k : 2]  # x = y - L entrywise
+    x = np.ldexp(xfull[:k] - inst.b_ub[0 : 2 * k : 2], -inst.exponent)  # x = y - L entrywise
     return {
         "c": inst.c,
         "sign": inst.sign,
         "s": s,
         "t": t,
         "x": dict(zip(inst.nnz, x.tolist())),
-        "objective": float(raw - inst.shift_total),
+        "objective": float(np.ldexp(raw - inst.shift_total, -inst.exponent)),
     }
 
 
@@ -275,10 +282,11 @@ def lp_round(A, d_left, d_right, s, t) -> CutPair:
     return _round_levels(A, d, e, s[None, :], t[None, :])[0]
 
 
-def _round_levels(A, d, e, s, t) -> list:
+def _round_levels(A, d, e, s, t, sign: int = 1) -> list:
     """``lp_round`` of each row of the levels ``s`` ``(N, m)``, ``t``
-    ``(N, n)``.  Every level's value comes from the threshold masks at once,
-    summed in another order than ``_rect_value``; the levels within twice
+    ``(N, n)``, each value times ``sign`` (a rectangle of ``sign * A``).
+    Every level's value comes from the threshold masks at once, summed in
+    another order than ``_rect_value``; the levels within twice
     ``slack`` (a bound on that rounding error) of an LP's best are evaluated
     again by ``_rect_value`` in decreasing order, keeping the first strict
     maximum above 0: the value and the tie rule of a scan over the levels.
@@ -308,8 +316,8 @@ def _round_levels(A, d, e, s, t) -> list:
             S = np.flatnonzero(MS[a, lvl])
             T = np.flatnonzero(MT[a, lvl])
             pair = rectangles[key] = CutPair(tuple(S.tolist()), tuple(T.tolist()),
-                                             float(_rect_value(A, d, e, S, T)))
-        if pair.value > best[a].value:
+                                             sign * float(_rect_value(A, d, e, S, T)))
+        if sign * pair.value > sign * best[a].value:
             best[a] = pair
     return best
 
@@ -325,27 +333,27 @@ def ratio_candidates(sum_left: int, sum_right: int) -> tuple:
     return tuple(float(f) for f in sorted(fracs))
 
 
-def lp_candidates(A, d_left, d_right, cs):
-    """Build, solve, and round one LP per (ratio, sign); yields records.
+def _lp_grid(A, d_left, d_right, cs, step):
+    """``step(family, ratios)`` per LP, in the order of ``lp_candidates``."""
+    families = [_CutLpFamily(A, d_left, d_right, sign) for sign in (1, -1)]
+    cs = list(cs)
+    size = max(1, ROUND_BATCH_ENTRIES // sum(families[0].matrix.shape) ** 2)
+    for lo in range(0, len(cs), size):
+        for pair in zip(*(step(family, cs[lo : lo + size]) for family in families)):
+            yield from pair
 
-    The grid is solved as one warm chain per sign: the constraint matrix and
-    objective are built once per sign, and that sign's tableau solves the
-    stacked right-hand sides by basis segments (``Tableau.solve_chain``).
-    The solutions are rounded together (the batched ``lp_round``), each
-    distinct rectangle once.  The grid goes in batches of
-    ``ROUND_BATCH_ENTRIES`` mask entries; records come in the order of
-    ``cs``, the positive sign first.
+
+def lp_candidates(A, d_left, d_right, cs):
+    """Build, solve, and round one LP per (ratio, sign); yields records in
+    the order of ``cs``, the positive sign first.  Each sign's grid is one
+    warm chain (``Tableau.solve_chain``), rounded together (the batched
+    ``lp_round``) in batches of ``ROUND_BATCH_ENTRIES`` mask entries.
 
     Each record carries the solved instance data and two rounded pairs: the
     one on the signed matrix (whose value obeys the rounding guarantee) and
     the same sets re-signed as a rectangle of ``A`` itself.
     """
-    families = [_CutLpFamily(A, d_left, d_right, sign) for sign in (1, -1)]
-    cs = list(cs)
-    step = max(1, ROUND_BATCH_ENTRIES // sum(families[0].matrix.shape) ** 2)
-    for lo in range(0, len(cs), step):
-        for pair in zip(*(family.records(cs[lo : lo + step]) for family in families)):
-            yield from pair
+    return _lp_grid(A, d_left, d_right, cs, _CutLpFamily.records)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +410,9 @@ def _lp_weights(A, d_left, d_right) -> tuple:
 
 def _closed_lp_route(A, d, e, cs, atol: float) -> CutPair:
     """The best rectangle of the LP relaxations of the ratios ``cs``, with
-    the pool closed by ``exact_completion``.  A matrix with both signs whose
+    the pool closed by ``exact_completion``.  The LP pool is the ``pair``
+    of each ``lp_candidates`` record, read off ``_CutLpFamily.solve``
+    without building records.  A matrix with both signs whose
     smaller side is beyond the completion, where the relaxation alone can
     undershoot (module docstring), is refused before any LP is solved."""
     m, n = A.shape
@@ -410,7 +420,7 @@ def _closed_lp_route(A, d, e, cs, atol: float) -> CutPair:
         raise ValueError(f"mixed-sign {m}x{n} matrix: the exact completion needs the "
                          f"smaller side within {COMPLETION_CAP}, and the LP relaxation "
                          "alone can undershoot")
-    pool = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
+    pool = list(_lp_grid(A, d, e, cs, lambda family, ratios: family.solve(ratios)[-1]))
     return _select_pair(pool + exact_completion(A, d, e, atol), atol, m > n)
 
 
@@ -421,16 +431,9 @@ def cut_lp_exact(A, d_left=None, d_right=None, atol: float = ATOL) -> CutPair:
     signs of ``A``), rounds every solution, and closes the pool with the
     exact completion (the row-set sweep over the smaller side); the best
     rectangle over all candidates is returned.  Requires positive integer
-    weights, and on a matrix with both signs the smaller side within
-    ``COMPLETION_CAP``; otherwise raises ``ValueError`` before any LP is
-    solved.
-
-    Parameters
-    ----------
-    A : array_like, shape (m, n)
-    d_left, d_right : array_like, optional
-        Positive integer weights; ``d_right`` defaults to ``d_left`` for
-        square matrices.
+    weights (``d_right`` defaults to ``d_left`` on a square ``A``), and on a
+    matrix with both signs the smaller side within ``COMPLETION_CAP``;
+    otherwise raises ``ValueError`` before any LP is solved.
     """
     A = as_matrix(A)
     d, e = _lp_weights(A, d_left, d_right)

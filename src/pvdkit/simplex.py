@@ -14,11 +14,11 @@ right-hand side (Chvatal, *Linear Programming*, 1983, ch. 10): a new ``b``
 leaves the reduced costs, hence dual feasibility, untouched, and a dual
 simplex repairs the basic values that turned negative.  A stack of
 right-hand sides is solved by basis segments (``Tableau.solve_chain``): the
-kept basis's inverse and cost line are copied once, and the rows that stay
-primal feasible are priced against them, one matrix-vector product each,
-with their points written and checked per segment; only the row that ends a
-segment goes through the repair.  A pivot is one rank-one update of the
-rows with a nonzero entry in the pivot column.
+kept basis's inverse and cost line are copied once, a block of rows is
+priced against them by one stacked product (one gemv per row, the bits of a
+single solve) and checked at once; only the row that ends a segment goes
+through the repair.  A pivot is one rank-one update of the rows with a
+nonzero entry in the pivot column.
 """
 from __future__ import annotations
 
@@ -47,12 +47,13 @@ class Tableau:
     The first right-hand side is solved by the primal simplex from the
     slack basis.  Later ones are solved by basis segments: the kept
     tableau's slack block (``B^-1``) and the cost line's slack block are
-    copied once, and each following ``b`` is priced against them, its basic
-    values ``B^-1 b`` and its value by the same matrix-vector products a
-    single solve makes.  The segment ends at the first ``b`` with a basic
-    value below ``-TOL``; its points are written with one scatter and
-    checked against ``A_ub @ x <= b + TOL`` by one product per block of
-    ``SEGMENT_ROWS`` rows, and a row that fails that check also ends it.  A
+    copied once, and each block of ``SEGMENT_ROWS`` following ``b`` is
+    priced against them by one stacked ``np.matmul``: one gemv per row, the
+    kernel and operands of a single solve, so its basic values ``B^-1 b``
+    and its value keep their bits.  The segment ends at the block's first
+    ``b`` with a basic value below ``-TOL``; the points before it are
+    written with one scatter and checked against ``A_ub @ x <= b + TOL`` by
+    one product per block, and a row that fails that check also ends it.  A
     row whose check the block product's rounding could decide otherwise is
     checked by the per-row product a single solve makes, so every decision
     is that of one solve per row.  The row that ends a segment is priced
@@ -131,16 +132,11 @@ class Tableau:
         lo = start
         while lo < len(bs):
             hi = min(lo + SEGMENT_ROWS, len(bs))
-            rhs = np.empty((hi - lo, m))
-            products = np.empty(hi - lo)
-            rows = 0
-            while lo + rows < hi:
-                b = bs[lo + rows]
-                rhs[rows] = inverse @ b
-                if rhs[rows].min() < -tol:
-                    break
-                products[rows] = cost @ b
-                rows += 1
+            stack = bs[lo:hi, :, None]
+            rhs = np.matmul(inverse, stack)[..., 0]
+            products = np.matmul(cost, stack)[:, 0]
+            infeasible = np.flatnonzero(rhs.min(axis=1) < -tol)
+            rows = int(infeasible[0]) if infeasible.size else hi - lo
             block = np.zeros((rows, n))
             block[:, columns] = rhs[:rows, structural]
             limit = bs[lo : lo + rows] + tol

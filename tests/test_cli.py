@@ -515,6 +515,60 @@ def test_cutnorm_of_entries_near_the_float_limit(tmp_path, capsys):
                                                         "dual-route-agreement"]
 
 
+def _scaled_cutnorm(tmp_path, capsys, A, scale, extra=()):
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps((A * scale).tolist()))
+    code, rep = _run(capsys, ["cutnorm", "--input", str(path), *extra])
+    return code, rep, {c["name"]: c for c in rep["certificates"]} if rep else None
+
+
+@pytest.mark.parametrize("matrix, scale, extra", [
+    ("normal", 1e7, []), ("normal", 1e8, ["--eps", "0.1"]), ("normal", 1e9, []),
+    ("normal", 1e9, ["--eps", "0.1"]), ("normal", 1e100, []), ("normal", 1e100, ["--eps", "0.1"]),
+    ("integer", 1e9, [])])
+def test_cutnorm_lp_route_at_large_entry_scales(matrix, scale, extra, tmp_path, capsys):
+    """The LP of an input whose entries reach 2**10 is solved in units that
+    bring them into [1, 2), so the tableau's absolute tolerance compares
+    entry rows and budget rows at one scale.  With the entries as given,
+    the 8x9 matrix at 1e7-1e9 exited 2 ("no optimum within 13750 pivots"),
+    at 1e100 and the 7x7 integer one at 1e9 ("objective unbounded above").
+    Each run now reports the scale times the unscaled value and rectangle."""
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(8, 9)) if matrix == "normal" else rng.integers(-3, 4, size=(7, 7))
+    code, unit, _ = _scaled_cutnorm(tmp_path, capsys, A, 1.0, extra)
+    assert code == 0
+    code, rep, certs = _scaled_cutnorm(tmp_path, capsys, A, scale, extra)
+    assert code == 0 and rep["all_certificates_pass"] is True
+    assert rep["results"]["value"] == pytest.approx(scale * unit["results"]["value"], rel=1e-15)
+    assert (rep["results"]["S"], rep["results"]["T"]) == (unit["results"]["S"],
+                                                          unit["results"]["T"])
+    if "dual-route-agreement" in certs:
+        assert certs["dual-route-agreement"]["lhs"] <= 1e-15 * rep["results"]["value"]
+
+
+@pytest.mark.parametrize("scale, ip, extra", [
+    (3e8, "1.5", []), (1e9, "1.5", []), (1e10, "1.5", []), (1e12, "1.5", []),
+    (1e9, "1.5", ["--eps", "0.1"]), (1e9, "1", [])])
+def test_cutnorm_certificates_allow_roundoff_at_the_source_scale(scale, ip, extra, tmp_path,
+                                                                 capsys):
+    """``witness-consistency``, ``approx-guarantee`` and
+    ``dual-route-agreement`` allow ``1e-12`` times the whitened source norm
+    past their floors (1e-9, 1e-9, 1e-6): with absolute slacks the 8x9
+    matrix with all weights 1.5 failed ``witness-consistency`` at 3e8-1e12
+    (lhs 1.2e-7 to 4.9e-4), and with unit weights at 1e9 (lhs 4.8e-7)."""
+    A = np.random.default_rng(3).normal(size=(8, 9))
+    weights = tmp_path / "w.txt"
+    weights.write_text("\n".join([ip] * 17))
+    code, rep, certs = _scaled_cutnorm(tmp_path, capsys, A, scale,
+                                       ["--ip", f"file:{weights}", *extra])
+    assert code == 0 and rep["all_certificates_pass"] is True
+    src = scale * float(np.linalg.norm(A)) / float(ip)
+    floors = {"witness-consistency": 1e-9, "approx-guarantee": 1e-9, "dual-route-agreement": 1e-6}
+    assert "witness-consistency" in certs and set(certs) <= set(floors)
+    for name, cert in certs.items():
+        assert cert["rhs"] == pytest.approx(max(floors[name], 1e-12 * src), rel=1e-12)
+
+
 def test_unknown_ip_rejected(tmp_path, capsys):
     code = cli.main(["pvd", "--input", _graph_file(tmp_path), "--ip", "taxicab"])
     capsys.readouterr()
@@ -651,7 +705,7 @@ def test_greedy_runs_past_the_sweep_rule_are_refused(argv, tmp_path, capsys, mon
     def refuse(*args, **kwargs):
         raise AssertionError("a route ran past the rule")
 
-    for module, name in ((cutnorm, "lp_candidates"), (cutnorm, "simplex_solve"),
+    for module, name in ((cutnorm, "_CutLpFamily"), (cutnorm, "simplex_solve"),
                          (domains, "_sweep_pick"), (domains, "_SweepTables"),
                          (regularity, "_plain_cut_norm")):
         monkeypatch.setattr(module, name, refuse)

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -476,7 +477,7 @@ def test_ratio_grid_past_its_cap_is_refused_before_any_fraction(monkeypatch):
     ``Fraction`` is built, so ``cut_lp_exact`` on weight masses of 600 and
     600 raises at once and solves no LP."""
     monkeypatch.setattr(cutnorm, "Fraction", _refuses)
-    monkeypatch.setattr(cutnorm, "lp_candidates", _refuses)
+    monkeypatch.setattr(cutnorm, "_CutLpFamily", _refuses)
     cap = cutnorm.RATIO_CAP
     for a, b in ((cap + 1, 1), (1, cap + 1), (257, 256)):
         with pytest.raises(ValueError, match=f"^{a * b} LP ratio pairs exceed RATIO_CAP"):
@@ -586,6 +587,51 @@ def test_lp_candidates_match_sequential_reference(data):
     _matches_sequential_reference(A, d, e, ratio_candidates(int(d.sum()), int(e.sum())))
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closed_lp_route_pool_is_the_records_pairs(data):
+    """The LP routes take their pool from the rounding step without building
+    records, and it is the ``pair`` of every ``lp_candidates`` record, in
+    order, bit for bit: on positive, negative and mixed matrices, with
+    integer or real weights, over the ratio grid or a geometric one, in one
+    rounding batch or several, at unit scale and at 1e9 (whose LP is solved
+    in scaled units)."""
+    m = data.draw(st.integers(1, 5), label="m")
+    n = data.draw(st.integers(1, 5), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    signs = data.draw(st.sampled_from(["mixed", "positive", "negative"]), label="signs")
+    if signs != "mixed":
+        A = np.abs(A) * (1.0 if signs == "positive" else -1.0)
+    A *= data.draw(st.sampled_from([1.0, 0.1, 1e9]), label="scale")
+    if data.draw(st.booleans(), label="integer weights"):
+        d, e = rng.integers(1, 4, size=m).astype(float), rng.integers(1, 4, size=n).astype(float)
+    else:
+        d, e = rng.uniform(0.5, 3.0, size=m), rng.uniform(0.5, 3.0, size=n)
+    if data.draw(st.booleans(), label="ratio grid"):
+        cs = ratio_candidates(max(1, round(d.sum())), max(1, round(e.sum())))
+    else:
+        lo, hi = d.min() / e.sum(), d.sum() / e.min()
+        cs = [lo * 1.05 ** k for k in range(int(math.log(hi / lo) / math.log(1.05)) + 1)]
+    batch = data.draw(st.sampled_from([1, 3, None]), label="batch LPs")
+    pools = []
+    select = cutnorm._select_pair
+
+    def recorded(pool, atol, tall):
+        pools.append(pool)
+        return select(pool, atol, tall)
+
+    with mock.patch.object(cutnorm, "_select_pair", recorded), mock.patch.object(
+            cutnorm, "ROUND_BATCH_ENTRIES",
+            cutnorm.ROUND_BATCH_ENTRIES if batch is None else batch * (m + n) ** 2):
+        cutnorm._closed_lp_route(A, d, e, cs, ATOL)
+        want = [rec["pair"] for rec in lp_candidates(A, d, e, cs)]
+    got = pools[0][: len(want)]
+    assert len(got) == len(want) == 2 * len(cs)
+    assert [(p.S, p.T, _bits(p.value)) for p in got] == [
+        (p.S, p.T, _bits(p.value)) for p in want]
+
+
 def test_lp_round_keeps_the_scan_tie_rule():
     """Levels on a few distinct values over entries on a scaled 0.1-grid:
     distinct rectangles often tie exactly, and the batched sums order them
@@ -654,7 +700,7 @@ def test_cut_lp_exact_refuses_mixed_signs_beyond_completion(monkeypatch):
     domain refuses the step by the rule of the exact sweep."""
     side = cutnorm.COMPLETION_CAP + 1
     A = np.random.default_rng(30).integers(-3, 4, size=(side, side)).astype(float)
-    monkeypatch.setattr(cutnorm, "lp_candidates", _refuses)
+    monkeypatch.setattr(cutnorm, "_CutLpFamily", _refuses)
     with pytest.raises(ValueError, match="mixed-sign"):
         cut_lp_exact(A)
     with pytest.raises(UnsupportedDomain, match=oracles.sweep_rule((side, side))):
@@ -669,7 +715,7 @@ def test_cut_domain_refuses_one_signed_residuals_beyond_completion(monkeypatch):
     and no sweep run."""
     for name in ("_sweep_pick", "_SweepTables"):
         monkeypatch.setattr(domains, name, _refuses)
-    monkeypatch.setattr(cutnorm, "lp_candidates", _refuses)
+    monkeypatch.setattr(cutnorm, "_CutLpFamily", _refuses)
     side = cutnorm.COMPLETION_CAP + 1
     one = np.zeros((side, side))
     one[:4, :4] = 1.0
@@ -705,7 +751,7 @@ def test_every_cut_norm_quantity_follows_the_one_sweep_rule(monkeypatch, shape, 
     monkeypatch.setattr(domains, "_SweepTables", route("tables", None))
     monkeypatch.setattr(domains, "_sweep_pick", route("sweep", pick))
     monkeypatch.setattr(cutnorm, "_sweep_pick", route("sweep", pick))
-    monkeypatch.setattr(cutnorm, "lp_candidates", route("lp", []))
+    monkeypatch.setattr(cutnorm, "_CutLpFamily", route("lp", []))
     monkeypatch.setattr(cutnorm, "simplex_solve", route("lp", (None, 0.0)))
     R = np.zeros(shape)
     dom = CutDomain(np.ones(shape[0]), np.ones(shape[1]), bf_cap=bf_cap)
@@ -739,7 +785,7 @@ def test_greedy_steps_past_the_cap_solve_no_lp(monkeypatch):
         swept.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cutnorm, "lp_candidates", no_lp)
+    monkeypatch.setattr(cutnorm, "_CutLpFamily", no_lp)
     monkeypatch.setattr(domains, "_sweep_pick", counted)
     A = oracles.gnp_adjacency(np.random.default_rng(64), 6, 0.5)
     report = weak_regularity_partition(A, 0.5, bf_cap=4)
@@ -766,7 +812,7 @@ def test_cut_lp_approx_refuses_mixed_signs_outside_the_exact_regimes(monkeypatch
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
-    monkeypatch.setattr(cutnorm, "lp_candidates", no_lp)
+    monkeypatch.setattr(cutnorm, "_CutLpFamily", no_lp)
     side = cutnorm.COMPLETION_CAP + 1
     big = np.random.default_rng(30).integers(-3, 4, size=(side, side)).astype(float)
     with pytest.raises(ValueError, match="mixed-sign"):

@@ -94,8 +94,8 @@ def test_imports_only_runtime_dependencies():
 
 #: the LP relaxation family, reached only by ``cutnorm``'s own routes;
 #: ``cut_norm_lp_upper`` has no caller in the library
-LP_NAMES = {"cut_lp_exact", "cut_lp_approx", "lp_candidates", "build_cut_lp",
-            "solve_cut_lp", "lp_round", "cut_norm_lp_upper"}
+LP_NAMES = {"cut_lp_exact", "cut_lp_approx", "lp_candidates", "build_cut_lp", "solve_cut_lp",
+            "lp_round", "cut_norm_lp_upper", "_lp_grid", "_CutLpFamily"}
 
 
 def test_greedy_path_imports_no_lp():

@@ -343,3 +343,55 @@ def test_segment_guard_decides_like_the_per_row_check_at_large_scales():
         tab = _same_as_reference(A, c, np.array([b * (1 + 1e-3 * k) for k in range(30)]) * 1e9)
         cold += tab.cold_solves
     assert cold > 100
+
+
+def test_solve_chain_at_the_lp_route_shapes_matches_reference():
+    """The cut relaxation of an 8x8 integer matrix (53 entries, 108 rows)
+    over a ``(1 + 0.01)`` geometric ratio grid of 419 right-hand sides,
+    longer than ``SEGMENT_ROWS``, gives the reference's points, values and
+    counters bit for bit.  Three right-hand sides have half their entry
+    rows zeroed, which the kept basis does not solve: the first ends a
+    segment at the first row of its second block, the others in the middle
+    of one block, which the segment leaves at the first of them."""
+    B = np.random.default_rng(1).integers(-3, 4, size=(8, 8)).astype(float)
+    d = e = np.ones(8)
+    A_ub, objective, nnz = oracles.cut_lp_rows(B, d, e)
+    k = len(nnz)
+    bs = np.array([oracles.cut_lp_rhs(B, d, e, nnz, 0.125 * 1.01 ** i)[0] for i in range(419)])
+    assert len(bs) > simplex.SEGMENT_ROWS + 1
+    rng = np.random.default_rng(0)
+    block_start, mid_block = 1 + simplex.SEGMENT_ROWS, 300
+    for r in (block_start, mid_block, 350):
+        bs[r, : 2 * k][rng.random(2 * k) < 0.5] = 0.0
+    segments = []
+    segment = Tableau._segment
+
+    def recorded(self, bs, start, xs, values):
+        end = segment(self, bs, start, xs, values)
+        segments.append((start, end))
+        return end
+
+    with mock.patch.object(Tableau, "_segment", recorded):
+        tab = _same_as_reference(A_ub, objective, bs)
+    # row 0 is solved cold; each edited row, and the row after it, is repaired
+    assert segments[0] == (1, block_start)
+    assert (block_start + 2, mid_block) in segments
+    assert (tab.cold_solves, tab.repairs) == (1, 6)
+
+
+def test_stacked_pricing_keeps_the_per_row_bits():
+    """``Tableau._segment`` prices a block of right-hand sides by one
+    stacked ``np.matmul``; every value must keep the bits of the per-row
+    ``inverse @ b`` and ``cost @ b`` of a single solve, at every tableau
+    height ``m = 2k + 2`` of the LP route up to 110."""
+    for m in range(4, 111, 2):
+        rng = np.random.default_rng(m)
+        inverse, cost = rng.normal(size=(m, m)), rng.normal(size=m)
+        bs = rng.uniform(0.0, 3.0, size=(simplex.SEGMENT_ROWS, m))
+        stack = bs[:, :, None]
+        rhs, products = np.matmul(inverse, stack)[..., 0], np.matmul(cost, stack)[:, 0]
+        for i, b in enumerate(bs):
+            assert (rhs[i].tobytes() == (inverse @ b).tobytes()
+                    and products[i].tobytes() == (cost @ b).tobytes()), (
+                f"NumPy no longer evaluates a stacked matrix-vector product as one gemv per "
+                f"row (m = {m}, row {i}): segment pricing would move the bits of a per-row solve")
