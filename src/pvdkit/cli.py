@@ -368,20 +368,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         info, params, results, certs = HANDLERS[args.command](args)
+        passed = all(c["pass"] for c in certs)
+        report = _jsonable({
+            "version": VERSION,
+            "command": args.command,
+            "input": info,
+            "parameters": params,
+            "results": results,
+            "certificates": certs,
+            "all_certificates_pass": passed,
+        })
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except (InputError, UnsupportedDomain, SimplexError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    passed = all(c["pass"] for c in certs)
-    report = _jsonable({
-        "version": VERSION,
-        "command": args.command,
-        "input": info,
-        "parameters": params,
-        "results": results,
-        "certificates": certs,
-        "all_certificates_pass": passed,
-    })
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -246,19 +245,15 @@ def build_cut_lp(A, d_left, d_right, c: float, sign: int = 1) -> CutLpInstance:
 
 
 def solve_cut_lp(inst: CutLpInstance) -> dict:
-    """Solve one instance; returns levels, per-entry x, and the objective."""
+    """Solve one instance; returns its levels and objective."""
     k = len(inst.nnz)
     m = inst.d_left.shape[0]
     xfull, raw = inst.tableau.solve(inst.b_ub)
-    s = xfull[k : k + m].copy()
-    t = xfull[k + m :].copy()
-    x = np.ldexp(xfull[:k] - inst.b_ub[0 : 2 * k : 2], -inst.exponent)  # x = y - L entrywise
     return {
         "c": inst.c,
         "sign": inst.sign,
-        "s": s,
-        "t": t,
-        "x": dict(zip(inst.nnz, x.tolist())),
+        "s": xfull[k : k + m].copy(),
+        "t": xfull[k + m :].copy(),
         "objective": float(np.ldexp(raw - inst.shift_total, -inst.exponent)),
     }
 
@@ -324,13 +319,13 @@ def _round_levels(A, d, e, s, t, sign: int = 1) -> list:
 
 @lru_cache(maxsize=128)
 def ratio_candidates(sum_left: int, sum_right: int) -> tuple:
-    """All reduced fractions a/b with 1 <= a <= sum_left, 1 <= b <= sum_right,
-    for at most ``RATIO_CAP`` pairs (a, b)."""
+    """Every ratio a/b with 1 <= a <= sum_left, 1 <= b <= sum_right, once and
+    sorted, for at most ``RATIO_CAP`` pairs (a, b): within the cap, distinct
+    reduced fractions are float quotients more than an ulp apart."""
     assert sum_left >= 1 and sum_right >= 1
     if sum_left * sum_right > RATIO_CAP:
         raise ValueError(f"{sum_left * sum_right} LP ratio pairs exceed RATIO_CAP {RATIO_CAP}")
-    fracs = {Fraction(a, b) for a in range(1, sum_left + 1) for b in range(1, sum_right + 1)}
-    return tuple(float(f) for f in sorted(fracs))
+    return tuple(sorted({a / b for a in range(1, sum_left + 1) for b in range(1, sum_right + 1)}))
 
 
 def _lp_grid(A, d_left, d_right, cs, step):

@@ -14,11 +14,10 @@ right-hand side (Chvatal, *Linear Programming*, 1983, ch. 10): a new ``b``
 leaves the reduced costs, hence dual feasibility, untouched, and a dual
 simplex repairs the basic values that turned negative.  A stack of
 right-hand sides is solved by basis segments (``Tableau.solve_chain``): the
-kept basis's inverse and cost line are copied once, a block of rows is
-priced against them by one stacked product (one gemv per row, the bits of a
-single solve) and checked at once; only the row that ends a segment goes
-through the repair.  A pivot is one rank-one update of the rows with a
-nonzero entry in the pivot column.
+kept basis's inverse and cost line are copied once, and each right-hand side
+is priced against them once, in blocks that grow, by one stacked product per
+block (one gemv per row, the bits of a single solve); the repair starts from
+the prices of the row that ends a segment.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ import numpy as np
 #: consecutive degenerate pivots tolerated before switching to Bland's rule
 DEGENERATE_STREAK = 24
 
-#: rows of a basis segment whose points are checked against ``A_ub`` at once
+#: largest block of a basis segment priced and checked against ``A_ub`` at once
 SEGMENT_ROWS = 256
 
 #: pivot, feasibility and optimality tolerance
@@ -47,31 +46,33 @@ class Tableau:
     The first right-hand side is solved by the primal simplex from the
     slack basis.  Later ones are solved by basis segments: the kept
     tableau's slack block (``B^-1``) and the cost line's slack block are
-    copied once, and each block of ``SEGMENT_ROWS`` following ``b`` is
-    priced against them by one stacked ``np.matmul``: one gemv per row, the
-    kernel and operands of a single solve, so its basic values ``B^-1 b``
-    and its value keep their bits.  The segment ends at the block's first
-    ``b`` with a basic value below ``-TOL``; the points before it are
-    written with one scatter and checked against ``A_ub @ x <= b + TOL`` by
-    one product per block, and a row that fails that check also ends it.  A
+    copied once, and the following ``b`` are priced against them in blocks
+    of ``SEGMENT_ROWS // 16`` rows, doubling up to ``SEGMENT_ROWS``, each by
+    one stacked ``np.matmul``: one gemv per row, the kernel and operands of
+    a single solve, so its basic values ``B^-1 b`` and its value keep their
+    bits.  The segment ends at the first ``b`` with a basic value below
+    ``-TOL``; the points before it are written with one scatter and checked
+    against ``A_ub @ x <= b + TOL`` by one product per block, and a row that
+    fails that check also ends it and is solved from the slack basis.  A
     row whose check the block product's rounding could decide otherwise is
     checked by the per-row product a single solve makes, so every decision
-    is that of one solve per row.  The row that ends a segment is priced
-    again on the tableau, and a dual simplex pivots until the basic values
-    are nonnegative (leaving row: most negative value; entering column:
-    least ``|reduced cost| / |entry|`` over the row's negative entries,
-    smallest index on ties), and the primal loop confirms optimality.
-    When the repair runs out of entering columns or pivots, or the point
-    violates ``A_ub @ x <= b + TOL`` or ``x >= -TOL``, the right-hand side
-    is solved again from the slack basis.  A pivot subtracts one rank-one
-    product from the rows whose multiplier is nonzero; the other rows would
-    subtract exact zeros, so they are left as they are.
+    is that of one solve per row.  From the prices of a row with a negative
+    basic value, a dual simplex pivots until the basic values are
+    nonnegative (leaving row: most negative value; entering column: least
+    ``|reduced cost| / |entry|`` over the row's negative entries, smallest
+    index on ties), and the primal loop confirms optimality.  When the
+    repair runs out of entering columns or pivots, or the point violates
+    ``A_ub @ x <= b + TOL`` or ``x >= -TOL``, the right-hand side is solved
+    from the slack basis.  The primal ratio test runs over the rows with a
+    positive entry in the entering column, and a pivot updates only the
+    rows with a nonzero entry in the pivot column.
 
-    ``pivots`` counts every pivot made, ``cold_solves`` the solves that
-    started from the slack basis, ``repairs`` the right-hand sides that took
-    the dual repair, and ``bland_switches`` the primal solves that reached
-    ``DEGENERATE_STREAK`` degenerate pivots in a row.  Every test uses the
-    tolerance ``TOL``; a run may make ``2000 + 50 (m + n)`` pivots.
+    ``pivots`` counts every pivot made, ``priced`` the right-hand sides the
+    segments priced, ``cold_solves`` the solves that started from the slack
+    basis, ``repairs`` the right-hand sides that took the dual repair, and
+    ``bland_switches`` the primal solves that reached ``DEGENERATE_STREAK``
+    degenerate pivots in a row.  Every test uses the tolerance ``TOL``; a
+    run may make ``2000 + 50 (m + n)`` pivots.
     """
 
     def __init__(self, A_ub, c):
@@ -84,6 +85,7 @@ class Tableau:
         self.T = None
         self.basis = None
         self.pivots = 0
+        self.priced = 0
         self.cold_solves = 0
         self.repairs = 0
         self.bland_switches = 0
@@ -111,32 +113,36 @@ class Tableau:
         while i < len(bs):
             point = None
             if self.T is not None:
-                i = self._segment(bs, i, xs, values)
+                i, repair = self._segment(bs, i, xs, values)
                 if i == len(bs):
                     break
-                point = self._warm(bs[i])
+                if repair:
+                    point = self._repair(bs[i])
             xs[i], values[i] = self._cold(bs[i]) if point is None else point
             i += 1
         return xs, values
 
-    def _segment(self, bs, start: int, xs, values) -> int:
+    def _segment(self, bs, start: int, xs, values):
         """Solve the rows ``start, start+1, ...`` of ``bs`` that the kept
-        basis still solves, into ``xs`` and ``values``; the first row it
-        does not solve, or ``len(bs)``."""
+        basis still solves, into ``xs`` and ``values``.  Returns the first
+        row it does not solve, or ``len(bs)``, and whether that row has a
+        basic value below ``-TOL``; if so, the tableau is left priced for it."""
         T, tol = self.T, TOL
         m, n = self.A.shape
         inverse = T[:m, n : n + m].copy()
         cost = T[-1, n : n + m].copy()
         structural = np.flatnonzero(self.basis < n)
         columns = self.basis[structural]
-        lo = start
+        lo, size = start, max(1, SEGMENT_ROWS // 16)
         while lo < len(bs):
-            hi = min(lo + SEGMENT_ROWS, len(bs))
+            hi = min(lo + size, len(bs))
+            size = min(2 * size, SEGMENT_ROWS)
+            self.priced += hi - lo
             stack = bs[lo:hi, :, None]
             rhs = np.matmul(inverse, stack)[..., 0]
             products = np.matmul(cost, stack)[:, 0]
             infeasible = np.flatnonzero(rhs.min(axis=1) < -tol)
-            rows = int(infeasible[0]) if infeasible.size else hi - lo
+            rows = stop = int(infeasible[0]) if infeasible.size else hi - lo
             block = np.zeros((rows, n))
             block[:, columns] = rhs[:rows, structural]
             limit = bs[lo : lo + rows] + tol
@@ -152,16 +158,14 @@ class Tableau:
                 if np.any(self.A @ block[r] > limit[r]):
                     rows = r
                     break
-            if rows:
-                xs[lo : lo + rows] = block[:rows]
-                values[lo : lo + rows] = -products[:rows]
-                # leave the tableau as solving the last accepted row alone would
-                T[:m, -1] = rhs[rows - 1]
-                T[-1, -1] = products[rows - 1]
+            xs[lo : lo + rows] = block[:rows]
+            values[lo : lo + rows] = -products[:rows]
             if lo + rows < hi:
-                return lo + rows
+                if rows == stop:
+                    T[:m, -1], T[-1, -1] = rhs[rows], products[rows]
+                return lo + rows, rows == stop
             lo = hi
-        return lo
+        return lo, False
 
     def _cold(self, b):
         m, n = self.A.shape
@@ -181,22 +185,17 @@ class Tableau:
             raise
         return self._point()
 
-    def _warm(self, b):
-        T = self.T
-        m, n = self.A.shape
-        slack = slice(n, n + m)
-        T[:m, -1] = T[:m, slack] @ b
-        T[-1, -1] = T[-1, slack] @ b
-        if T[:m, -1].min() < -TOL:
-            # the kept basis is no longer primal feasible: repair it
-            self.repairs += 1
-            left = self._dual(self.max_iter)
-            if left is None:
-                return None
-            try:
-                self._primal(left)
-            except SimplexError:
-                return None
+    def _repair(self, b):
+        """The point and value for ``b`` from the tableau priced for it, or
+        None when the repair fails or the point is not feasible."""
+        self.repairs += 1
+        left = self._dual(self.max_iter)
+        if left is None:
+            return None
+        try:
+            self._primal(left)
+        except SimplexError:
+            return None
         x, value = self._point()
         if x.min(initial=0.0) < -TOL or np.any(self.A @ x > b + TOL):
             return None
@@ -244,11 +243,11 @@ class Tableau:
                 j = int(pos[0])  # Bland: smallest index
 
             col = T[:m, j]
-            entering = col > tol
-            if not entering.any():
+            rows = np.flatnonzero(col > tol)
+            if rows.size == 0:
                 raise SimplexError("objective unbounded above")
-            ratios = np.divide(T[:m, -1], col, out=np.full(m, np.inf), where=entering)
-            ties = np.flatnonzero(ratios <= ratios.min() + tol)
+            ratios = T[rows, -1] / col[rows]
+            ties = rows[ratios <= ratios.min() + tol]
             i = int(ties[basis[ties].argmin()])  # smallest basic index on ties
 
             if T[i, -1] <= tol:
@@ -261,10 +260,9 @@ class Tableau:
     def _pivot(self, i: int, j: int) -> None:
         T = self.T
         T[i] /= T[i, j]
-        col = T[:, j].copy()
-        col[i] = 0.0
-        rows = np.flatnonzero(col)
-        T[rows] -= np.multiply.outer(col[rows], T[i])
+        rows = np.flatnonzero(T[:, j])
+        rows = rows[rows != i]
+        T[rows] -= T[rows, j, None] * T[i]
         T[:, j] = 0.0  # keep the pivot column exactly unit
         T[i, j] = 1.0
         self.basis[i] = j

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -323,9 +324,9 @@ class ReferenceTableau:
     as the reference: every row of a chain goes through ``_warm`` on its own
     (reprice, dual repair, per-row feasibility checks), a pivot updates only
     the rows with a nonzero multiplier, and the primal ratio test gathers
-    the rows with a positive entry.  ``pvdkit.simplex.Tableau`` (segment
-    pricing, rank-one pivots, a masked ratio test) must give its points,
-    values and counters bit for bit."""
+    the rows with a positive entry.  ``pvdkit.simplex.Tableau``, which
+    prices each right-hand side once in basis segments and repairs from
+    those prices, must give its points, values and counters bit for bit."""
 
     DEGENERATE_STREAK = 24
 
@@ -459,6 +460,13 @@ class ReferenceTableau:
         x = np.zeros(n + m)
         x[self.basis] = self.T[:m, -1]
         return x[:n], float(-self.T[-1, -1])
+
+
+def ratio_grid(sum_left: int, sum_right: int) -> list:
+    """Every reduced fraction a/b with 1 <= a <= sum_left and
+    1 <= b <= sum_right, as a ``Fraction``, in increasing order."""
+    return sorted({Fraction(a, b) for a in range(1, sum_left + 1)
+                   for b in range(1, sum_right + 1)})
 
 
 def cut_lp_rows(B, d, e):

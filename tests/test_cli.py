@@ -175,6 +175,20 @@ def test_failing_certificate_is_exit_one(tmp_path, capsys, monkeypatch):
     assert rep["all_certificates_pass"] is False
 
 
+def test_nan_in_a_report_is_exit_two(tmp_path, capsys, monkeypatch):
+    def fake(args):
+        return ({"path": "x", "format": "json", "shape": [1, 1]}, {}, {"value": float("nan")},
+                [{"name": "passes", "lhs": 0.0, "rhs": 1.0, "pass": True}])
+
+    monkeypatch.setitem(cli.HANDLERS, "pvd", fake)
+    out = tmp_path / "report.json"
+    code = cli.main(["pvd", "--input", _graph_file(tmp_path), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: NaN in report\n" and captured.out == ""
+    assert not out.exists()
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = cli.main(["cutnorm", "--input", _mtx_file(tmp_path), "--output", str(out)])

@@ -1,6 +1,9 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -472,16 +475,45 @@ def test_ratio_candidates_are_reduced_and_complete():
     assert len(cs) == len(set(cs))
 
 
+def test_ratio_candidates_match_the_fraction_grid():
+    """The float quotients are the reduced fractions: every grid up to
+    40x40, and the grids at the edge of ``RATIO_CAP``, equal the sorted
+    ``Fraction`` grid of the oracle as floats, bit for bit.  The reduced
+    fractions of an (a, b) grid are those of the 40x40 grid with numerator
+    at most a and denominator at most b."""
+    full = oracles.ratio_grid(40, 40)
+    for a in range(1, 41):
+        for b in range(1, 41):
+            want = tuple(float(f) for f in full if f.numerator <= a and f.denominator <= b)
+            assert ratio_candidates(a, b) == want, (a, b)
+    cap = cutnorm.RATIO_CAP
+    for a, b in ((256, 256), (1, cap), (cap, 1)):
+        assert ratio_candidates(a, b) == tuple(map(float, oracles.ratio_grid(a, b))), (a, b)
+    ratio_candidates.cache_clear()
+
+
+def test_importing_the_cli_loads_no_fractions_or_decimal():
+    code = "import sys, pvdkit.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_ratio_grid_past_its_cap_is_refused_before_any_fraction(monkeypatch):
-    """More than ``RATIO_CAP`` pairs ``(a, b)`` are refused before one
-    ``Fraction`` is built, so ``cut_lp_exact`` on weight masses of 600 and
-    600 raises at once and solves no LP."""
-    monkeypatch.setattr(cutnorm, "Fraction", _refuses)
+    """More than ``RATIO_CAP`` pairs ``(a, b)`` are refused before the grid
+    is built (a refused grid of 65,792 pairs allocates less than its floats
+    would), so ``cut_lp_exact`` on weight masses of 600 and 600 raises at
+    once and solves no LP."""
     monkeypatch.setattr(cutnorm, "_CutLpFamily", _refuses)
     cap = cutnorm.RATIO_CAP
-    for a, b in ((cap + 1, 1), (1, cap + 1), (257, 256)):
-        with pytest.raises(ValueError, match=f"^{a * b} LP ratio pairs exceed RATIO_CAP"):
-            ratio_candidates(a, b)
+
+    def refuse():
+        for a, b in ((cap + 1, 1), (1, cap + 1), (257, 256)):
+            with pytest.raises(ValueError, match=f"^{a * b} LP ratio pairs exceed RATIO_CAP"):
+                ratio_candidates(a, b)
+
+    assert _traced(refuse)[0] < 8 * 65_792
     with pytest.raises(ValueError, match="RATIO_CAP"):
         cut_lp_exact(np.ones((2, 2)), [300.0, 300.0])
 

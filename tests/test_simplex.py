@@ -345,38 +345,69 @@ def test_segment_guard_decides_like_the_per_row_check_at_large_scales():
     assert cold > 100
 
 
-def test_solve_chain_at_the_lp_route_shapes_matches_reference():
+def _lp_route_chain():
     """The cut relaxation of an 8x8 integer matrix (53 entries, 108 rows)
-    over a ``(1 + 0.01)`` geometric ratio grid of 419 right-hand sides,
-    longer than ``SEGMENT_ROWS``, gives the reference's points, values and
-    counters bit for bit.  Three right-hand sides have half their entry
-    rows zeroed, which the kept basis does not solve: the first ends a
-    segment at the first row of its second block, the others in the middle
-    of one block, which the segment leaves at the first of them."""
+    over a ``(1 + 0.01)`` geometric ratio grid of 419 right-hand sides, three
+    of them (rows 257, 300 and 350) with half their entry rows zeroed."""
     B = np.random.default_rng(1).integers(-3, 4, size=(8, 8)).astype(float)
     d = e = np.ones(8)
     A_ub, objective, nnz = oracles.cut_lp_rows(B, d, e)
     k = len(nnz)
     bs = np.array([oracles.cut_lp_rhs(B, d, e, nnz, 0.125 * 1.01 ** i)[0] for i in range(419)])
-    assert len(bs) > simplex.SEGMENT_ROWS + 1
     rng = np.random.default_rng(0)
-    block_start, mid_block = 1 + simplex.SEGMENT_ROWS, 300
-    for r in (block_start, mid_block, 350):
+    for r in (1 + simplex.SEGMENT_ROWS, 300, 350):
         bs[r, : 2 * k][rng.random(2 * k) < 0.5] = 0.0
+    return A_ub, objective, bs
+
+
+def _recorded_segments(A_ub, objective, bs) -> tuple:
+    """The reference check of the chain, and each ``_segment`` call's start,
+    end and rows priced."""
     segments = []
     segment = Tableau._segment
 
     def recorded(self, bs, start, xs, values):
-        end = segment(self, bs, start, xs, values)
-        segments.append((start, end))
-        return end
+        priced = self.priced
+        end, repair = segment(self, bs, start, xs, values)
+        segments.append((start, end, self.priced - priced))
+        return end, repair
 
     with mock.patch.object(Tableau, "_segment", recorded):
-        tab = _same_as_reference(A_ub, objective, bs)
+        return _same_as_reference(A_ub, objective, bs), segments
+
+
+def test_solve_chain_at_the_lp_route_shapes_matches_reference():
+    """The chain of ``_lp_route_chain``, longer than ``SEGMENT_ROWS``, gives
+    the reference's points, values and counters bit for bit.  The kept basis
+    does not solve the three edited right-hand sides: the first ends a
+    segment past its first ``SEGMENT_ROWS`` rows, the others in the middle
+    of a block, which the segment leaves at the first of them."""
+    A_ub, objective, bs = _lp_route_chain()
+    assert len(bs) > simplex.SEGMENT_ROWS + 1
+    block_start, mid_block = 1 + simplex.SEGMENT_ROWS, 300
+    tab, recorded = _recorded_segments(A_ub, objective, bs)
+    segments = [(start, end) for start, end, _ in recorded]
     # row 0 is solved cold; each edited row, and the row after it, is repaired
     assert segments[0] == (1, block_start)
     assert (block_start + 2, mid_block) in segments
     assert (tab.cold_solves, tab.repairs) == (1, 6)
+
+
+def test_segments_price_only_as_far_as_they_reach():
+    """A segment prices blocks of ``SEGMENT_ROWS // 16`` rows, doubling up to
+    ``SEGMENT_ROWS``, from each start, so it prices past the row it ends at
+    by less than its last block; the chain still matches the reference."""
+    A_ub, objective, bs = _lp_route_chain()
+    tab, segments = _recorded_segments(A_ub, objective, bs)
+    assert len(segments) > 3
+    for start, end, priced in segments:
+        reach = min(end + 1, len(bs))  # the accepted rows and the one it ends at
+        lo, size = start, simplex.SEGMENT_ROWS // 16
+        while lo + size < reach:
+            lo, size = lo + size, min(2 * size, simplex.SEGMENT_ROWS)
+        assert priced == min(lo + size, len(bs)) - start, (start, end)
+        assert 0 <= priced - (reach - start) < size, (start, end)
+    assert tab.priced == sum(priced for _, _, priced in segments)
 
 
 def test_stacked_pricing_keeps_the_per_row_bits():
