@@ -6,6 +6,11 @@ floats, no timestamps.  Certificates are (name, lhs, rhs, pass) records; the
 process exits 0 only when every certificate in the report passed, 1 when any
 failed, and 2 on usage or input errors.  Each subcommand takes only the
 options its handler reads (``COMMANDS``); any other option is a usage error.
+
+A handler brings its input and weights to unit scale once
+(``linalg.unit_scale``), computes there, and scales its results and
+certificates back (``linalg.in_units``), so every value is reported in the
+input's units.
 """
 from __future__ import annotations
 
@@ -16,6 +21,7 @@ import math
 import sys
 
 import numpy as np
+import numpy.linalg as la
 
 from .cutnorm import (BRUTE_FORCE_CAP, _sweep_exact, cut_lp_approx, cut_lp_exact,
                       integer_weights, normalized_cut_bruteforce, rectangle_value)
@@ -24,7 +30,7 @@ from .graphs import (EXHAUSTIVE_PARTITION_CAP, core_density, cut_pseudorandomnes
                      degree_weights, lp_upper_regularity_check, row_sums,
                      spectral_projection_values, threshold_rank)
 from .io import InputError, guess_format, load_matrix, read_json_tensor, read_weights
-from .linalg import ATOL, frob_norm, stable_norm, whitened
+from .linalg import frob_norm, in_units, unit_atol, unit_scale, unit_weights, whitened
 from .pvd import certificate, compute_pvd, roundoff_slack, verify_pvd
 from .regularity import max_cut_details, szemeredi_partition, weak_regularity_partition
 from .simplex import SimplexError
@@ -56,20 +62,19 @@ def _jsonable(obj):
     return obj
 
 
-def resolve_weights(ip: str, A: np.ndarray) -> list:
-    """One weight vector per mode of ``A`` for the chosen inner product,
-    refused when the smallest weights of the modes multiply below the normal
-    float range, or their weight masses beyond it."""
-    weights = _weights(ip, A)
+def resolve_weights(ip: str, A: np.ndarray) -> tuple:
+    """One weight vector per mode of ``A`` for the chosen inner product at
+    unit scale, and the exponent that brought them there
+    (``linalg.unit_weights``).  Refused when the smallest weights of the
+    modes multiply below the normal float range, as weights that span most
+    of it can: the weight masses of the rectangles would underflow."""
+    weights, a = unit_weights(_weights(ip, A))
     smallest = math.prod(float(w.min()) for w in weights)
     if smallest < sys.float_info.min:
         raise ValueError(f"--ip {ip}: the smallest weights of the modes multiply to "
                          f"{smallest:.3g}, below the normal float range, so the weight "
                          "masses of the rectangles underflow")
-    if not math.isfinite(math.prod(sum(w.tolist()) for w in weights)):
-        raise ValueError(f"--ip {ip}: the weight masses of the modes multiply beyond "
-                         "the float range, so the whitener overflows")
-    return weights
+    return weights, a
 
 
 def _weights(ip: str, A: np.ndarray) -> list:
@@ -107,6 +112,17 @@ def _load(args):
     return A, info
 
 
+def _scaled(A, ip: str, tol_abs) -> tuple:
+    """``A`` and its weights at unit scale (``resolve_weights``), the
+    ``--tol-abs`` given in the input's units there, and the exponents
+    (plain, whitened) that ``in_units`` takes the report back with.  Degree
+    weights are taken of ``A`` at unit scale, so they carry its exponent."""
+    A, k = unit_scale(A)
+    weights, a = resolve_weights(ip, A)
+    w = k - A.ndim * (a + (k if ip.startswith("degree") else 0)) // 2
+    return A, weights, unit_atol(tol_abs, w), (k, w)
+
+
 # ---------------------------------------------------------------- commands
 
 def _run_results(result) -> dict:
@@ -122,9 +138,9 @@ def _run_results(result) -> dict:
 
 def cmd_pvd(args):
     A, info = _load(args)
-    d, e = resolve_weights(args.ip, A)
+    A, (d, e), atol, units = _scaled(A, args.ip, args.tol_abs)
     domain = CutDomain(d, e, bf_cap=args.bf_cap)
-    result = compute_pvd(A, domain, max_terms=args.r, atol=args.tol_abs)
+    result = compute_pvd(A, domain, max_terms=args.r, atol=atol)
     # the cut domain is always verifiable; any refusal is an error (exit 2),
     # never an empty, passing certificate list
     certs = verify_pvd(result)["certificates"]
@@ -134,32 +150,32 @@ def cmd_pvd(args):
         "residual_pnorm": result.residual_pnorm,
         "verified": True,
     }
-    return info, {"r": args.r, "ip": args.ip}, results, certs
+    return info, {"r": args.r, "ip": args.ip}, *in_units((results, certs), *units)
 
 
 def cmd_cutnorm(args):
     A, info = _load(args)
-    d, e = resolve_weights(args.ip, A)
+    A, (d, e), atol, units = _scaled(A, args.ip, args.tol_abs)
     exact = _sweep_exact(A.shape, args.bf_cap)
-    slack = roundoff_slack(stable_norm(whitened(A, d, e)))
+    slack = roundoff_slack(float(la.norm(whitened(A, d, e))))
     certs = []
     if args.eps is not None:
         method = "lp-approx"
-        pair = cut_lp_approx(A, args.eps, d, e, atol=args.tol_abs)
+        pair = cut_lp_approx(A, args.eps, d, e, atol=atol)
         if exact:
-            best = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=args.tol_abs)
+            best = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=atol)
             certs.append(certificate("approx-guarantee",
                                      abs(best.value) / (1.0 + args.eps) - abs(pair.value), slack))
     elif exact:
         method = "bruteforce"
-        pair = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=args.tol_abs)
+        pair = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=atol)
         if integer_weights(d) and integer_weights(e):
-            other = cut_lp_exact(A, d, e, atol=args.tol_abs)
+            other = cut_lp_exact(A, d, e, atol=atol)
             certs.append(certificate("dual-route-agreement",
                                      abs(abs(pair.value) - abs(other.value)), max(1e-6, slack)))
     else:
         method = "lp-exact"
-        pair = cut_lp_exact(A, d, e, atol=args.tol_abs)
+        pair = cut_lp_exact(A, d, e, atol=atol)
     witness = rectangle_value(A, d, e, pair.S, pair.T) if pair.S else 0.0
     certs.insert(0, certificate("witness-consistency", abs(pair.value - witness), slack))
     results = {
@@ -169,17 +185,17 @@ def cmd_cutnorm(args):
         "T": list(pair.T),
         "method": method,
     }
-    return info, {"eps": args.eps, "ip": args.ip}, results, certs
+    return info, {"eps": args.eps, "ip": args.ip}, *in_units((results, certs), *units)
 
 
-def _partition_input(args):
-    """The input, its description and the left weights of a partition
-    subcommand, which needs ``--eps``."""
+def _partition_input(args, tol_abs=None):
+    """The input of a partition subcommand, which needs ``--eps``, as
+    ``_scaled`` gives it with its left weights, and its description."""
     A, info = _load(args)
     if args.eps is None:
         raise ValueError(f"--eps is required for {args.command}")
-    d, _ = resolve_weights(args.ip, A)
-    return A, info, d
+    A, (d, _), atol, units = _scaled(A, args.ip, tol_abs)
+    return A, d, atol, units, info
 
 
 def _partition_results(rep) -> dict:
@@ -195,32 +211,31 @@ def _partition_results(rep) -> dict:
 
 
 def cmd_weakreg(args):
-    A, info, d = _partition_input(args)
-    rep = weak_regularity_partition(A, args.eps, weights=d, atol=args.tol_abs,
-                                    bf_cap=args.bf_cap)
+    A, d, atol, units, info = _partition_input(args, args.tol_abs)
+    rep = weak_regularity_partition(A, args.eps, weights=d, atol=atol, bf_cap=args.bf_cap)
     results = _partition_results(rep) | rep.details | {
         "irregularity_exact": True,
         "block_deviation": rep.block_deviation,
     }
-    return info, {"eps": args.eps, "ip": args.ip}, results, list(rep.certificates)
+    return info, {"eps": args.eps, "ip": args.ip}, *in_units((results, rep.certificates), *units)
 
 
 def cmd_szemreg(args):
-    A, info, d = _partition_input(args)
+    A, d, atol, units, info = _partition_input(args, args.tol_abs)
     rep = szemeredi_partition(A, args.eps, base=args.base, weights=d,
-                              atol=args.tol_abs, bf_cap=args.bf_cap)
+                              atol=atol, bf_cap=args.bf_cap)
     results = _partition_results(rep) | rep.details
-    return info, {"eps": args.eps, "base": args.base, "ip": args.ip}, results, list(rep.certificates)
+    params = {"eps": args.eps, "base": args.base, "ip": args.ip}
+    return info, params, *in_units((results, rep.certificates), *units)
 
 
 def cmd_classes(args):
     A, info = _load(args)
-    d, _ = resolve_weights(args.ip, A)
+    A, (d, _), atol, units = _scaled(A, args.ip, args.tol_abs)
     eps = 0.25 if args.eps is None else args.eps
     r = 3 if args.r is None else args.r
     r = min(r, A.size)
-    profile = cut_pseudorandomness_profile(A, weights=d, r=r, atol=args.tol_abs,
-                                           bf_cap=args.bf_cap)
+    profile = cut_pseudorandomness_profile(A, weights=d, r=r, atol=atol, bf_cap=args.bf_cap)
     spectral = spectral_projection_values(A, weights=d, r=r)
     mode = "exhaustive" if A.shape[0] <= EXHAUSTIVE_PARTITION_CAP else "sampled"
     lp_ratio, lp_parts = lp_upper_regularity_check(A, args.p, args.eta, mode=mode,
@@ -238,7 +253,7 @@ def cmd_classes(args):
     }
     certs = [
         certificate("majorization",
-                    profile.sigma_prefix_norm, stable_norm(spectral[:r]) + 1e-8),
+                    profile.sigma_prefix_norm, float(la.norm(spectral[:r])) + 1e-8),
         certificate("core-density-identity",
                     abs(core - core_other), 1e-10 * max(1.0, core_other)),
     ]
@@ -247,31 +262,32 @@ def cmd_classes(args):
                                  abs(profile.cut_mass_ratio - 1.0), 0.0))
     params = {"eps": eps, "r": r, "p": args.p, "eta": args.eta,
               "ip": args.ip, "seed": args.seed}
-    return info, params, results, certs
+    return info, params, *in_units((results, certs), *units)
 
 
 def cmd_cur(args):
     A, info = _load(args)
     if args.eps is None:
         raise ValueError("--eps is required for cur")
-    _approx, result, cert = cur_pvd(A, args.eps, atol=args.tol_abs)
+    A, _, atol, units = _scaled(A, "euclidean", args.tol_abs)
+    _approx, result, cert = cur_pvd(A, args.eps, atol=atol)
     results = _run_results(result) | {"residual_pnorm_of_truncation": cert["lhs"]}
-    return info, {"eps": args.eps}, results, [cert]
+    return info, {"eps": args.eps}, *in_units((results, [cert]), *units)
 
 
 def cmd_tensor(args):
     T = read_json_tensor(args.input)
     info = {"path": args.input, "format": "json", "shape": list(T.shape)}
-    weights = resolve_weights(args.ip, T)
+    T, weights, atol, units = _scaled(T, args.ip, args.tol_abs)
     domain = CutTuples(weights)
     r = 2 if args.r is None else args.r
-    check = tensor_bound_check(T, domain, r, atol=args.tol_abs)
+    check = tensor_bound_check(T, domain, r, atol=atol)
     results = {"r": r, "sigmas": check["sigmas"], "domain_size": domain.size()}
-    return info, {"r": r, "ip": args.ip}, results, list(check["certificates"])
+    return info, {"r": r, "ip": args.ip}, *in_units((results, check["certificates"]), *units)
 
 
 def cmd_maxcut(args):
-    A, info, d = _partition_input(args)
+    A, d, _, units, info = _partition_input(args)
     results = max_cut_details(A, args.eps, delta=args.delta, weights=d,
                               bf_cap=args.bf_cap)
     certs = list(results.pop("report").certificates)
@@ -281,7 +297,8 @@ def cmd_maxcut(args):
         slack = results["weak_irregularity_ub"] + results["grid_term"]
         certs.append(certificate("estimate-vs-bruteforce",
                                  abs(results["estimate"] - best), slack + 1e-6))
-    return info, {"eps": args.eps, "delta": results["delta"], "ip": args.ip}, results, certs
+    params = {"eps": args.eps, "delta": results["delta"], "ip": args.ip}
+    return info, params, *in_units((results, certs), *units)
 
 
 def _finite(text: str) -> float:
@@ -316,7 +333,7 @@ OPTIONS = {
     "eta": dict(type=_finite, default=0.5),
     "base": dict(type=_finite, default=16.0),
     "delta": dict(type=_finite, default=None),
-    "tol-abs": dict(type=_nonnegative, default=ATOL),
+    "tol-abs": dict(type=_nonnegative, default=None),
     "bf-cap": dict(type=int, default=BRUTE_FORCE_CAP),
     "samples": dict(type=int, default=10_000),
     "seed": dict(type=int, default=0),

@@ -308,7 +308,7 @@ def _distinct_directions(vectors):
     keep = []
     units = np.empty(vectors.shape)  # the kept copies fill its leading rows
     for k, x in enumerate(vectors):
-        nx = stable_norm(x)
+        nx = stable_norm(x)  # a row far below the largest entry keeps its digits
         if nx == 0.0:
             continue
         u = _orient(x / nx)

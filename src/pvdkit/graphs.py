@@ -1,6 +1,10 @@
 """Graph statistics tied to the cut decomposition: threshold rank, core
 density, block-density regularity ratios, and projection-value profiles
 under a chosen diagonal inner product.
+
+Each entry but the block-density check takes its adjacency matrix and
+weights at unit scale (``linalg.unit_scale``) and reports in the input's
+units; the threshold rank and the core density carry none.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import numpy.linalg as la
 
 from .cutnorm import BRUTE_FORCE_CAP
 from .domains import CutDomain
-from .linalg import ATOL, _unit_exponent, as_adjacency, as_weights, stable_norm, whitened
+from .linalg import as_adjacency, as_weights, in_units, unit_atol, unit_scale, whitened
 from .pvd import compute_pvd
 from .regularity import Partition
 
@@ -49,7 +53,7 @@ def threshold_rank(A, eps: float) -> float:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    A = as_adjacency(A)
+    A, _ = unit_scale(as_adjacency(A))
     d = degree_weights(A)
     lam = la.eigvalsh(_symmetrized_whitened(A, d))
     keep = lam[lam > eps]
@@ -63,14 +67,13 @@ def core_density(A) -> float:
     avg is the average weighted degree.  Vertices of zero degree are fine as
     long as the graph is nonempty.
     """
-    A = as_adjacency(A, symmetric=False)
+    A, _ = unit_scale(as_adjacency(A, symmetric=False))
     deg = A @ np.ones(A.shape[0])
     avg = float(deg.mean())
     if avg <= 0:
         raise ValueError("empty graph: average degree is zero")
-    k = _unit_exponent(deg + avg)  # one scale for ``A`` and ``w``, so no term moves
-    w = np.ldexp(deg + avg, k)
-    return float(np.sum(np.ldexp(A, k) ** 2 / np.outer(w, w)))
+    w = deg + avg
+    return float(np.sum(A ** 2 / np.outer(w, w)))
 
 
 def spectral_projection_values(A, weights=None, r: int | None = None) -> Array:
@@ -80,16 +83,15 @@ def spectral_projection_values(A, weights=None, r: int | None = None) -> Array:
     result majorizes (in cumulative l2 norm) the projection-value sequence of
     the cut decomposition under the same weights.
     """
-    A = as_adjacency(A, nonnegative=False)
-    n = A.shape[0]
-    d = as_weights(weights, n, "weights")
+    A, k = unit_scale(as_adjacency(A, nonnegative=False))
+    d, a = unit_scale(as_weights(weights, A.shape[0], "weights"))
     lam = la.eigvalsh(_symmetrized_whitened(A, d))
     vals = np.sort(np.abs(lam))[::-1]
     if r is not None:
         if r < 0:
             raise ValueError("r must be nonnegative")
         vals = vals[:r]
-    return vals
+    return np.ldexp(vals, a - k)
 
 
 @dataclass
@@ -103,7 +105,7 @@ class PseudorandomnessProfile:
 
 
 def cut_pseudorandomness_profile(A, weights=None, r: int = 1,
-                                 atol: float = ATOL,
+                                 atol: float | None = None,
                                  bf_cap: int = BRUTE_FORCE_CAP) -> PseudorandomnessProfile:
     """Profile the first r cut projection values against the graph's cut mass.
 
@@ -114,26 +116,27 @@ def cut_pseudorandomness_profile(A, weights=None, r: int = 1,
     ``certificate_ratio`` divides the prefix norm ||(sigma_1..sigma_r)||_2 by
     the cut mass ratio (0 when the graph is empty).
     """
-    A = as_adjacency(A, symmetric=False)
+    A, k = unit_scale(as_adjacency(A, symmetric=False))
     n = A.shape[0]
     if r < 1:
         raise ValueError("r must be at least 1")
     deg = A @ np.ones(n)
-    d = as_weights(weights, n, "weights")
-    result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap), max_terms=r, atol=atol)
-    prefix = stable_norm(result.sigmas[:r])
+    d, a = unit_scale(as_weights(weights, n, "weights"))
+    result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap), max_terms=r,
+                         atol=unit_atol(atol, k - a))
+    prefix = float(la.norm(result.sigmas[:r]))
     cut_mass = float(np.sum(deg))
     ones_mass = float(np.sum(d))
     ratio = cut_mass / ones_mass
     cert = prefix / ratio if ratio > 0 else 0.0
-    return PseudorandomnessProfile(
+    return in_units(PseudorandomnessProfile(
         r=r,
         sigma_prefix_norm=prefix,
         cut_mass_ratio=ratio,
         certificate_ratio=cert,
         sigmas=result.sigmas,
         exhausted=result.exhausted,
-    )
+    ), k, k - a)
 
 
 def lp_upper_regularity_check(A, p: float, eta: float, mode: str = "exhaustive",
@@ -191,6 +194,9 @@ def lp_upper_regularity_check(A, p: float, eta: float, mode: str = "exhaustive",
         raise ValueError("empty graph: zero cut mass")
     mean_density = total / n ** 2
     top = float(A.max())
+    # the ratio carries no unit, and its powers do not scale exactly, so
+    # ``A`` is taken as given: ``top`` at unit scale (below 2^10, as the CLI
+    # passes it) reaches this only with ``p`` past about 100
     if p * math.log(top) > math.log(np.finfo(float).max):
         raise ValueError(f"block densities overflow: {top:.3g} to the power {p}")
 

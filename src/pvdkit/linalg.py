@@ -6,6 +6,7 @@ bookkeeping once so the rest of the package can stay in whitened coordinates.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -86,17 +87,101 @@ def ip_norm(x, d=None) -> float:
     return float(np.sqrt(max(ip_dot(x, x, d), 0.0)))
 
 
-def stable_norm(x) -> float:
-    """Euclidean norm of ``x`` flattened: ``numpy.linalg.norm`` unchanged
-    wherever that is finite, else the norm of ``x`` scaled by its largest
-    magnitude, times that magnitude, so squares beyond the float range do
-    not overflow."""
+def unit_scale(X) -> tuple:
+    """``(X * 2**k, k)``: ``k`` is 0 where the largest |entry| of ``X`` is 0
+    or lies in [2^-10, 2^10), else the ``k`` that brings it into [1, 2).
+
+    Each public entry takes its array and weights through this, runs its
+    arithmetic and its absolute floors (``ATOL`` among them) at unit scale,
+    and gives its values back in the input's units (``in_units``).  A
+    power-of-two scaling is exact short of underflow, so an input and its
+    power-of-two multiples outside the window run one computation."""
+    X = np.asarray(X, dtype=float)
+    big = float(np.abs(X).max(initial=0.0))
+    if big == 0.0 or 2.0**-10 <= big < 2.0**10:
+        return X, 0
+    k = 1 - math.frexp(big)[1]
+    return np.ldexp(X, k), k
+
+
+def unit_weights(weights) -> tuple:
+    """The weight vectors of one input times the one ``2**a`` that
+    ``unit_scale`` finds for all of them, and ``a``, made even for an odd
+    number of vectors so that the whitener scales by ``2**(a * len / 2)``."""
+    _, a = unit_scale(np.concatenate(weights))
+    a -= a * len(weights) % 2
+    return [np.ldexp(w, a) for w in weights], a
+
+
+def unit_atol(atol, e: int) -> float:
+    """A tolerance at unit scale: ``ATOL`` by default, else ``atol``, given
+    in the input's units, times ``2**e``."""
+    return ATOL if atol is None else float(np.ldexp(atol, e))
+
+
+#: the fields and certificate names whose values carry the input's unit
+#: (plain), the whitened input's (white) or its square (mass), in the
+#: library's records and the CLI's reports alike; all others carry none
+_UNITS = {
+    "plain": "source increments approx_matrix weak_irregularity_ub szemeredi_irregularity_ub "
+             "bound_certificate block_deviation estimate grid_term residual_pnorm_of_truncation "
+             "cut-norm-chain block-constance first-term-control second-term-control "
+             "estimate-vs-bruteforce cur-chain",
+    "white": "values sigmas coeffs coefficients step_values residual_pnorm source_frob_norm atol "
+             "value signed_value spectral_projection_values sigma_prefix_norm cut_mass_ratio "
+             "projection-identity step-dominance truncation-chain-residual "
+             "truncation-chain-source threshold-stop residual-vs-tail tail-vs-source "
+             "residual-consistency gap-scale witness-consistency approx-guarantee "
+             "dual-route-agreement majorization",
+    "mass": "windows mass_horizon window pigeonhole-window window-captures-gap",
+}
+
+
+def in_units(obj, k: int, w: int):
+    """``obj``, computed at unit scale, in the input's units: each value that
+    ``_UNITS`` names, in dicts, lists, tuples and dataclasses at any depth,
+    times ``2**-k`` (plain), ``2**-w`` (white) or ``2**-2w`` (mass), where
+    ``2**k`` and ``2**w`` brought the input and its whitened form to unit
+    scale.  A certificate (a dict with a ``name``) scales its ``lhs`` and
+    ``rhs`` by its name and keeps the ``pass`` decided at unit scale.  A
+    value beyond the float range in the input's units is inf, which the CLI
+    reports as ``"overflow"``."""
+    if not (k or w):
+        return obj
+    power = {name: -e for kind, e in (("plain", k), ("white", w), ("mass", 2 * w))
+             for name in _UNITS[kind].split()}
+
+    def times(x, e: int):
+        if x is None or not e:
+            return x
+        if isinstance(x, list):
+            return [times(v, e) for v in x]
+        return np.ldexp(x, e) if isinstance(x, np.ndarray) else float(np.ldexp(x, e))
+
+    def walk(x):
+        if isinstance(x, dict):
+            if "name" in x:
+                e = power.get(x["name"], 0)
+                return x | {"lhs": times(x["lhs"], e), "rhs": times(x["rhs"], e)}
+            return {key: times(v, power[key]) if key in power else walk(v)
+                    for key, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return type(x)(walk(v) for v in x)
+        if dataclasses.is_dataclass(x) and not isinstance(x, type):
+            return dataclasses.replace(x, **walk(
+                {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}))
+        return x
+
     with np.errstate(over="ignore"):
-        value = float(la.norm(x))
-    if math.isfinite(value):
-        return value
-    big = float(np.max(np.abs(x)))
-    return big * float(la.norm(x / big))
+        return walk(obj)
+
+
+def stable_norm(x) -> float:
+    """Euclidean norm of ``x`` flattened, taken at unit scale, so that
+    squares beyond the float range do not overflow: for values in a
+    caller's units, such as a result's projection values."""
+    x, k = unit_scale(x)
+    return float(np.ldexp(la.norm(x), -k))
 
 
 def whitened(A, d_left=None, d_right=None) -> Array:
@@ -104,27 +189,19 @@ def whitened(A, d_left=None, d_right=None) -> Array:
 
     Weighted Frobenius/spectral/form quantities of ``A`` equal the plain
     Euclidean ones of the whitened matrix, which is how they are computed
-    throughout the package.
+    throughout the package.  Callers pass arrays and weights at unit scale,
+    where the outer product of the weights stays in the float range.
     """
     A = as_matrix(A)
     m, n = A.shape
     d = as_weights(d_left, m, "left weights")
     e = as_weights(d_right, n, "right weights")
-    kd, ke = _unit_exponent(d), _unit_exponent(e)
-    ke -= (kd + ke) % 2  # so that the square root halves an even exponent
-    return np.ldexp(A / np.sqrt(np.outer(np.ldexp(d, kd), np.ldexp(e, ke))), (kd + ke) // 2)
-
-
-def _unit_exponent(x) -> int:
-    """The ``k`` that scales the largest magnitude of ``x`` into [1, 2) as
-    ``x * 2**k``.  Operands scaled so, and the result scaled back, keep the
-    products and quotients of entries near the float limits finite, and
-    change no bit short of underflow."""
-    return 1 - math.frexp(float(np.abs(x).max()))[1]
+    return A / np.sqrt(np.outer(d, e))
 
 
 def frob_inner(X, Y, d_left=None, d_right=None) -> float:
-    """Weighted Frobenius inner product ``sum_ij X_ij Y_ij / (d_i e_j)``."""
+    """Weighted Frobenius inner product ``sum_ij X_ij Y_ij / (d_i e_j)``, of
+    arrays and weights at unit scale."""
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
     if X.shape != Y.shape:
@@ -132,9 +209,7 @@ def frob_inner(X, Y, d_left=None, d_right=None) -> float:
     m, n = X.shape
     d = as_weights(d_left, m, "left weights")
     e = as_weights(d_right, n, "right weights")
-    k = [_unit_exponent(M) for M in (X, Y, d, e)]
-    X, Y, d, e = (np.ldexp(M, j) for M, j in zip((X, Y, d, e), k))
-    return float(np.ldexp(np.sum(X * Y / np.outer(d, e)), k[2] + k[3] - k[0] - k[1]))
+    return float(np.sum(X * Y / np.outer(d, e)))
 
 
 def frob_norm(X, d_left=None, d_right=None) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 import numpy.linalg as la
 
 from .domains import CutDomain, UnsupportedDomain
-from .linalg import ATOL, DEPENDENCE_RTOL, stable_norm
+from .linalg import ATOL, DEPENDENCE_RTOL, in_units, stable_norm, unit_atol, unit_scale
 
 Array = np.ndarray
 
@@ -43,7 +43,7 @@ class PvdResult:
     worked with. ``residual_pnorm`` is the domain-restricted
     norm of the final residual; ``exhausted`` says whether it is at most the
     stopping threshold ``atol`` (as opposed to the run hitting ``max_terms``
-    or a numerically dependent atom).
+    or a numerically dependent atom).  Values are in the source's units.
     """
 
     domain: object
@@ -122,7 +122,7 @@ def orthogonal_increment(candidate, basis, d_left=None, d_right=None):
     return q.reshape(C.shape) * wh
 
 
-def compute_pvd(source, domain, max_terms=None, atol: float = ATOL) -> PvdResult:
+def compute_pvd(source, domain, max_terms=None, atol: float | None = None) -> PvdResult:
     """Run the greedy projection decomposition of ``source`` over ``domain``.
 
     Parameters
@@ -136,7 +136,11 @@ def compute_pvd(source, domain, max_terms=None, atol: float = ATOL) -> PvdResult
         domain-restricted norm falls below ``atol`` (never more than
         ``source.size`` steps).
     atol : float, optional
-        Stopping threshold and tie-band width (default ``linalg.ATOL``).
+        Stopping threshold and tie-band width, in the source's units
+        (default ``linalg.ATOL`` at unit scale).
+
+    The engine runs on the whitened source at unit scale
+    (``linalg.unit_scale``); the values it records are scaled back.
 
     Returns
     -------
@@ -152,7 +156,8 @@ def compute_pvd(source, domain, max_terms=None, atol: float = ATOL) -> PvdResult
     if cap < 0:
         raise ValueError("max_terms must be nonnegative")
 
-    Aw = A / domain.whitener
+    Aw, k = unit_scale(A / domain.whitener)
+    atol = unit_atol(atol, k)
     Rw = Aw.copy()
     basis = np.zeros((cap, N))
     keys: list = []
@@ -191,19 +196,20 @@ def compute_pvd(source, domain, max_terms=None, atol: float = ATOL) -> PvdResult
 
     basis = basis[:used]
     wh = domain.whitener
+    coeffs = np.ldexp(coeffs, -k)
     increments = [coeffs[j] * basis[j].reshape(A.shape) * wh for j in range(used)]
     return PvdResult(
         domain=domain,
         source=A,
         keys=keys,
-        values=np.array(values),
-        sigmas=np.abs(np.array(coeffs)),
-        coeffs=np.array(coeffs),
+        values=np.ldexp(values, -k),
+        sigmas=np.abs(coeffs),
+        coeffs=coeffs,
         increments=increments,
         basis_white=basis,
-        residual_pnorm=float(final_pnorm),
+        residual_pnorm=float(np.ldexp(final_pnorm, -k)),
         exhausted=exhausted,
-        atol=atol,
+        atol=float(np.ldexp(atol, -k)),
     )
 
 
@@ -288,12 +294,16 @@ def verify_pvd(result: PvdResult) -> dict:
 
     * ``projection-identity``: the Euclidean norm of the projection values
       against the weighted Frobenius norm of the projection of the source
-      onto the span of *all* atoms (two-sided for exhausted runs, one-sided
-      otherwise), within ``VERIFY_FROB_RTOL`` times the whitened source norm
-      (at least 1).  The cut domain holds every singleton rectangle, so its
-      atoms span all matrices and the target is the whitened source norm
-      itself (Parseval); for every other domain it is the dense
+      onto the span of *all* atoms, within ``VERIFY_FROB_RTOL`` times the
+      whitened source norm (at least 1).  Two-sided when the run exhausted
+      its domain with a residual that is zero up to ``roundoff_slack``,
+      one-sided otherwise.  The cut domain holds every singleton rectangle,
+      so its atoms span all matrices and the target is the whitened source
+      norm itself (Parseval); for every other domain it is the dense
       least-squares projection onto the stacked atoms.
+    * ``threshold-stop``: for a run that stopped at its threshold ``atol``
+      with a residual above that roundoff, the replayed residual's
+      domain-restricted norm against ``atol``.
     * ``basis-orthonormality``: largest deviation of the basis Gram matrix
       from the identity, against ``VERIFY_FROB_RTOL``.
     * ``step-dominance``: each projection value must cover the
@@ -303,12 +313,16 @@ def verify_pvd(result: PvdResult) -> dict:
       tail bound, and that bound against the source-norm bound.  These three
       allow ``roundoff_slack`` of the whitened source norm.
 
-    Raises ``UnsupportedDomain`` when a domain other than the cut domain
-    cannot be enumerated or has more than ``VERIFY_ATOM_CAP`` atoms.
+    The replay runs at the unit scale of ``compute_pvd``; the certificates
+    are in the source's units.  Raises ``UnsupportedDomain`` when a domain
+    other than the cut domain cannot be enumerated or has more than
+    ``VERIFY_ATOM_CAP`` atoms.
     """
     domain = result.domain
+    k = unit_scale(result.source / domain.whitener)[1]
+    result = in_units(result, -k, -k)
     Aw = (result.source / domain.whitener).ravel()
-    src_norm = stable_norm(Aw)
+    src_norm = float(la.norm(Aw))
     if isinstance(domain, CutDomain):
         proj_norm = src_norm
     else:
@@ -320,12 +334,16 @@ def verify_pvd(result: PvdResult) -> dict:
                 f"domain has {size} atoms; verification cap is {VERIFY_ATOM_CAP}")
         G = np.stack([atom.ravel() for _, atom in domain.atoms()])
         coef, *_ = la.lstsq(G.T, Aw, rcond=None)
-        proj_norm = stable_norm(G.T @ coef)
+        proj_norm = float(la.norm(G.T @ coef))
 
     certs = []
-    sig_norm = stable_norm(result.sigmas)
+    slack = roundoff_slack(src_norm)
+    # a stop at the threshold leaves a residual that the identity does not
+    # count, so only a residual zero up to roundoff makes it two-sided
+    zero = result.exhausted and result.residual_pnorm <= slack
+    sig_norm = float(la.norm(result.sigmas))
     allowance = VERIFY_FROB_RTOL * max(1.0, src_norm)
-    gap = abs(sig_norm - proj_norm) if result.exhausted else sig_norm - proj_norm
+    gap = abs(sig_norm - proj_norm) if zero else sig_norm - proj_norm
     certs.append(certificate("projection-identity", gap, allowance))
 
     if result.num_terms:
@@ -341,11 +359,13 @@ def verify_pvd(result: PvdResult) -> dict:
         _, value = domain.max_step(Rw, result.atol)
         worst = max(worst, abs(value) - result.sigmas[j])
         Rw -= result.increments[j] / domain.whitener
-    slack = roundoff_slack(src_norm)
     if result.num_terms:
         certs.append(certificate("step-dominance", worst, slack))
+    if result.exhausted and not zero:
+        _, value = domain.max_step(Rw, result.atol)
+        certs.append(certificate("threshold-stop", abs(value), result.atol + slack))
 
-    r_max = result.num_terms if result.exhausted else result.num_terms - 1
+    r_max = result.num_terms if zero else result.num_terms - 1
     chain_resid = -math.inf
     chain_source = -math.inf
     resid_at = {}  # truncation index -> its residual norm; many r share one
@@ -360,4 +380,4 @@ def verify_pvd(result: PvdResult) -> dict:
         certs.append(certificate("truncation-chain-residual", chain_resid, slack))
         certs.append(certificate("truncation-chain-source", chain_source, slack))
 
-    return {"pass": all(c["pass"] for c in certs), "certificates": certs}
+    return in_units({"pass": all(c["pass"] for c in certs), "certificates": certs}, k, k)

@@ -204,7 +204,9 @@ def _bound(R, e, w) -> tuple:
     times the largest ``1/e_j`` may have.  An overflowed square makes its
     part inf, an overflowed ``1/e_j`` makes it NaN where ``r_j`` is 0, and
     ``fmax`` keeps an inf part where the difference is NaN; the larger part
-    holds at least half the total, so the difference loses a few ulps of it."""
+    holds at least half the total, so the difference loses a few ulps of it.
+    At unit scale only weights, or entries, that span most of the float
+    range reach these cases."""
     with np.errstate(over="ignore", invalid="ignore"):
         inv = 1.0 / e
         squares = np.multiply(R, R)  # the one temporary of the size of ``R``
@@ -313,6 +315,8 @@ def _plain_sweep(A, low, atol: float) -> tuple:
     for lo, R in _row_sums(A, low):
         approx = (np.abs(R) @ ones + np.abs(R @ ones)) / 2
         lim = max(best, approx.max()) / (1.0 + 1e-9) - atol
+        # an approximation that may have underflowed, as entries far below
+        # the largest at unit scale make it, is kept
         rows = ((approx >= lim) | (approx < 2.0**-900)).nonzero()[0]
         S = R[rows]
         v = np.maximum(np.where(S > 0, S, 0.0).sum(axis=1),

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -12,7 +13,7 @@ import pytest
 from pvdkit import cli, cutnorm, domains, regularity
 from pvdkit.cutnorm import COMPLETION_CAP, normalized_cut_bruteforce
 from pvdkit.domains import UnsupportedDomain
-from pvdkit.linalg import frob_norm
+from pvdkit.linalg import frob_norm, unit_scale
 from pvdkit.pvd import best_truncation
 from pvdkit.regularity import szemeredi_partition
 from pvdkit.tensor import CutTuples, tensor_bound_check
@@ -231,7 +232,7 @@ def test_cutnorm_within_the_exact_rule_is_bruteforce_beyond_the_cap(tmp_path, ca
     code, rep = _run(capsys, ["cutnorm", "--input", str(path), "--ip", "degree-plus-avg"])
     assert code == 0
     assert rep["results"]["method"] == "bruteforce"
-    d, _ = cli.resolve_weights("degree-plus-avg", A)
+    (d, _), _ = cli.resolve_weights("degree-plus-avg", A)
     want = normalized_cut_bruteforce(A, d, d, cap=13)
     assert rep["results"]["value"] == abs(want.value)
     assert [c["name"] for c in rep["certificates"]] == ["witness-consistency"]
@@ -296,23 +297,56 @@ def _tensor_file(tmp_path, T):
 
 @pytest.mark.parametrize("command", ["cutnorm", "pvd", "tensor"])
 def test_underflowing_weights_are_exit_two(command, tmp_path, capsys):
-    """Weights of 1e-300 make every weight mass d(S) e(T) underflow to 0: a
-    usage error naming the weights, not a division by zero or an empty
-    reduction deep in the sweep.  ``tensor`` takes the same guard: the
-    smallest weights of its three modes multiply to 1e-900."""
-    if command == "tensor":
-        path = _tensor_file(tmp_path, np.arange(27.0).reshape(3, 3, 3))
-        count = 9
-    else:
-        path = tmp_path / "g.edges"
-        path.write_text("1 2\n2 3\n1 3\n3 4\n")
-        count = 4
+    """Weights that span the float range, 1e-300 beside 1, keep their
+    smallest weight at unit scale, and the weight masses d(S) e(T) of its
+    rectangles underflow to 0: a usage error naming the weights, not a
+    division by zero or an empty reduction deep in the sweep.  ``tensor``
+    takes the same guard."""
+    path, count = _weights_input(tmp_path, command)
+    w = ["1"] * count
+    w[0] = w[count // 3] = "1e-300"  # the first mode's and, of the tensor, the second's
     weights = tmp_path / "w.txt"
-    weights.write_text(" ".join(["1e-300"] * count) + "\n")
+    weights.write_text(" ".join(w) + "\n")
     code = cli.main([command, "--input", str(path), "--ip", f"file:{weights}"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "weights" in captured.err and "underflow" in captured.err
+
+
+def _weights_input(tmp_path, command):
+    """The input of a weights test of ``command``, and its count of weights."""
+    if command == "tensor":
+        return _tensor_file(tmp_path, np.arange(27.0).reshape(3, 3, 3)), 9
+    path = tmp_path / "g.edges"
+    path.write_text("1 2\n2 3\n1 3\n3 4\n")
+    return str(path), 4
+
+
+def _uniform_weights_run(tmp_path, capsys, command, exponent):
+    """The reports of ``command`` with uniform weights ``2**exponent`` and
+    with Euclidean ones."""
+    path, count = _weights_input(tmp_path, command)
+    weights = tmp_path / "w.txt"
+    weights.write_text(" ".join([repr(2.0**exponent)] * count) + "\n")
+    code, rep = _run(capsys, [command, "--input", path, "--ip", f"file:{weights}"])
+    assert code == 0 and rep["all_certificates_pass"] is True
+    return rep, _run(capsys, [command, "--input", path])[1]
+
+
+@pytest.mark.parametrize("command", ["cutnorm", "pvd", "tensor"])
+def test_underflowing_weights_are_scaled_away(command, tmp_path, capsys):
+    """Uniform weights of 2^-996 (about 1e-300) come to 1 at unit scale:
+    the run is the Euclidean one, with the whitened values times
+    ``2**(996 * modes / 2)``, where it used to be refused as underflowing.
+    On the tensor that is past the float range: ``overflow``."""
+    rep, euclidean = _uniform_weights_run(tmp_path, capsys, command, -996)
+    key = "value" if command == "cutnorm" else "sigmas"
+    modes = 3 if command == "tensor" else 2
+    with np.errstate(over="ignore"):
+        want = np.ldexp(euclidean["results"][key], 996 * modes // 2).tolist()
+    got = rep["results"][key]
+    assert got == (["overflow" if math.isinf(v) else v for v in want]
+                   if isinstance(want, list) else want)
 
 
 @pytest.mark.parametrize("ip", ["file", "degree"])
@@ -383,9 +417,9 @@ def test_pvd_of_entries_near_the_float_limit_is_certified(extra, tmp_path, capsy
                                            ("graph", 1e160)])
 def test_pvd_certificates_allow_roundoff_at_the_source_scale(source, scale, tmp_path, capsys):
     """Step dominance and the truncation chain allow ``1e-12`` times the
-    whitened source norm past ``1e-9``: with an absolute slack the 8x9
-    matrix at 1e12 failed ``truncation-chain-source`` by 2.4e-4, and this
-    G(10) failed a chain or step certificate at every scale."""
+    whitened source norm past ``1e-9`` at unit scale: with an absolute slack
+    the 8x9 matrix at 1e12 failed ``truncation-chain-source`` by 2.4e-4,
+    and this G(10) failed a chain or step certificate at every scale."""
     if source == "normal":
         A = np.random.default_rng(3).normal(size=(8, 9))
     else:
@@ -395,8 +429,15 @@ def test_pvd_certificates_allow_roundoff_at_the_source_scale(source, scale, tmp_
     code, rep = _run(capsys, ["pvd", "--input", str(path)])
     assert code == 0 and rep["all_certificates_pass"] is True
     certs = {c["name"]: c for c in rep["certificates"]}
+    k = unit_scale(A * scale)[1]
     for name in ("step-dominance", "truncation-chain-residual", "truncation-chain-source"):
-        assert certs[name]["rhs"] == max(1e-9, 1e-12 * rep["results"]["source_frob_norm"])
+        assert certs[name]["rhs"] == _unit_slack(1e-9, rep["results"]["source_frob_norm"], k)
+
+
+def _unit_slack(floor: float, norm: float, k: int) -> float:
+    """``max(floor, 1e-12 * norm)`` taken at unit scale, where the norm is
+    ``norm * 2**k``, in the input's units."""
+    return math.ldexp(max(floor, 1e-12 * math.ldexp(norm, k)), -k)
 
 
 def _scaled_graph(tmp_path, scale, seed=12):
@@ -409,7 +450,8 @@ def _scaled_graph(tmp_path, scale, seed=12):
 @pytest.mark.parametrize("seed", [12, 3])
 def test_regularity_certificates_allow_roundoff_at_the_source_scale(seed, tmp_path, capsys):
     """The weak and ladder certificates allow ``roundoff_slack`` at the
-    scale of what they compare: with an absolute 1e-9, ``szemreg`` on these
+    scale of what they compare, at unit scale: with an absolute 1e-9
+    in the input's units, ``szemreg`` on these
     G(10) at 1e12 exited 1, failing ``window-captures-gap`` (seed 12) or
     ``second-term-control`` (seed 3) by an ulp."""
     path, A = _scaled_graph(tmp_path, 1e12, seed)
@@ -418,7 +460,8 @@ def test_regularity_certificates_allow_roundoff_at_the_source_scale(seed, tmp_pa
     certs = {c["name"]: c for c in rep["certificates"]}
     src = 1e12 * float(np.linalg.norm(A))
     assert certs["first-term-control"]["rhs"] == pytest.approx(
-        rep["results"]["bound_certificate"] + 1e-12 * 10 * src, rel=1e-15)
+        rep["results"]["bound_certificate"] + _unit_slack(1e-9, 10 * src, unit_scale(A * 1e12)[1]),
+        rel=1e-15)
     code, rep = _run(capsys, ["weakreg", "--input", path, "--eps", "0.5"])
     assert code == 0 and rep["all_certificates_pass"] is True
 
@@ -426,17 +469,16 @@ def test_regularity_certificates_allow_roundoff_at_the_source_scale(seed, tmp_pa
 def test_classes_core_density_near_the_float_limit(tmp_path, capsys):
     """At 1e154 the outer products of the degrees overflow: the core
     density read 0, its identity passed on 0 = 0, and the threshold rank
-    read 0, with RuntimeWarnings.  Scaled by powers of two, both sides of
-    the identity and the threshold rank keep the values of the unscaled
-    graph."""
+    read 0, with RuntimeWarnings.  At unit scale both sides of the identity
+    and the threshold rank keep the values of the unscaled graph."""
     cores, ranks = [], []
     for scale in (1.0, 1e154):
         path, A = _scaled_graph(tmp_path, scale)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, rep = _run(capsys, ["classes", "--input", path])
-            d = cli._weights("degree-plus-avg", A * scale)[0]
-            other = frob_norm(A * scale, d, d) ** 2
+            d = cli._weights("degree-plus-avg", A)[0]
+            other = frob_norm(A, d, d) ** 2  # the identity carries no unit
         assert code == 0 and rep["all_certificates_pass"] is True
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         cores.append(rep["results"]["core_density"])
@@ -446,16 +488,38 @@ def test_classes_core_density_near_the_float_limit(tmp_path, capsys):
     assert ranks[1] == pytest.approx(ranks[0], rel=1e-12) and ranks[0] > 0
 
 
-@pytest.mark.parametrize("argv, what", [(["szemreg", "--eps", "0.8"], "the ladder's masses"),
-                                        (["classes"], "block densities")])
-def test_overflowing_squares_are_exit_two(argv, what, tmp_path, capsys):
-    """At 1e160 the ladder's masses and the block densities' powers
-    overflow: an input error naming what overflowed, where a traceback
-    used to exit 1."""
-    code = cli.main([argv[0], "--input", _scaled_graph(tmp_path, 1e160)[0], *argv[1:]])
+@pytest.mark.parametrize("argv", [["szemreg", "--eps", "0.8"], ["classes"]],
+                         ids=["szemreg", "classes"])
+def test_overflowing_squares_are_scaled_away(argv, tmp_path, capsys):
+    """At 2^531 the ladder's masses and the block densities' powers
+    overflowed, and were refused; at unit scale they do not, and the report
+    is the one of the graph itself, each value times its power of two.
+    The ladder's masses carry 2^1062, past the float range: ``overflow``."""
+    reps = []
+    for scale in (1.0, 2.0**531):
+        code, rep = _run(capsys, [argv[0], "--input", _scaled_graph(tmp_path, scale)[0],
+                                  *argv[1:]])
+        assert code == 0 and rep["all_certificates_pass"] is True
+        reps.append(rep["results"])
+    if argv[0] == "szemreg":
+        assert reps[1]["parts"] == reps[0]["parts"]
+        assert reps[1]["mass_horizon"] == "overflow"
+        assert reps[1]["weak_irregularity_ub"] == math.ldexp(reps[0]["weak_irregularity_ub"], 531)
+    else:
+        assert reps[1]["lp_regularity"] == reps[0]["lp_regularity"]
+        assert reps[1]["spectral_projection_values"] == np.ldexp(
+            reps[0]["spectral_projection_values"], 531).tolist()
+
+
+def test_block_density_powers_past_the_float_range_are_exit_two(tmp_path, capsys):
+    """The block densities' powers depend on ``--p``: at unit scale the
+    largest entry 1.9 to the power 2000 still overflows, an input error."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps([[0.0, 1.9, 1.0], [1.9, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    code = cli.main(["classes", "--input", str(path), "--p", "2000"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith(f"error: {what} overflow")
+    assert captured.err.startswith("error: block densities overflow")
 
 
 def test_ratio_grid_past_its_cap_is_exit_two(tmp_path, capsys):
@@ -471,42 +535,44 @@ def test_ratio_grid_past_its_cap_is_exit_two(tmp_path, capsys):
 
 
 def test_cur_of_entries_near_the_float_limit_keeps_its_terms(tmp_path, capsys):
-    """Column and row norms near 1e160 are taken without overflowing their
-    squares: every direction is kept, and ``cur-chain`` compares finite
-    norms, where it used to pass with 0 terms against an overflowed rhs."""
+    """Column and row norms near 1e160 are taken at unit scale, without
+    overflowing their squares: every direction is kept, and ``cur-chain``
+    compares finite norms (its floor ``1e-9`` at unit scale), where it used
+    to pass with 0 terms against an overflowed rhs."""
     M = np.random.default_rng(3).normal(size=(8, 9))
     path = tmp_path / "big.json"
     path.write_text(json.dumps((M * 1e160).tolist()))
     code, rep = _run(capsys, ["cur", "--input", str(path), "--eps", "0.5"])
     assert code == 0 and rep["results"]["num_terms"] == 5
     cert = rep["certificates"][0]
+    floor = math.ldexp(1e-9, -unit_scale(M * 1e160)[1])
     assert 0 < cert["lhs"] <= cert["rhs"] == pytest.approx(
-        0.5 * 1e160 * float(np.linalg.norm(M)), rel=1e-12)
+        0.5 * 1e160 * float(np.linalg.norm(M)) + floor, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["cutnorm", "pvd", "tensor", "degree"])
-def test_overflowing_weight_masses_are_exit_two(command, tmp_path, capsys):
-    """Weight masses that multiply beyond the float range would overflow the
-    whitener (a NaN residual): a usage error naming the weights.  Degree
-    weights of a G(10) at 1e160 are one such case."""
+def test_overflowing_weight_masses_are_scaled_away(command, tmp_path, capsys):
+    """Weight masses that multiply beyond the float range, which were
+    refused, are taken at unit scale: uniform weights of 2^664 (about
+    1e200) run as Euclidean ones, the whitened values times
+    ``2**(-664 * modes / 2)``, and the degree weights of a G(10) at 1e160
+    give the report of the G(10) itself."""
     if command == "degree":
-        A = oracles.gnp_adjacency(np.random.default_rng(12), 10, 0.5) * 1e160
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps(A.tolist()))
-        argv = ["pvd", "--input", str(path), "--ip", "degree"]
-    else:
-        if command == "tensor":
-            path, count = _tensor_file(tmp_path, np.arange(27.0).reshape(3, 3, 3)), 9
-        else:
-            path, count = tmp_path / "g.edges", 4
-            path.write_text("1 2\n2 3\n1 3\n3 4\n")
-        weights = tmp_path / "w.txt"
-        weights.write_text(" ".join(["1e200"] * count) + "\n")
-        argv = [command, "--input", str(path), "--ip", f"file:{weights}"]
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "weight masses" in captured.err and "overflow" in captured.err
+        A = oracles.gnp_adjacency(np.random.default_rng(12), 10, 0.5)
+        reps = []
+        for scale in (1.0, 1e160):
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps((A * scale).tolist()))
+            code, rep = _run(capsys, ["pvd", "--input", str(path), "--ip", "degree"])
+            assert code == 0 and rep["all_certificates_pass"] is True
+            reps.append(rep["results"])
+        assert reps[1]["selected"] == reps[0]["selected"]
+        assert reps[1]["sigmas"] == pytest.approx(reps[0]["sigmas"], rel=1e-12)
+        return
+    rep, euclidean = _uniform_weights_run(tmp_path, capsys, command, 664)
+    key = "value" if command == "cutnorm" else "sigmas"
+    modes = 3 if command == "tensor" else 2
+    assert rep["results"][key] == np.ldexp(euclidean["results"][key], -664 * modes // 2).tolist()
 
 
 def test_tensor_of_entries_near_the_float_limit_writes_its_report(tmp_path, capsys):
@@ -567,7 +633,8 @@ def test_cutnorm_certificates_allow_roundoff_at_the_source_scale(scale, ip, extr
                                                                  capsys):
     """``witness-consistency``, ``approx-guarantee`` and
     ``dual-route-agreement`` allow ``1e-12`` times the whitened source norm
-    past their floors (1e-9, 1e-9, 1e-6): with absolute slacks the 8x9
+    past their floors (1e-9, 1e-9, 1e-6) at unit scale: with absolute
+    slacks in the input's units the 8x9
     matrix with all weights 1.5 failed ``witness-consistency`` at 3e8-1e12
     (lhs 1.2e-7 to 4.9e-4), and with unit weights at 1e9 (lhs 4.8e-7)."""
     A = np.random.default_rng(3).normal(size=(8, 9))
@@ -579,8 +646,9 @@ def test_cutnorm_certificates_allow_roundoff_at_the_source_scale(scale, ip, extr
     src = scale * float(np.linalg.norm(A)) / float(ip)
     floors = {"witness-consistency": 1e-9, "approx-guarantee": 1e-9, "dual-route-agreement": 1e-6}
     assert "witness-consistency" in certs and set(certs) <= set(floors)
+    k = unit_scale(A * scale)[1]
     for name, cert in certs.items():
-        assert cert["rhs"] == pytest.approx(max(floors[name], 1e-12 * src), rel=1e-12)
+        assert cert["rhs"] == pytest.approx(_unit_slack(floors[name], src, k), rel=1e-12)
 
 
 def test_unknown_ip_rejected(tmp_path, capsys):
@@ -758,6 +826,26 @@ def test_zero_tol_abs_is_accepted(tmp_path, capsys):
     code, rep = _run(capsys, ["pvd", "--input", _graph_file(tmp_path), "--tol-abs", "0"])
     assert code == 0
     assert rep["results"]["verified"] is True
+
+
+def test_threshold_stop_is_not_exhaustion(tmp_path, capsys):
+    """``--tol-abs 1`` stops this graph after one term with a residual of
+    domain norm 1: the run is exhausted at its threshold, not to zero, so
+    the projection identity is one-sided and the stop has its own
+    certificate, where the two-sided identity failed (lhs 1.414 against
+    2.8e-8) and the run exited 1."""
+    path = tmp_path / "g.edges"
+    path.write_text("a b\nb c\nc a\nc d\n")
+    code, rep = _run(capsys, ["pvd", "--input", str(path), "--tol-abs", "1"])
+    assert code == 0 and rep["all_certificates_pass"] is True
+    assert rep["results"]["num_terms"] == 1 and rep["results"]["exhausted"] is True
+    certs = {c["name"]: c for c in rep["certificates"]}
+    assert certs["projection-identity"]["lhs"] < 0
+    assert certs["threshold-stop"]["lhs"] == rep["results"]["residual_pnorm"] == 1.0
+    # a run exhausted to zero keeps the two-sided identity and no stop certificate
+    code, rep = _run(capsys, ["pvd", "--input", str(path)])
+    assert code == 0 and "threshold-stop" not in {c["name"] for c in rep["certificates"]}
+    assert rep["certificates"][0]["lhs"] >= 0
 
 
 #: each subcommand's ``results`` keys (and the ``classes`` profile's).  The

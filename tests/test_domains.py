@@ -78,11 +78,13 @@ def test_routes_agree_on_exhaustion_inside_the_tie_band():
     ({0}, {0}) of value 0 has the smallest masks but is no prefix or suffix
     of its sorted row, so it is no candidate: within ``bf_cap`` and past it
     the step picks ({0}, {1}), and both runs stop at once with the residual
-    exhausted."""
+    exhausted.  The band is the absolute ``ATOL``, given in the residual's
+    units: by default the engine takes ``ATOL`` at unit scale, where these
+    entries are 1.0."""
     R = 1e-17 * np.array([[0.0, -1.0, 0.0], [-1.0, -1.0, -1.0], [-1.0, -1.0, -1.0]])
     for dom in (CutDomain(np.ones(3)), CutDomain(np.ones(3), bf_cap=1)):
         assert dom.max_step(R) == ((1, 2), -1e-17)
-        res = compute_pvd(R, dom)
+        res = compute_pvd(R, dom, atol=ATOL)
         assert res.num_terms == 0 and res.exhausted
         assert res.residual_pnorm <= ATOL
 
