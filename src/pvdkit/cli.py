@@ -7,10 +7,9 @@ process exits 0 only when every certificate in the report passed, 1 when any
 failed, and 2 on usage or input errors.  Each subcommand takes only the
 options its handler reads (``COMMANDS``); any other option is a usage error.
 
-A handler brings its input and weights to unit scale once
-(``linalg.unit_scale``), computes there, and scales its results and
-certificates back (``linalg.in_units``), so every value is reported in the
-input's units.
+``run`` brings the input, its weights and ``--tol-abs`` to unit scale once
+(``linalg.unit_scale``), the handler computes there, and ``run`` puts its
+results and certificates back in the input's units (``linalg.in_units``).
 """
 from __future__ import annotations
 
@@ -23,8 +22,9 @@ import sys
 import numpy as np
 import numpy.linalg as la
 
-from .cutnorm import (BRUTE_FORCE_CAP, _sweep_exact, cut_lp_approx, cut_lp_exact,
-                      integer_weights, normalized_cut_bruteforce, rectangle_value)
+from .cutnorm import (BRUTE_FORCE_CAP, _ratio_grid_fits, _sweep_exact, cut_lp_approx,
+                      cut_lp_exact, integer_weights, normalized_cut_bruteforce,
+                      rectangle_value)
 from .domains import CutDomain, UnsupportedDomain
 from .graphs import (EXHAUSTIVE_PARTITION_CAP, core_density, cut_pseudorandomness_profile,
                      degree_weights, lp_upper_regularity_check, row_sums,
@@ -103,7 +103,12 @@ def _weights(ip: str, A: np.ndarray) -> list:
                      "choose euclidean, degree, degree-plus-avg, or file:<path>")
 
 
-def _load(args):
+def _load(args, options) -> tuple:
+    """The input array and its description; a subcommand without
+    ``--format`` reads a JSON tensor."""
+    if "format" not in options:
+        T = read_json_tensor(args.input)
+        return T, {"path": args.input, "format": "json", "shape": list(T.shape)}
     fmt = args.format or guess_format(args.input)
     A, meta = load_matrix(args.input, fmt)
     info = {"path": args.input, "format": fmt, "shape": list(A.shape)}
@@ -123,6 +128,27 @@ def _scaled(A, ip: str, tol_abs) -> tuple:
     return A, weights, unit_atol(tol_abs, w), (k, w)
 
 
+#: the subcommands that need ``--eps``
+_NEEDS_EPS = ("weakreg", "szemreg", "cur", "maxcut")
+
+
+def run(name: str, args) -> tuple:
+    """The input description, parameters, results and certificates of the
+    subcommand ``name``, reading only the options it declares.  Its handler
+    takes the parsed options, the input, one weight vector per mode of the
+    input and ``atol``, all at unit scale (``_scaled``), and returns its
+    parameters, results and certificates, which ``run`` puts back in the
+    input's units (``in_units``)."""
+    options = COMMANDS[name][2]
+    A, info = _load(args, options)
+    if name in _NEEDS_EPS and args.eps is None:
+        raise ValueError(f"--eps is required for {name}")
+    ip = args.ip if "ip" in options else "euclidean"
+    A, weights, atol, units = _scaled(A, ip, args.tol_abs if "tol-abs" in options else None)
+    params, results, certs = HANDLERS[name](args, A, weights, atol)
+    return info, params, *in_units((results, certs), *units)
+
+
 # ---------------------------------------------------------------- commands
 
 def _run_results(result) -> dict:
@@ -136,10 +162,8 @@ def _run_results(result) -> dict:
     }
 
 
-def cmd_pvd(args):
-    A, info = _load(args)
-    A, (d, e), atol, units = _scaled(A, args.ip, args.tol_abs)
-    domain = CutDomain(d, e, bf_cap=args.bf_cap)
+def cmd_pvd(args, A, weights, atol):
+    domain = CutDomain(*weights, bf_cap=args.bf_cap)
     result = compute_pvd(A, domain, max_terms=args.r, atol=atol)
     # the cut domain is always verifiable; any refusal is an error (exit 2),
     # never an empty, passing certificate list
@@ -150,12 +174,11 @@ def cmd_pvd(args):
         "residual_pnorm": result.residual_pnorm,
         "verified": True,
     }
-    return info, {"r": args.r, "ip": args.ip}, *in_units((results, certs), *units)
+    return {"r": args.r, "ip": args.ip}, results, certs
 
 
-def cmd_cutnorm(args):
-    A, info = _load(args)
-    A, (d, e), atol, units = _scaled(A, args.ip, args.tol_abs)
+def cmd_cutnorm(args, A, weights, atol):
+    d, e = weights
     exact = _sweep_exact(A.shape, args.bf_cap)
     slack = roundoff_slack(float(la.norm(whitened(A, d, e))))
     certs = []
@@ -169,7 +192,9 @@ def cmd_cutnorm(args):
     elif exact:
         method = "bruteforce"
         pair = normalized_cut_bruteforce(A, d, e, cap=args.bf_cap, atol=atol)
-        if integer_weights(d) and integer_weights(e):
+        # the LP route runs where its ratio grid exists and fits its cap
+        if (integer_weights(d) and integer_weights(e)
+                and _ratio_grid_fits(int(d.sum()), int(e.sum()))):
             other = cut_lp_exact(A, d, e, atol=atol)
             certs.append(certificate("dual-route-agreement",
                                      abs(abs(pair.value) - abs(other.value)), max(1e-6, slack)))
@@ -185,17 +210,7 @@ def cmd_cutnorm(args):
         "T": list(pair.T),
         "method": method,
     }
-    return info, {"eps": args.eps, "ip": args.ip}, *in_units((results, certs), *units)
-
-
-def _partition_input(args, tol_abs=None):
-    """The input of a partition subcommand, which needs ``--eps``, as
-    ``_scaled`` gives it with its left weights, and its description."""
-    A, info = _load(args)
-    if args.eps is None:
-        raise ValueError(f"--eps is required for {args.command}")
-    A, (d, _), atol, units = _scaled(A, args.ip, tol_abs)
-    return A, d, atol, units, info
+    return {"eps": args.eps, "ip": args.ip}, results, certs
 
 
 def _partition_results(rep) -> dict:
@@ -210,28 +225,25 @@ def _partition_results(rep) -> dict:
     }
 
 
-def cmd_weakreg(args):
-    A, d, atol, units, info = _partition_input(args, args.tol_abs)
-    rep = weak_regularity_partition(A, args.eps, weights=d, atol=atol, bf_cap=args.bf_cap)
+def cmd_weakreg(args, A, weights, atol):
+    rep = weak_regularity_partition(A, args.eps, weights=weights[0], atol=atol,
+                                    bf_cap=args.bf_cap)
     results = _partition_results(rep) | rep.details | {
         "irregularity_exact": True,
         "block_deviation": rep.block_deviation,
     }
-    return info, {"eps": args.eps, "ip": args.ip}, *in_units((results, rep.certificates), *units)
+    return {"eps": args.eps, "ip": args.ip}, results, rep.certificates
 
 
-def cmd_szemreg(args):
-    A, d, atol, units, info = _partition_input(args, args.tol_abs)
-    rep = szemeredi_partition(A, args.eps, base=args.base, weights=d,
+def cmd_szemreg(args, A, weights, atol):
+    rep = szemeredi_partition(A, args.eps, base=args.base, weights=weights[0],
                               atol=atol, bf_cap=args.bf_cap)
     results = _partition_results(rep) | rep.details
-    params = {"eps": args.eps, "base": args.base, "ip": args.ip}
-    return info, params, *in_units((results, rep.certificates), *units)
+    return {"eps": args.eps, "base": args.base, "ip": args.ip}, results, rep.certificates
 
 
-def cmd_classes(args):
-    A, info = _load(args)
-    A, (d, _), atol, units = _scaled(A, args.ip, args.tol_abs)
+def cmd_classes(args, A, weights, atol):
+    d = weights[0]
     eps = 0.25 if args.eps is None else args.eps
     r = 3 if args.r is None else args.r
     r = min(r, A.size)
@@ -262,43 +274,33 @@ def cmd_classes(args):
                                  abs(profile.cut_mass_ratio - 1.0), 0.0))
     params = {"eps": eps, "r": r, "p": args.p, "eta": args.eta,
               "ip": args.ip, "seed": args.seed}
-    return info, params, *in_units((results, certs), *units)
+    return params, results, certs
 
 
-def cmd_cur(args):
-    A, info = _load(args)
-    if args.eps is None:
-        raise ValueError("--eps is required for cur")
-    A, _, atol, units = _scaled(A, "euclidean", args.tol_abs)
+def cmd_cur(args, A, weights, atol):
     _approx, result, cert = cur_pvd(A, args.eps, atol=atol)
     results = _run_results(result) | {"residual_pnorm_of_truncation": cert["lhs"]}
-    return info, {"eps": args.eps}, *in_units((results, [cert]), *units)
+    return {"eps": args.eps}, results, [cert]
 
 
-def cmd_tensor(args):
-    T = read_json_tensor(args.input)
-    info = {"path": args.input, "format": "json", "shape": list(T.shape)}
-    T, weights, atol, units = _scaled(T, args.ip, args.tol_abs)
+def cmd_tensor(args, T, weights, atol):
     domain = CutTuples(weights)
     r = 2 if args.r is None else args.r
     check = tensor_bound_check(T, domain, r, atol=atol)
     results = {"r": r, "sigmas": check["sigmas"], "domain_size": domain.size()}
-    return info, {"r": r, "ip": args.ip}, *in_units((results, check["certificates"]), *units)
+    return {"r": r, "ip": args.ip}, results, check["certificates"]
 
 
-def cmd_maxcut(args):
-    A, d, _, units, info = _partition_input(args)
-    results = max_cut_details(A, args.eps, delta=args.delta, weights=d,
+def cmd_maxcut(args, A, weights, atol):
+    results = max_cut_details(A, args.eps, delta=args.delta, weights=weights[0],
                               bf_cap=args.bf_cap)
     certs = list(results.pop("report").certificates)
-    n = A.shape[0]
-    if n <= args.bf_cap:
+    if A.shape[0] <= args.bf_cap:
         best = _max_cut(A)
         slack = results["weak_irregularity_ub"] + results["grid_term"]
         certs.append(certificate("estimate-vs-bruteforce",
                                  abs(results["estimate"] - best), slack + 1e-6))
-    params = {"eps": args.eps, "delta": results["delta"], "ip": args.ip}
-    return info, params, *in_units((results, certs), *units)
+    return {"eps": args.eps, "delta": results["delta"], "ip": args.ip}, results, certs
 
 
 def _finite(text: str) -> float:
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        info, params, results, certs = HANDLERS[args.command](args)
+        info, params, results, certs = run(args.command, args)
         passed = all(c["pass"] for c in certs)
         report = _jsonable({
             "version": VERSION,

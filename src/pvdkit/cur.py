@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-import numpy.linalg as la
-
 from .domains import ColumnRowDomain
-from .linalg import as_matrix, in_units, unit_atol, unit_scale
+from .linalg import as_matrix, stable_norm
 from .pvd import best_truncation, certificate, compute_pvd, p_norm
 
 
@@ -24,17 +21,16 @@ def cur_pvd(A, eps: float, atol: float | None = None):
     returns ``(approx, result, cert)`` where ``approx`` is the best truncation
     at ``r = ceil(eps**-2)`` and ``cert`` the ``cur-chain`` certificate of the
     guarantee: for every column c and row w of ``A``, ``|c^T (A - approx) w|
-    / (‖c‖‖w‖) <= eps * ‖A‖_F`` (up to roundoff, ``1e-9`` at unit scale).
-    ``A`` runs at unit scale (``linalg.unit_scale``); all three are in its
-    units.
+    / (‖c‖‖w‖) <= eps * ‖A‖_F`` (up to roundoff, an absolute ``1e-9``).
+    ``atol`` goes to ``compute_pvd`` as it is.
     """
-    A, k = unit_scale(as_matrix(A, "source"))
+    A = as_matrix(A, "source")
     if eps <= 0:
         raise ValueError("eps must be positive")
     domain = ColumnRowDomain(A)
     r = math.ceil(eps ** -2)
-    result = compute_pvd(A, domain, max_terms=r + 1, atol=unit_atol(atol, k))
+    result = compute_pvd(A, domain, max_terms=r + 1, atol=atol)
     approx, _index = best_truncation(result, r)
     resid = p_norm(A - approx, domain, result.atol)
-    cert = certificate("cur-chain", resid, eps * float(la.norm(A)) + 1e-9)
-    return np.ldexp(approx, -k), in_units(result, k, k), in_units(cert, k, k)
+    cert = certificate("cur-chain", resid, eps * stable_norm(A) + 1e-9)
+    return approx, result, cert

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import ATOL, as_matrix, as_weights, in_units, unit_atol, unit_scale, unit_weights
+from .linalg import ATOL, as_matrix, as_weights, unit_scale
 from .simplex import Tableau, simplex_solve
 from .sweep import _mask_set, _plain_cut_norm, _plain_witness, _set_mask, _sweep_pick
 
@@ -106,41 +106,38 @@ def _rect_value(A, d, e, S, T) -> float:
     return rectangle_sum(A, S, T) / math.sqrt(d[S].sum() * e[T].sum())
 
 
-def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, atol: float | None = None) -> CutPair:
+def cut_norm_bruteforce(A, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL) -> CutPair:
     """Exact unnormalized cut norm ``max |A(S,T)|`` by the sweep over the
     smaller side, for inputs where ``_sweep_exact(A.shape, cap)`` holds;
     others raise ``UnsupportedDomain``.
 
     Returns the witness sets with their signed sum; ties within ``atol``
-    (``linalg.unit_atol``) break to the smallest (swept mask, other mask),
-    as in ``sweep``: the first swept set within ``atol``, then
-    ``sweep._plain_witness``.
+    break to the smallest (swept mask, other mask), as in ``sweep``: the
+    first swept set within ``atol``, then ``sweep._plain_witness``.
     """
-    A, k = unit_scale(as_matrix(A))
+    A = as_matrix(A)
     _require_sweep(A.shape, cap)
-    atol = unit_atol(atol, k)
     best, s, r = _plain_cut_norm(A, atol)
     S, T = _mask_set(s), _plain_witness(r, best - atol)
-    pair = CutPair(*((S, T) if A.shape[0] <= A.shape[1] else (T, S)), float(r[list(T)].sum()))
-    return in_units(pair, k, k)
+    return CutPair(*((S, T) if A.shape[0] <= A.shape[1] else (T, S)), float(r[list(T)].sum()))
 
 
 def normalized_cut_bruteforce(
-    A, d_left=None, d_right=None, cap: int = BRUTE_FORCE_CAP, atol: float | None = None
+    A, d_left=None, d_right=None, cap: int = BRUTE_FORCE_CAP, atol: float = ATOL
 ) -> CutPair:
     """Exact ``max |A(S,T)| / sqrt(d(S) e(T))`` by the sorted-ratio sweep
     over the smaller side, for inputs where ``_sweep_exact(A.shape, cap)``
     holds; others raise ``UnsupportedDomain``.
 
     Covers both signs; the stored value keeps its sign, and ties within
-    ``atol`` (``linalg.unit_atol``) break by the tie rule of ``sweep``.
+    ``atol`` break by the tie rule of ``sweep``.
     """
-    A, k = unit_scale(as_matrix(A))
+    A = as_matrix(A)
     m, n = A.shape
-    (d, e), a = unit_weights([as_weights(d_left, m, "left weights"),
-                              as_weights(d_right, n, "right weights")])
+    d = as_weights(d_left, m, "left weights")
+    e = as_weights(d_right, n, "right weights")
     _require_sweep(A.shape, cap)
-    return in_units(CutPair(*_sweep_pick(A, d, e, unit_atol(atol, k - a))[-1]), k, k - a)
+    return CutPair(*_sweep_pick(A, d, e, atol)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +172,8 @@ class _CutLpFamily:
     """The ``c``-independent part of the relaxation of one (matrix, sign),
     and one tableau that solves its instances as a warm chain.  The tableau's
     tolerance is absolute, so it holds the entries at unit scale
-    (``linalg.unit_scale``), times ``2**exponent``: the LP routes pass a
-    matrix at unit scale already, but ``lp_candidates`` and ``build_cut_lp``
-    take one in its own units."""
+    (``linalg.unit_scale``), times ``2**exponent``: the LP routes take a
+    matrix in its caller's units."""
 
     def __init__(self, A, d_left, d_right, sign: int):
         A = as_matrix(A)
@@ -320,13 +316,19 @@ def _round_levels(A, d, e, s, t, sign: int = 1) -> list:
     return best
 
 
+def _ratio_grid_fits(sum_left: int, sum_right: int) -> bool:
+    """Whether the ratio grid of weight sums ``sum_left`` and ``sum_right``
+    has at most ``RATIO_CAP`` pairs, as ``ratio_candidates`` needs."""
+    return sum_left * sum_right <= RATIO_CAP
+
+
 @lru_cache(maxsize=128)
 def ratio_candidates(sum_left: int, sum_right: int) -> tuple:
     """Every ratio a/b with 1 <= a <= sum_left, 1 <= b <= sum_right, once and
     sorted, for at most ``RATIO_CAP`` pairs (a, b): within the cap, distinct
     reduced fractions are float quotients more than an ulp apart."""
     assert sum_left >= 1 and sum_right >= 1
-    if sum_left * sum_right > RATIO_CAP:
+    if not _ratio_grid_fits(sum_left, sum_right):
         raise ValueError(f"{sum_left * sum_right} LP ratio pairs exceed RATIO_CAP {RATIO_CAP}")
     return tuple(sorted({a / b for a in range(1, sum_left + 1) for b in range(1, sum_right + 1)}))
 
@@ -422,7 +424,7 @@ def _closed_lp_route(A, d, e, cs, atol: float) -> CutPair:
     return _select_pair(pool + exact_completion(A, d, e, atol), atol, m > n)
 
 
-def cut_lp_exact(A, d_left=None, d_right=None, atol: float | None = None) -> CutPair:
+def cut_lp_exact(A, d_left=None, d_right=None, atol: float = ATOL) -> CutPair:
     """Maximize ``|A(S,T)| / sqrt(d(S) e(T))`` via the LP relaxation family.
 
     Solves one LP per reduced-fraction ratio candidate ``c = a/b`` (both
@@ -431,21 +433,18 @@ def cut_lp_exact(A, d_left=None, d_right=None, atol: float | None = None) -> Cut
     rectangle over all candidates is returned.  Requires positive integer
     weights (``d_right`` defaults to ``d_left`` on a square ``A``), and on a
     matrix with both signs the smaller side within ``COMPLETION_CAP``;
-    otherwise raises ``ValueError`` before any LP is solved.  ``A`` runs at
-    unit scale; the integer weights, whose sums bound the ratio grid, as
-    they are.
+    otherwise raises ``ValueError`` before any LP is solved.
     """
-    A, x = unit_scale(as_matrix(A))
+    A = as_matrix(A)
     d, e = _lp_weights(A, d_left, d_right)
     for w, name in ((d, "left weights"), (e, "right weights")):
         if not integer_weights(w):
             raise ValueError(f"{name} must be positive integers for the LP ratio enumeration")
     cs = ratio_candidates(int(d.sum()), int(e.sum()))
-    return in_units(_closed_lp_route(A, d, e, cs, unit_atol(atol, x)), x, x)
+    return _closed_lp_route(A, d, e, cs, atol)
 
 
-def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
-                  atol: float | None = None) -> CutPair:
+def cut_lp_approx(A, eps: float, d_left=None, d_right=None, atol: float = ATOL) -> CutPair:
     """Same pipeline as ``cut_lp_exact``, but the ratio candidates come from
     a geometric ``(1+eps)`` grid spanning every achievable ``d(S)/e(T)``, so
     any positive weights are accepted.
@@ -455,19 +454,18 @@ def cut_lp_approx(A, eps: float, d_left=None, d_right=None,
     ``COMPLETION_CAP``, and beyond it the LP relaxation is exact on a
     one-signed matrix.  A matrix with both signs and the smaller side beyond
     ``COMPLETION_CAP`` raises ``ValueError`` before any LP is solved.
-    ``A`` and the weights run at unit scale.
     """
-    A, x = unit_scale(as_matrix(A))
+    A = as_matrix(A)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    (d, e), a = unit_weights(list(_lp_weights(A, d_left, d_right)))
+    d, e = _lp_weights(A, d_left, d_right)
     c_lo = float(d.min() / e.sum())
     c_hi = float(d.sum() / e.min())
     count = int(math.ceil(math.log(c_hi / c_lo) / math.log1p(eps))) if c_hi > c_lo else 0
     cs = [c_lo * (1.0 + eps) ** k for k in range(count + 1)]
     if cs[-1] < c_hi:
         cs.append(c_hi)
-    return in_units(_closed_lp_route(A, d, e, cs, unit_atol(atol, x - a)), x, x - a)
+    return _closed_lp_route(A, d, e, cs, atol)
 
 
 def cut_norm_lp_upper(A) -> float:

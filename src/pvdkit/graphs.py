@@ -1,10 +1,6 @@
 """Graph statistics tied to the cut decomposition: threshold rank, core
 density, block-density regularity ratios, and projection-value profiles
 under a chosen diagonal inner product.
-
-Each entry but the block-density check takes its adjacency matrix and
-weights at unit scale (``linalg.unit_scale``) and reports in the input's
-units; the threshold rank and the core density carry none.
 """
 from __future__ import annotations
 
@@ -16,7 +12,7 @@ import numpy.linalg as la
 
 from .cutnorm import BRUTE_FORCE_CAP
 from .domains import CutDomain
-from .linalg import as_adjacency, as_weights, in_units, unit_atol, unit_scale, whitened
+from .linalg import as_adjacency, as_weights, stable_norm, whitened
 from .pvd import compute_pvd
 from .regularity import Partition
 
@@ -53,7 +49,7 @@ def threshold_rank(A, eps: float) -> float:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    A, _ = unit_scale(as_adjacency(A))
+    A = as_adjacency(A)
     d = degree_weights(A)
     lam = la.eigvalsh(_symmetrized_whitened(A, d))
     keep = lam[lam > eps]
@@ -67,7 +63,7 @@ def core_density(A) -> float:
     avg is the average weighted degree.  Vertices of zero degree are fine as
     long as the graph is nonempty.
     """
-    A, _ = unit_scale(as_adjacency(A, symmetric=False))
+    A = as_adjacency(A, symmetric=False)
     deg = A @ np.ones(A.shape[0])
     avg = float(deg.mean())
     if avg <= 0:
@@ -83,15 +79,15 @@ def spectral_projection_values(A, weights=None, r: int | None = None) -> Array:
     result majorizes (in cumulative l2 norm) the projection-value sequence of
     the cut decomposition under the same weights.
     """
-    A, k = unit_scale(as_adjacency(A, nonnegative=False))
-    d, a = unit_scale(as_weights(weights, A.shape[0], "weights"))
+    A = as_adjacency(A, nonnegative=False)
+    d = as_weights(weights, A.shape[0], "weights")
     lam = la.eigvalsh(_symmetrized_whitened(A, d))
     vals = np.sort(np.abs(lam))[::-1]
     if r is not None:
         if r < 0:
             raise ValueError("r must be nonnegative")
         vals = vals[:r]
-    return np.ldexp(vals, a - k)
+    return vals
 
 
 @dataclass
@@ -114,29 +110,29 @@ def cut_pseudorandomness_profile(A, weights=None, r: int = 1,
     full vertex set on both sides.  Both totals are computed by summing the
     same row-sum vector, so with degree weights the ratio is exactly 1.0.
     ``certificate_ratio`` divides the prefix norm ||(sigma_1..sigma_r)||_2 by
-    the cut mass ratio (0 when the graph is empty).
+    the cut mass ratio (0 when the graph is empty).  ``atol`` goes to
+    ``compute_pvd`` as it is.
     """
-    A, k = unit_scale(as_adjacency(A, symmetric=False))
+    A = as_adjacency(A, symmetric=False)
     n = A.shape[0]
     if r < 1:
         raise ValueError("r must be at least 1")
     deg = A @ np.ones(n)
-    d, a = unit_scale(as_weights(weights, n, "weights"))
-    result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap), max_terms=r,
-                         atol=unit_atol(atol, k - a))
-    prefix = float(la.norm(result.sigmas[:r]))
+    d = as_weights(weights, n, "weights")
+    result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap), max_terms=r, atol=atol)
+    prefix = stable_norm(result.sigmas[:r])
     cut_mass = float(np.sum(deg))
     ones_mass = float(np.sum(d))
     ratio = cut_mass / ones_mass
     cert = prefix / ratio if ratio > 0 else 0.0
-    return in_units(PseudorandomnessProfile(
+    return PseudorandomnessProfile(
         r=r,
         sigma_prefix_norm=prefix,
         cut_mass_ratio=ratio,
         certificate_ratio=cert,
         sigmas=result.sigmas,
         exhausted=result.exhausted,
-    ), k, k - a)
+    )
 
 
 def lp_upper_regularity_check(A, p: float, eta: float, mode: str = "exhaustive",

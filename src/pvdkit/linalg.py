@@ -91,11 +91,12 @@ def unit_scale(X) -> tuple:
     """``(X * 2**k, k)``: ``k`` is 0 where the largest |entry| of ``X`` is 0
     or lies in [2^-10, 2^10), else the ``k`` that brings it into [1, 2).
 
-    Each public entry takes its array and weights through this, runs its
-    arithmetic and its absolute floors (``ATOL`` among them) at unit scale,
-    and gives its values back in the input's units (``in_units``).  A
-    power-of-two scaling is exact short of underflow, so an input and its
-    power-of-two multiples outside the window run one computation."""
+    The CLI takes its input and weights through this, and ``compute_pvd``
+    and ``verify_pvd`` their whitened source, so that the absolute floors
+    (``ATOL`` among them) apply at unit scale; ``in_units`` gives the values
+    back in the input's units.  A power-of-two scaling is exact short of
+    underflow, so an input and its power-of-two multiples outside the window
+    run one computation."""
     X = np.asarray(X, dtype=float)
     big = float(np.abs(X).max(initial=0.0))
     if big == 0.0 or 2.0**-10 <= big < 2.0**10:
@@ -120,10 +121,10 @@ def unit_atol(atol, e: int) -> float:
 
 
 #: the fields and certificate names whose values carry the input's unit
-#: (plain), the whitened input's (white) or its square (mass), in the
-#: library's records and the CLI's reports alike; all others carry none
+#: (plain), the whitened input's (white) or its square (mass), in the CLI's
+#: reports and ``pvd.PvdResult``; all others carry none
 _UNITS = {
-    "plain": "source increments approx_matrix weak_irregularity_ub szemeredi_irregularity_ub "
+    "plain": "source increments weak_irregularity_ub szemeredi_irregularity_ub "
              "bound_certificate block_deviation estimate grid_term residual_pnorm_of_truncation "
              "cut-norm-chain block-constance first-term-control second-term-control "
              "estimate-vs-bruteforce cur-chain",
@@ -189,8 +190,8 @@ def whitened(A, d_left=None, d_right=None) -> Array:
 
     Weighted Frobenius/spectral/form quantities of ``A`` equal the plain
     Euclidean ones of the whitened matrix, which is how they are computed
-    throughout the package.  Callers pass arrays and weights at unit scale,
-    where the outer product of the weights stays in the float range.
+    throughout the package.  In the caller's units: the CLI passes arrays
+    and weights at unit scale, where the weights' outer product is finite.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -200,8 +201,8 @@ def whitened(A, d_left=None, d_right=None) -> Array:
 
 
 def frob_inner(X, Y, d_left=None, d_right=None) -> float:
-    """Weighted Frobenius inner product ``sum_ij X_ij Y_ij / (d_i e_j)``, of
-    arrays and weights at unit scale."""
+    """Weighted Frobenius inner product ``sum_ij X_ij Y_ij / (d_i e_j)``, in
+    the caller's units, as ``whitened``."""
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
     if X.shape != Y.shape:

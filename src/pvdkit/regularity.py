@@ -13,10 +13,6 @@ evaluated and reported as a non-gating diagnostic.
 
 Irregularity values are reported against the block-averaging surrogate, an
 upper bound on the minimum over all block-constant matrices.
-
-Each construction runs on its input and weights at unit scale
-(``linalg.unit_scale``), where its floors and ``atol`` apply, and reports in
-the input's units (``linalg.in_units``).
 """
 from __future__ import annotations
 
@@ -29,7 +25,7 @@ import numpy.linalg as la
 
 from .cutnorm import BRUTE_FORCE_CAP, _mask_set, _require_sweep, rectangle_sum
 from .domains import CutDomain
-from .linalg import ATOL, as_adjacency, as_matrix, as_weights, in_units, unit_atol, unit_scale
+from .linalg import ATOL, as_adjacency, as_matrix, as_weights
 from .pvd import best_truncation, certificate, compute_pvd, roundoff_slack, tail_rms, truncate
 from .sweep import _plain_cut_norm
 
@@ -151,15 +147,12 @@ def _cut_norm_ub(R: Array) -> float:
     return _plain_cut_norm(R, ATOL)[0]
 
 
-def _checked(A, eps: float, weights, atol) -> tuple:
-    """The validated adjacency matrix and weights of a construction at unit
-    scale, its ``atol`` there, and the exponents (plain, whitened) that
-    ``in_units`` takes its report back with."""
-    A, k = unit_scale(as_adjacency(A))
+def _checked(A, eps: float, weights) -> tuple:
+    """The validated adjacency matrix and weights of a construction."""
+    A = as_adjacency(A)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    d, a = unit_scale(as_weights(weights, A.shape[0], "weights"))
-    return A, d, unit_atol(atol, k - a), (k, k - a)
+    return A, as_weights(weights, A.shape[0], "weights")
 
 
 def _partition_of(result, m: int, n: int) -> Partition:
@@ -167,8 +160,9 @@ def _partition_of(result, m: int, n: int) -> Partition:
     return refine([(_mask_set(S), _mask_set(T)) for S, T in result.keys[:m]], n)
 
 
-def _weak_core(A, eps: float, d, atol: float, bf_cap: int) -> RegularityReport:
-    """``weak_regularity_partition`` at unit scale without the Szemeredi sum."""
+def _weak_core(A, eps: float, weights, atol, bf_cap: int) -> RegularityReport:
+    """``weak_regularity_partition`` without the Szemeredi sum."""
+    A, d = _checked(A, eps, weights)
     r = math.ceil(eps ** -2)
     if r > A.size:
         raise ValueError(f"eps={eps} needs {r} terms; cap is {A.size}")
@@ -224,10 +218,10 @@ def weak_regularity_partition(A, eps: float, weights=None, atol: float | None = 
         ``A - approx_matrix`` and ``bound_certificate`` the tail bound
         ``(RMS of the first r+1 projection values) * sum(weights)``.
     """
-    A, d, atol, units = _checked(A, eps, weights, atol)
-    report = _weak_core(A, eps, d, atol, bf_cap)
-    report.szemeredi_irregularity_ub = szemeredi_irregularity_ub(A, report.partition, bf_cap)
-    return in_units(report, *units)
+    report = _weak_core(A, eps, weights, atol, bf_cap)
+    report.szemeredi_irregularity_ub = szemeredi_irregularity_ub(
+        report.pvd.source, report.partition, bf_cap)
+    return report
 
 
 def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
@@ -250,7 +244,7 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
     ``eps * sqrt(horizon mass)``.  The refined approximant is
     ``best_truncation(report.pvd, report.details["f_q"])[0]``.
     """
-    A, d, atol, units = _checked(A, eps, weights, atol)
+    A, d = _checked(A, eps, weights)
     if base <= 1:
         raise ValueError("base must exceed 1")
     K = math.ceil(eps ** -2)
@@ -266,7 +260,7 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
     result = compute_pvd(A, CutDomain(d, bf_cap=bf_cap),
                          max_terms=min(levels[-1] + 1, A.size), atol=atol)
     src = result.source_frob_norm
-    # at unit scale only weights that span most of the float range get here
+    # from the CLI, only weights that span most of the float range get here
     if not math.isfinite(src * src):
         raise ValueError(f"the ladder's masses overflow: whitened input norm {src:.3g} squared")
     cum = np.concatenate([[0.0], np.cumsum(result.sigmas ** 2)])
@@ -314,7 +308,7 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
 
     wub = _cut_norm_ub(A - coarse)
     refined_mass = mass(refined_rank)
-    return in_units(RegularityReport(
+    return RegularityReport(
         partition=partition,
         approx_matrix=coarse,
         weak_irregularity_ub=wub,
@@ -337,7 +331,7 @@ def szemeredi_partition(A, eps: float, base: float = 16.0, weights=None,
             "literal_window_ok": bool(window <= eps ** 2 * refined_mass + slack),
             "parts_factor": float(2 ** (2 * q)) if 2 * q < 1000 else math.inf,
         },
-    ), *units)
+    )
 
 
 def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
@@ -359,8 +353,7 @@ def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
         delta = eps / 4.0
     if delta <= 0:
         raise ValueError("delta must be positive")
-    A, d, atol, units = _checked(A, eps, weights, None)
-    report = _weak_core(A, eps, d, atol, bf_cap)
+    report = _weak_core(A, eps, weights, ATOL, bf_cap)
     approx = report.approx_matrix
     parts = report.partition.parts
     sizes = np.array([len(P) for P in parts])
@@ -404,7 +397,7 @@ def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
     X = tuple(sorted(i for P, c in zip(parts, counts) for i in P[:c]))
     Xc = tuple(i for i in range(approx.shape[0]) if i not in X)
     estimate = float(rectangle_sum(approx, X, Xc)) if X and Xc else 0.0
-    return in_units({
+    return {
         "estimate": estimate,
         "bipartition": X,
         "counts": counts,
@@ -415,4 +408,4 @@ def max_cut_details(A, eps: float, delta: float | None = None, weights=None,
         "irregularity_exact": True,
         "num_parts": p,
         "report": report,
-    }, *units)
+    }

@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import numpy.linalg as la
 
 from .cutnorm import _mask_set
 from .domains import FactorDomain
-from .linalg import as_tensor, as_weights, in_units, unit_atol, unit_scale
+from .linalg import as_tensor, as_weights, stable_norm
 from .pvd import best_truncation, certificate, compute_pvd, p_norm, roundoff_slack, tail_rms
 
 Array = np.ndarray
@@ -98,17 +97,16 @@ def tensor_bound_check(T, domain, r: int, atol: float | None = None) -> dict:
     that tail against the source Frobenius bound.  A third certificate checks
     that the engine's residual norm agrees with one recomputed from scratch.
     Each allows ``pvd.roundoff_slack`` of the Frobenius norm of the whitened
-    source.  ``T`` runs at unit scale (``linalg.unit_scale``); the sigmas and
-    certificates are in its units.
+    source.  ``atol`` goes to ``compute_pvd`` as it is.
     """
-    T, k = unit_scale(as_tensor(T, "tensor"))
+    T = as_tensor(T, "tensor")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    result = compute_pvd(T, domain, max_terms=None, atol=unit_atol(atol, k))
+    result = compute_pvd(T, domain, max_terms=None, atol=atol)
     approx, _idx = best_truncation(result, r)
     lhs = p_norm(T - approx, domain, result.atol)
     tail = float(tail_rms(result.sigmas, r))
-    source_norm = float(la.norm(T / domain.whitener))
+    source_norm = stable_norm(T / domain.whitener)
     src = source_norm / math.sqrt(r + 1)
     recomputed = p_norm(T - sum(result.increments, np.zeros(T.shape)), domain, result.atol)
     slack = roundoff_slack(source_norm)
@@ -117,5 +115,5 @@ def tensor_bound_check(T, domain, r: int, atol: float | None = None) -> dict:
         certificate("tail-vs-source", tail, src + slack),
         certificate("residual-consistency", abs(recomputed - result.residual_pnorm), slack),
     ]
-    return in_units({"pass": all(c["pass"] for c in certs), "certificates": certs,
-                     "r": r, "sigmas": result.sigmas.tolist()}, k, k)
+    return {"pass": all(c["pass"] for c in certs), "certificates": certs,
+            "r": r, "sigmas": result.sigmas.tolist()}

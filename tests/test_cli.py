@@ -14,7 +14,7 @@ from pvdkit import cli, cutnorm, domains, regularity
 from pvdkit.cutnorm import COMPLETION_CAP, normalized_cut_bruteforce
 from pvdkit.domains import UnsupportedDomain
 from pvdkit.linalg import frob_norm, unit_scale
-from pvdkit.pvd import best_truncation
+from pvdkit.pvd import best_truncation, compute_pvd
 from pvdkit.regularity import szemeredi_partition
 from pvdkit.tensor import CutTuples, tensor_bound_check
 
@@ -165,9 +165,8 @@ def test_bad_input_is_exit_two(tmp_path, capsys):
 
 
 def test_failing_certificate_is_exit_one(tmp_path, capsys, monkeypatch):
-    def fake(args):
-        return ({"path": "x", "format": "json", "shape": [1, 1]}, {}, {},
-                [{"name": "always-fails", "lhs": 2.0, "rhs": 1.0, "pass": False}])
+    def fake(args, A, weights, atol):
+        return {}, {}, [{"name": "always-fails", "lhs": 2.0, "rhs": 1.0, "pass": False}]
 
     monkeypatch.setitem(cli.HANDLERS, "pvd", fake)
     code = cli.main(["pvd", "--input", _graph_file(tmp_path)])
@@ -177,9 +176,9 @@ def test_failing_certificate_is_exit_one(tmp_path, capsys, monkeypatch):
 
 
 def test_nan_in_a_report_is_exit_two(tmp_path, capsys, monkeypatch):
-    def fake(args):
-        return ({"path": "x", "format": "json", "shape": [1, 1]}, {}, {"value": float("nan")},
-                [{"name": "passes", "lhs": 0.0, "rhs": 1.0, "pass": True}])
+    def fake(args, A, weights, atol):
+        return {}, {"value": float("nan")}, [{"name": "passes", "lhs": 0.0, "rhs": 1.0,
+                                              "pass": True}]
 
     monkeypatch.setitem(cli.HANDLERS, "pvd", fake)
     out = tmp_path / "report.json"
@@ -434,6 +433,50 @@ def test_pvd_certificates_allow_roundoff_at_the_source_scale(source, scale, tmp_
         assert certs[name]["rhs"] == _unit_slack(1e-9, rep["results"]["source_frob_norm"], k)
 
 
+def test_engine_scales_a_whitened_source_outside_the_window(tmp_path, capsys):
+    """G(10) at 2^8 with file weights at 2^-8 lies inside the window of
+    ``unit_scale``, so the CLI leaves it as it is, but its whitened form is
+    2^16 times that of G(10) with the unscaled weights; in both runs the
+    largest whitened entry times its power of two lies in [1, 2).
+    ``compute_pvd`` and ``verify_pvd`` bring the whitened source to unit
+    scale, so the report is the unscaled run's, each whitened value times
+    2^16, bit for bit.  With the floors taken in the whitened units the step
+    and chain certificates' rhs would shrink, and with the default threshold
+    there the full run would pick differently from step 88 on.  (An even
+    power keeps the square roots of the weights' sums exact.)"""
+    A = oracles.gnp_adjacency(np.random.default_rng(12), 10, 0.5)
+    w = np.linspace(0.5, 0.75, 10)
+    reports = []
+    for k in (0, 8):
+        path, weights = tmp_path / f"g{k}.json", tmp_path / f"w{k}.txt"
+        path.write_text(json.dumps(np.ldexp(A, k).tolist()))
+        weights.write_text(" ".join(map(repr, np.ldexp(w, -k).tolist())) + "\n")
+        white = np.ldexp(A, k) / np.sqrt(np.outer(np.ldexp(w, -k), np.ldexp(w, -k)))
+        assert 1 <= math.ldexp(np.abs(white).max(), -2 * k) < 2
+        assert unit_scale(np.ldexp(A, k))[1] == unit_scale(np.ldexp(w, -k))[1] == 0
+        code, rep = _run(capsys, ["pvd", "--input", str(path), "--ip", f"file:{weights}",
+                                  "--r", "8"])
+        assert code == 0
+        reports.append(rep)
+    want, got = (rep["results"] for rep in reports)
+    assert got["selected"] == want["selected"] and got["num_terms"] == want["num_terms"] == 8
+    assert got["exhausted"] == want["exhausted"]
+    for key in ("sigmas", "coefficients", "step_values", "residual_pnorm", "source_frob_norm"):
+        assert np.array_equal(got[key], np.ldexp(want[key], 16)), key
+    names = [c["name"] for c in reports[0]["certificates"]]
+    assert {"step-dominance", "truncation-chain-residual", "truncation-chain-source"} <= set(names)
+    for g, c in zip(reports[1]["certificates"], reports[0]["certificates"], strict=True):
+        e = 0 if c["name"] == "basis-orthonormality" else 16
+        assert (g["name"], g["lhs"], g["rhs"], g["pass"]) == (
+            c["name"], math.ldexp(c["lhs"], e), math.ldexp(c["rhs"], e), c["pass"])
+    # the default threshold applies at unit scale too: the full runs, whose
+    # last steps pick within the tie band, agree term for term
+    runs = [compute_pvd(np.ldexp(A, k), domains.CutDomain(np.ldexp(w, -k), np.ldexp(w, -k)))
+            for k in (0, 8)]
+    assert runs[1].keys == runs[0].keys and runs[1].exhausted == runs[0].exhausted
+    assert np.array_equal(runs[1].coeffs, np.ldexp(runs[0].coeffs, 16))
+
+
 def _unit_slack(floor: float, norm: float, k: int) -> float:
     """``max(floor, 1e-12 * norm)`` taken at unit scale, where the norm is
     ``norm * 2**k``, in the input's units."""
@@ -523,15 +566,37 @@ def test_block_density_powers_past_the_float_range_are_exit_two(tmp_path, capsys
 
 
 def test_ratio_grid_past_its_cap_is_exit_two(tmp_path, capsys):
-    """Degree weights of a K4 with edge weights 100 give a ratio grid of
-    1200 x 1200 pairs for the LP of ``dual-route-agreement``, past
-    ``RATIO_CAP``: refused at once, where it used to grow without bound."""
-    path = tmp_path / "k4.edges"
-    path.write_text("".join(f"{i} {j} 100\n" for i in range(4) for j in range(i + 1, 4)))
+    """Degree weights of a K23 with edge weights 40 give a ratio grid of
+    20240 x 20240 pairs for the LP route, which ``cutnorm`` takes past
+    ``COMPLETION_CAP``: refused at once, where it used to grow without bound."""
+    path = tmp_path / "k23.edges"
+    path.write_text("".join(f"{i} {j} 40\n" for i in range(23) for j in range(i + 1, 23)))
     code = cli.main(["cutnorm", "--input", str(path), "--ip", "degree"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: {1200 * 1200} LP ratio pairs exceed RATIO_CAP 65536\n"
+    assert captured.err == f"error: {20240 * 20240} LP ratio pairs exceed RATIO_CAP 65536\n"
+
+
+@pytest.mark.parametrize("seed", [None, 12])
+def test_dual_route_check_past_the_ratio_cap_is_left_out(tmp_path, capsys, seed):
+    """Under degree weights, a K4 with edge weights 100 (ratio grid 1200 x
+    1200) and a G(10) with edge weights 100 have LP ratio grids past
+    ``RATIO_CAP``.  The sweep gives the exact value, and the run reports it
+    without ``dual-route-agreement``, where it used to exit 2 on the LP's
+    refusal."""
+    if seed is None:
+        A = 100 * (np.ones((4, 4)) - np.eye(4))
+    else:
+        A = 100 * oracles.gnp_adjacency(np.random.default_rng(seed), 10, 0.5)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(A.tolist()))
+    d = A.sum(axis=1)
+    assert d.sum() ** 2 > cutnorm.RATIO_CAP
+    code, rep = _run(capsys, ["cutnorm", "--input", str(path), "--ip", "degree"])
+    assert code == 0 and rep["results"]["method"] == "bruteforce"
+    assert [c["name"] for c in rep["certificates"]] == ["witness-consistency"]
+    assert rep["results"]["value"] == pytest.approx(oracles.cut_pnorm_max_fast(A, d, d),
+                                                    rel=1e-12)
 
 
 def test_cur_of_entries_near_the_float_limit_keeps_its_terms(tmp_path, capsys):
@@ -690,8 +755,8 @@ class _ReadRecorder:
 
 @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
 def test_each_declared_option_is_read(tmp_path, name):
-    """A subcommand declares exactly the options its handler reads, besides
-    ``--input`` and the ``--output`` that ``main`` reads."""
+    """A subcommand declares exactly the options ``run`` and its handler
+    read, besides ``--input`` and the ``--output`` that ``main`` reads."""
     if name == "cur":
         path = tmp_path / "m.json"
         path.write_text(json.dumps([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]]))
@@ -703,7 +768,7 @@ def test_each_declared_option_is_read(tmp_path, name):
     eps = {"weakreg": "0.6", "szemreg": "0.8", "cur": "0.5", "maxcut": "0.5"}
     argv = [name, "--input", str(path)] + (["--eps", eps[name]] if name in eps else [])
     args = _ReadRecorder(cli.build_parser().parse_args(argv))
-    cli.HANDLERS[name](args)
+    cli.run(name, args)
     _, _, options = cli.COMMANDS[name]
     assert args.read == {"input"} | {flag.replace("-", "_") for flag in options}
 

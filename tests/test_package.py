@@ -117,6 +117,32 @@ def test_greedy_path_imports_no_lp():
     assert hits == []
 
 
+def _calls(name: str) -> set:
+    """(module, top-level definition) of every call of ``name`` in the
+    package, by plain name or as an attribute."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if getattr(func, "id", getattr(func, "attr", None)) == name:
+                        found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_units_are_scaled_at_two_boundaries():
+    """The CLI brings its input, weights, ``--tol-abs`` and report to and
+    from unit scale, and the engine (``compute_pvd``, ``verify_pvd``) its
+    whitened source; every other entry computes in its caller's units.
+    Outside ``linalg``, only the LP tableau (``cutnorm._CutLpFamily``),
+    whose tolerance is absolute, calls ``unit_scale`` besides them."""
+    assert {module for module, _ in _calls("in_units")} == {"cli", "pvd"}
+    scaling = {module if module != "cutnorm" else (module, top)
+               for module, top in _calls("unit_scale") if module != "linalg"}
+    assert scaling == {"cli", "pvd", ("cutnorm", "_CutLpFamily")}
+
+
 def _definitions(tree) -> list:
     """Module-level functions, classes and assigned names, dunders aside."""
     names = []
